@@ -16,6 +16,7 @@ the restricted interval), which is how the recursive engine forces
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,6 +28,9 @@ __all__ = [
     "sample_vertex_arrivals",
     "sample_vertex_arrivals_batch",
     "sample_choices_batch",
+    "choice_edges",
+    "ActiveChoices",
+    "active_choices",
     "active_edges",
     "sample_edge_arrivals",
     "sample_edge_arrivals_batch",
@@ -35,6 +39,10 @@ __all__ = [
 ]
 
 NO_CHOICE = -1
+
+# Up to this degree the choice sampler counts cumulative loads with one
+# comparison pass per neighbor, which beats a binary search on short lists.
+LINEAR_PICK_MAX = 32
 
 
 @dataclass
@@ -64,19 +72,83 @@ def _check_loads(g: Graph) -> None:
 
 
 def sample_choices_batch(g: Graph, rng: np.random.Generator, trials: int) -> np.ndarray:
-    """(trials, n) array of neighbor picks (NO_CHOICE for the leftover mass)."""
+    """(trials, n) array of neighbor picks (NO_CHOICE for the leftover mass).
+
+    Built vertex-major: each vertex's picks fill one contiguous row of an
+    (n, trials) array, returned transposed. The uniforms are drawn vertex by
+    vertex as before, so the picks do not depend on the layout.
+    """
     n = g.vertex_count
-    out = np.full((trials, n), NO_CHOICE, dtype=np.int64)
+    out = np.full((n, trials), NO_CHOICE, dtype=np.int64)
     for v in range(n):
         lo, hi = g.indptr[v], g.indptr[v + 1]
         if hi == lo:
             continue
-        cum = g.adj_cumx[lo:hi]
         u = rng.random(trials)
-        idx = np.searchsorted(cum, u, side="right")
-        picked = idx < (hi - lo)
-        out[picked, v] = g.adj_v[lo:hi][idx[picked]]
-    return out
+        cum = g.adj_cumx[lo:hi]
+        # idx counts the cumulative loads <= u; index hi - lo (the leftover
+        # mass) picks the trailing NO_CHOICE
+        if hi - lo <= LINEAR_PICK_MAX:
+            idx = np.zeros(trials, dtype=np.int64)
+            for c in cum:
+                idx += u >= c
+        else:
+            idx = np.searchsorted(cum, u, side="right")
+        out[v] = np.append(g.adj_v[lo:hi], NO_CHOICE)[idx]
+    return out.T
+
+
+def choice_edges(g: Graph, F: np.ndarray) -> np.ndarray:
+    """Edge id of every pick: out[i, v] is the edge (v, F[i, v]), -1 for none.
+
+    One lookup table of n + 1 entries serves each vertex in turn (the last
+    entry answers NO_CHOICE), so memory stays O(n) beyond the output. The
+    output is vertex-major, like `sample_choices_batch`.
+    """
+    n = g.vertex_count
+    out = np.empty((n, F.shape[0]), dtype=np.int64)
+    lut = np.full(n + 1, -1, dtype=np.int64)
+    for v in range(n):
+        lo, hi = g.indptr[v], g.indptr[v + 1]
+        nb = g.adj_v[lo:hi]
+        lut[nb] = g.adj_eid[lo:hi]
+        out[v] = lut[F[:, v]]
+        lut[nb] = -1
+    return out.T
+
+
+class ActiveChoices(NamedTuple):
+    """Active proposals of a (rows, n) batch, in row-major (row, proposer) order."""
+
+    cell: np.ndarray  # flat index row * n + proposer
+    row: np.ndarray
+    proposer: np.ndarray  # the later endpoint, which picked the target
+    target: np.ndarray
+    edge: np.ndarray
+    y: np.ndarray  # the proposer's arrival time
+
+
+def active_choices(g: Graph, Y: np.ndarray, F: np.ndarray, t_stop: float = 1.0, exclude: int | None = None) -> ActiveChoices:
+    """Every active proposal of a vertex-mode batch that arrives by t_stop.
+
+    A proposal is active when the proposer's pick arrived strictly earlier
+    in (time, id) order. `exclude` removes one vertex from the instance.
+    """
+    rows, n = Y.shape
+    y_flat = np.ascontiguousarray(Y).reshape(-1)
+    Fc = np.ascontiguousarray(F)
+    Yc = y_flat.reshape(rows, n)
+    has = (Yc <= t_stop) & (Fc != NO_CHOICE)
+    if exclude is not None:
+        has[:, exclude] = False
+        has &= Fc != exclude
+    # the pick's time; NO_CHOICE reads some other cell, masked by `has`
+    yu = y_flat[Fc + (np.arange(rows) * n)[:, None]]
+    arrived = has & ((yu < Yc) | ((yu == Yc) & (Fc < np.arange(n))))
+    cell = np.flatnonzero(arrived)
+    row, proposer = np.divmod(cell, n)
+    edge = choice_edges(g, F).T.reshape(-1)[proposer * rows + row]
+    return ActiveChoices(cell, row, proposer, Fc.reshape(-1)[cell], edge, y_flat[cell])
 
 
 def _interval_times(rng: np.random.Generator, shape, lo, hi) -> np.ndarray:

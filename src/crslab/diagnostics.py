@@ -21,10 +21,11 @@ import numpy as np
 from .arrivals import (
     NO_CHOICE,
     ArrivalSample,
+    choice_edges,
     sample_vertex_arrivals_batch,
 )
 from .graph import Graph
-from .recursive import EstimateTable, _edge_matrix, phase_of, run_vertex, run_vertex_batch
+from .recursive import EstimateTable, _proposal_param, phase_of, run_vertex, run_vertex_batch
 from .rng import stream
 from .selection import INFINITE, SelectionFunction
 
@@ -206,31 +207,19 @@ def check_badly_ordered(s: ArrivalSample, path: list[int], u: int) -> bool:
 # -- survival and the flip indicator --------------------------------------------
 
 
-def _proposal_param(
-    g: Graph,
-    sel: SelectionFunction,
-    table: EstimateTable,
-    eid: np.ndarray,
-    target: np.ndarray,
-    y: np.ndarray,
-) -> np.ndarray:
-    # mirrors the run loop: Bernoulli threshold of proposal into `target` at y
-    j = phase_of(y, table.T)
-    shat = table.values[j, 2 * eid + (target == g.ev[eid])]
-    param = sel(y) / shat * (1.0 - table.delta) / (1.0 + 1.0 / (sel.floor * table.T * y))
-    return np.minimum(param, 1.0)
-
-
-def _survives_batch(g, sel, table, Y, F, U, rows, a, b, eidmat) -> np.ndarray:
+def _survives_batch(g, sel, table, Y, F, U, FE, rows, a, b) -> np.ndarray:
     """Pairs (a, b) per row: later endpoint chose earlier and its bit passed."""
     ya, yb = Y[rows, a], Y[rows, b]
     a_first = (ya < yb) | ((ya == yb) & (a < b))
     later = np.where(a_first, b, a)
     earlier = np.where(a_first, a, b)
     chose = F[rows, later] == earlier
+    # where `later` chose `earlier`, its choice edge is the pair's edge;
+    # elsewhere the threshold is computed on some other edge and discarded
+    eid = np.where(chose, FE[rows, later], 0)
     y = Y[rows, later]
-    param = _proposal_param(g, sel, table, eidmat[earlier, later], earlier, y)
-    return chose & (U[rows, later] <= param)
+    shat = table.values[phase_of(y, table.T), 2 * eid + (earlier == g.ev[eid])]
+    return chose & (U[rows, later] <= _proposal_param(sel, table, y, shat))
 
 
 def flip_indicators(
@@ -247,7 +236,7 @@ def flip_indicators(
     paths = detect_potential_paths_batch(g, F, u, v)
     trials = Y.shape[0]
     B = np.zeros(trials, dtype=bool)
-    eidmat = _edge_matrix(g)
+    FE = choice_edges(g, F)
     has = np.nonzero(paths.length > 0)[0]
     for d in np.unique(paths.length[has]):
         ii = has[paths.length[has] == d]
@@ -262,7 +251,7 @@ def flip_indicators(
         ok &= inc | inc_swapped
         survive = np.ones(len(ii), dtype=bool)
         for i in range(d - 1):
-            survive &= _survives_batch(g, sel, table, Y, F, U, ii, P[:, i], P[:, i + 1], eidmat)
+            survive &= _survives_batch(g, sel, table, Y, F, U, FE, ii, P[:, i], P[:, i + 1])
         B[ii] = ok & survive
     return B, paths
 

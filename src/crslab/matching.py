@@ -1,4 +1,11 @@
-"""Matching result types shared by the scheme engines."""
+"""Matching result types and the candidate-then-resolve kernel of the engines.
+
+In every batch engine the only sequential state is `matched`: arrival
+order, active proposals and decision bits depend on the arrivals alone. So
+each engine emits one row block's proposals in a single vectorized pass,
+and `BatchTally.resolve` accepts them in arrival order, visiting only the
+proposals themselves.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +15,12 @@ import numpy as np
 
 from .graph import Graph
 
-__all__ = ["Matching", "BatchResult", "assert_valid_matching"]
+__all__ = ["Matching", "BatchResult", "BatchTally", "row_blocks", "assert_valid_matching"]
+
+# Element budget (rows x width) of one row block of a batch engine; a
+# block's candidate and kernel arrays stay within a small multiple of it.
+# Blocks touch no random stream, so results do not depend on the budget.
+ROW_BLOCK_ELEMS = 1 << 17
 
 
 @dataclass
@@ -23,6 +35,98 @@ class BatchResult:
     acc_edge: np.ndarray | None = None  # (trials, m) accepted indicator
     prop_is_ev: np.ndarray | None = None  # (trials, m) proposer side of accepted edge
     sel_into: np.ndarray | None = None  # (trials, n) vertex was accepted as target
+
+
+def row_blocks(trials: int, width: int) -> list[tuple[int, int]]:
+    """(lo, hi) row ranges of at most ROW_BLOCK_ELEMS elements, one row at least."""
+    step = max(1, ROW_BLOCK_ELEMS // max(width, 1))
+    return [(lo, min(trials, lo + step)) for lo in range(0, trials, step)]
+
+
+def _bin_of(y: np.ndarray, bins: int) -> np.ndarray:
+    return np.minimum((y * bins).astype(np.int64), bins - 1)
+
+
+class BatchTally:
+    """The BatchResult of one engine batch, filled row block by row block.
+
+    An engine passes each block's active proposals to `count_active`, then
+    those whose decision bits passed to `resolve`.
+    """
+
+    def __init__(self, g: Graph, trials: int, bins: int | None = None, track_edges: bool = False, track_targets: bool = False):
+        n, m = g.vertex_count, g.edge_count
+        self.g = g
+        self.bins = bins
+        self.matched = np.zeros((trials, n), dtype=bool)
+        self.accepted = np.zeros(m, dtype=np.int64)
+        self.active = np.zeros(m, dtype=np.int64)
+        self.acc_bin = np.zeros(m * bins, dtype=np.int64) if bins else None
+        self.act_bin = np.zeros(m * bins, dtype=np.int64) if bins else None
+        self.acc_edge = np.zeros((trials, m), dtype=bool) if track_edges else None
+        self.prop_is_ev = np.zeros((trials, m), dtype=bool) if track_edges else None
+        self.sel_into = np.zeros((trials, n), dtype=bool) if track_targets else None
+
+    def count_active(self, edge: np.ndarray, y: np.ndarray) -> None:
+        """Count active proposals per edge (and per arrival bin)."""
+        self.active += np.bincount(edge, minlength=self.active.size)
+        if self.bins:
+            self.act_bin += np.bincount(edge * self.bins + _bin_of(y, self.bins), minlength=self.act_bin.size)
+
+    def resolve(self, lo: int, hi: int, row, y, target, proposer, edge) -> None:
+        """Accept one block's proposals greedily in arrival order and record them.
+
+        Rows lo..hi-1 must be untouched. `row` (block-local) is
+        non-decreasing and a row's proposals come in slot order (proposer id
+        or edge id), which breaks ties in `y`. A proposal is accepted iff
+        both endpoints are still unmatched when it arrives.
+        """
+        n = self.matched.shape[1]
+        flat = self.matched.reshape(-1)
+        ia = (row + lo) * n + target
+        ib = (row + lo) * n + proposer
+        acc = np.ones(row.size, dtype=bool)
+        cnt = np.bincount(row, minlength=hi - lo)
+        lone = cnt[row] == 1  # nothing precedes a row's only proposal
+        flat[ia[lone]] = True
+        flat[ib[lone]] = True
+        multi = np.flatnonzero(cnt > 1)
+        if multi.size:
+            # Rows with most proposals first, so the rows that still hold an
+            # s-th arrival are a prefix; each step then visits distinct rows.
+            short = cnt.max() - cnt[multi]  # small ints: a radix sort
+            multi = multi[np.argsort(short.astype(np.min_scalar_type(short.max())), kind="stable")]
+            mc = cnt[multi]
+            start = (np.cumsum(cnt) - cnt)[multi]
+            width = int(mc[0])
+            slot = np.arange(width)
+            valid = slot < mc[:, None]
+            pad = np.full(valid.shape, np.inf)
+            pad[valid] = y[(start[:, None] + slot)[valid]]
+            order = np.argsort(pad, axis=1, kind="stable") + start[:, None]
+            holding = np.searchsorted(-mc, -slot, side="left")  # rows with more than s proposals
+            for s in range(width):
+                idx = order[: holding[s], s]
+                a, b = ia[idx], ib[idx]
+                ok = ~flat[a] & ~flat[b]
+                flat[a[ok]] = True
+                flat[b[ok]] = True
+                acc[idx] = ok
+        rows, ea = row[acc] + lo, edge[acc]
+        self.accepted += np.bincount(ea, minlength=self.accepted.size)
+        if self.bins:
+            self.acc_bin += np.bincount(ea * self.bins + _bin_of(y[acc], self.bins), minlength=self.acc_bin.size)
+        if self.acc_edge is not None:
+            self.acc_edge[rows, ea] = True
+            self.prop_is_ev[rows, ea] = proposer[acc] == self.g.ev[ea]
+        if self.sel_into is not None:
+            self.sel_into[rows, target[acc]] = True
+
+    def result(self) -> BatchResult:
+        m = self.accepted.size
+        acc_bin = self.acc_bin.reshape(m, self.bins) if self.bins else None
+        act_bin = self.act_bin.reshape(m, self.bins) if self.bins else None
+        return BatchResult(self.matched, self.accepted, self.active, acc_bin, act_bin, self.acc_edge, self.prop_is_ev, self.sel_into)
 
 
 @dataclass

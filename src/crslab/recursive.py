@@ -26,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrivals import NO_CHOICE, ArrivalSample, sample_choices_batch
+from .arrivals import NO_CHOICE, ArrivalSample, active_choices, sample_choices_batch
 from .graph import Graph
-from .matching import BatchResult, Matching
+from .matching import BatchResult, BatchTally, Matching, row_blocks
 from .rng import stream
 from .selection import SelectionFunction
 
@@ -68,6 +68,10 @@ def required_samples(C: float, delta: float, T: int, n: int) -> int:
     return math.ceil(3.0 / (C * delta * delta) * math.log(2.0 * T * n * n / delta))
 
 
+def _flat(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a).reshape(-1)
+
+
 def phase_of(y, T: int):
     """Phase index j for arrival time y in (t_j, t_{j+1}] with t_j = j/T."""
     j = np.ceil(np.asarray(y) * T).astype(np.int64) - 1
@@ -88,11 +92,11 @@ class EstimateTable:
         return 2 * eid + (1 if target == g.ev[eid] else 0)
 
 
-def _edge_matrix(g: Graph) -> np.ndarray:
-    mat = np.full((g.vertex_count, g.vertex_count), -1, dtype=np.int64)
-    mat[g.eu, g.ev] = np.arange(g.edge_count)
-    mat[g.ev, g.eu] = np.arange(g.edge_count)
-    return mat
+def _proposal_param(sel: SelectionFunction, table: EstimateTable, y: np.ndarray, shat: np.ndarray) -> np.ndarray:
+    """Proposal probability min(c(y) / S_hat * (1 - delta) / (1 + 1/(C T y)), 1)."""
+    T = table.T
+    param = sel(y) / shat * (1.0 - table.delta) / (1.0 + 1.0 / (sel.floor * T * y))
+    return np.minimum(param, 1.0, out=param)
 
 
 def run_vertex_batch(
@@ -115,67 +119,14 @@ def run_vertex_batch(
     values realizes coupled executions on G and G minus a vertex.
     """
     trials, n = Y.shape
-    m = g.edge_count
-    T, delta, C = table.T, table.delta, sel.floor
-    eidmat = _edge_matrix(g)
-    ev = g.ev
-    rows = np.arange(trials)
-    order = np.argsort(Y, axis=1, kind="stable")
-    matched = np.zeros((trials, n), dtype=bool)
-    accepted = np.zeros(m, dtype=np.int64)
-    active_cnt = np.zeros(m, dtype=np.int64)
-    acc_bin = np.zeros((m, bins), dtype=np.int64) if bins else None
-    act_bin = np.zeros((m, bins), dtype=np.int64) if bins else None
-    acc_edge = np.zeros((trials, m), dtype=bool) if track_edges else None
-    prop_is_ev = np.zeros((trials, m), dtype=bool) if track_edges else None
-    sel_into = np.zeros((trials, n), dtype=bool) if track_targets else None
-
-    for k in range(n):
-        v = order[:, k]
-        y = Y[rows, v]
-        live = y <= t_stop
-        if not live.any():
-            break
-        u = F[rows, v]
-        has = live & (u != NO_CHOICE)
-        if exclude is not None:
-            has &= (v != exclude) & (u != exclude)
-        if not has.any():
-            continue
-        uu = np.where(has, u, 0)
-        yu = Y[rows, uu]
-        arrived = has & ((yu < y) | ((yu == y) & (uu < v)))
-        if not arrived.any():
-            continue
-        idx = np.nonzero(arrived)[0]
-        ue, ve, ye = uu[idx], v[idx], y[idx]
-        eid = eidmat[ue, ve]
-        np.add.at(active_cnt, eid, 1)
-        if bins:
-            b = np.minimum((ye * bins).astype(np.int64), bins - 1)
-            np.add.at(act_bin, (eid, b), 1)
-        j = phase_of(ye, T)
-        shat = table.values[j, 2 * eid + (ue == ev[eid])]
-        param = sel(ye) / shat * (1.0 - delta) / (1.0 + 1.0 / (C * T * ye))
-        np.minimum(param, 1.0, out=param)
-        bit = U[idx, ve] <= param
-        free = ~matched[idx, ue]
-        acc = bit & free
-        ai = idx[acc]
-        if ai.size:
-            ua, va, ea = ue[acc], ve[acc], eid[acc]
-            matched[ai, ua] = True
-            matched[ai, va] = True
-            np.add.at(accepted, ea, 1)
-            if bins:
-                ba = np.minimum((ye[acc] * bins).astype(np.int64), bins - 1)
-                np.add.at(acc_bin, (ea, ba), 1)
-            if track_edges:
-                acc_edge[ai, ea] = True
-                prop_is_ev[ai, ea] = va == ev[ea]
-            if track_targets:
-                sel_into[ai, ua] = True
-    return BatchResult(matched, accepted, active_cnt, acc_bin, act_bin, acc_edge, prop_is_ev, sel_into)
+    tally = BatchTally(g, trials, bins, track_edges, track_targets)
+    for lo, hi in row_blocks(trials, n):
+        c = active_choices(g, Y[lo:hi], F[lo:hi], t_stop, exclude)
+        tally.count_active(c.edge, c.y)
+        shat = table.values[phase_of(c.y, table.T), 2 * c.edge + (c.target == g.ev[c.edge])]
+        bit = _flat(U[lo:hi])[c.cell] <= _proposal_param(sel, table, c.y, shat)
+        tally.resolve(lo, hi, c.row[bit], c.y[bit], c.target[bit], c.proposer[bit], c.edge[bit])
+    return tally.result()
 
 
 def run_vertex(
@@ -240,15 +191,16 @@ def fill_tables(g: Graph, sel: SelectionFunction, T: int, delta: float, Q: int, 
             rng = stream(seed, "fill-vertex", j, c)
             rr = np.arange(count)
             dir_id = (base + rr) // Q
-            trow = targets[dir_id]
-            prow = proposers[dir_id]
+            tcell = rr * n + targets[dir_id]  # flat (row, target) cells
+            pcell = rr * n + proposers[dir_id]
             Y = rng.random((count, n))
-            Y[rr, trow] *= tj
-            Y[rr, prow] = tj + Y[rr, prow] * (1.0 - tj)
+            y = Y.reshape(-1)
+            y[tcell] *= tj
+            y[pcell] = tj + y[pcell] * (1.0 - tj)
             F = sample_choices_batch(g, rng, count)
             U = rng.random((count, n))
             res = run_vertex_batch(g, sel, table, Y, F, U, t_stop=tj)
-            free = ~res.matched[rr, trow]
+            free = ~res.matched.reshape(-1)[tcell]
             unmatched += np.bincount(dir_id, weights=free, minlength=2 * m)
             base += count
         values[j] = np.clip(unmatched / Q, floor_clamp, 1.0)
@@ -298,48 +250,17 @@ def run_edge_batch(
 ) -> BatchResult:
     """Vectorized edge-mode runs; feasibility is both endpoints unmatched."""
     trials, m = Ye.shape
-    n = g.vertex_count
-    T, delta, C = table.T, table.delta, sel.floor
-    rows = np.arange(trials)
-    order = np.argsort(Ye, axis=1, kind="stable")
-    matched = np.zeros((trials, n), dtype=bool)
-    accepted = np.zeros(m, dtype=np.int64)
-    active_cnt = np.zeros(m, dtype=np.int64)
-    acc_bin = np.zeros((m, bins), dtype=np.int64) if bins else None
-    act_bin = np.zeros((m, bins), dtype=np.int64) if bins else None
-    eu, ev = g.eu, g.ev
-    for k in range(m):
-        e = order[:, k]
-        y = Ye[rows, e]
-        live = y <= t_stop
-        if not live.any():
-            break
-        act = live & active[rows, e]
-        if not act.any():
-            continue
-        idx = np.nonzero(act)[0]
-        ee, ye = e[idx], y[idx]
-        np.add.at(active_cnt, ee, 1)
-        if bins:
-            b = np.minimum((ye * bins).astype(np.int64), bins - 1)
-            np.add.at(act_bin, (ee, b), 1)
-        j = phase_of(ye, T)
-        shat = table.values[j, ee]
-        param = sel(ye) / shat * (1.0 - delta) / (1.0 + 1.0 / (C * T * ye))
-        np.minimum(param, 1.0, out=param)
-        bit = U[idx, ee] <= param
-        feas = ~matched[idx, eu[ee]] & ~matched[idx, ev[ee]]
-        acc = bit & feas
-        ai = idx[acc]
-        if ai.size:
-            ea = ee[acc]
-            matched[ai, eu[ea]] = True
-            matched[ai, ev[ea]] = True
-            np.add.at(accepted, ea, 1)
-            if bins:
-                ba = np.minimum((ye[acc] * bins).astype(np.int64), bins - 1)
-                np.add.at(acc_bin, (ea, ba), 1)
-    return BatchResult(matched, accepted, active_cnt, acc_bin, act_bin)
+    tally = BatchTally(g, trials, bins)
+    for lo, hi in row_blocks(trials, m):
+        yb = _flat(Ye[lo:hi])
+        cell = np.flatnonzero(_flat(active[lo:hi]) & (yb <= t_stop))
+        row, e = np.divmod(cell, m)
+        y = yb[cell]
+        tally.count_active(e, y)
+        bit = _flat(U[lo:hi])[cell] <= _proposal_param(sel, table, y, table.values[phase_of(y, table.T), e])
+        e = e[bit]
+        tally.resolve(lo, hi, row[bit], y[bit], g.eu[e], g.ev[e], e)
+    return tally.result()
 
 
 def run_edge(
@@ -374,6 +295,7 @@ def run_edge(
 def fill_tables_edge(g: Graph, sel: SelectionFunction, T: int, delta: float, Q: int, seed: int) -> EstimateTable:
     """Estimate tables for edge mode: S_hat_e(j) = P[e feasible at t_j | Y_e > t_j]."""
     m = g.edge_count
+    n = g.vertex_count
     floor_clamp = sel.floor / 2.0
     values = np.ones((T, m), dtype=np.float64)
     table = EstimateTable("edge", T, delta, Q, floor_clamp, values)
@@ -391,10 +313,13 @@ def fill_tables_edge(g: Graph, sel: SelectionFunction, T: int, delta: float, Q: 
             erow = (base + rr) // Q
             active = rng.random((count, m)) < g.x[None, :]
             Ye = rng.random((count, m))
-            Ye[rr, erow] = tj + Ye[rr, erow] * (1.0 - tj)
+            y = Ye.reshape(-1)
+            ecell = rr * m + erow  # flat (row, forced edge) cells
+            y[ecell] = tj + y[ecell] * (1.0 - tj)
             U = rng.random((count, m))
             res = run_edge_batch(g, sel, table, active, Ye, U, t_stop=tj)
-            free = ~res.matched[rr, eu[erow]] & ~res.matched[rr, ev[erow]]
+            matched = res.matched.reshape(-1)
+            free = ~matched[rr * n + eu[erow]] & ~matched[rr * n + ev[erow]]
             feasible += np.bincount(erow, weights=free, minlength=m)
             base += count
         values[j] = np.clip(feasible / Q, floor_clamp, 1.0)
@@ -565,8 +490,15 @@ def simulate_rank1(g: Graph, trials: int, seed: int, bins: int = 20) -> Rank1Res
         U = rng.random((count, m))
         eligible = active & (U <= np.exp(-Ye * g.x[None, :]))
         elig_y = np.where(eligible, Ye, np.inf)
+        rows = np.arange(count)
         winner = np.argmin(elig_y, axis=1)
-        has = eligible[np.arange(count), winner]
+        has = eligible[rows, winner]
+        # Safety of e asks whether anything other than e was taken before
+        # Y_e: the earliest eligible time over the other elements, which is
+        # the second minimum where e is the winner and the minimum elsewhere.
+        first = elig_y[rows, winner]
+        elig_y[rows, winner] = np.inf
+        second = np.min(elig_y, axis=1)
         b = np.minimum((Ye * bins).astype(np.int64), bins - 1)
         for e in range(m):
             act_e = active[:, e]
@@ -575,10 +507,7 @@ def simulate_rank1(g: Graph, trials: int, seed: int, bins: int = 20) -> Rank1Res
             won = has & (winner == e)
             out.accepted[e] += int(won.sum())
             out.acc_bin[e] += np.bincount(b[won, e], minlength=bins)
-            # Safety: was anything (other than e itself) taken before Y_e?
-            other = elig_y.copy()
-            other[:, e] = np.inf
-            safe = np.min(other, axis=1) > Ye[:, e]
+            safe = np.where(winner == e, second, first) > Ye[:, e]
             out.all_bin[e] += np.bincount(b[:, e], minlength=bins)
             out.safe_bin[e] += np.bincount(b[safe, e], minlength=bins)
     return out

@@ -25,9 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from .arrivals import NO_CHOICE, ArrivalSample, sample_choices_batch
+from .arrivals import NO_CHOICE, ArrivalSample, active_choices, sample_choices_batch
 from .graph import Graph
-from .matching import BatchResult, Matching
+from .matching import BatchResult, BatchTally, Matching, row_blocks
 from .rng import stream
 from .selection import SelectionFunction  # noqa: F401  (type referenced in docs)
 
@@ -155,7 +155,7 @@ def _phase1_mode(g: Graph) -> tuple[str, np.ndarray | None]:
 
     All-equal x on a complete graph makes the sum f*(k-1) at arrival rank k;
     on a complete bipartite graph it is f times the arrived count of the
-    proposer's side. Anything else uses a dense f-weighted adjacency.
+    proposer's side. Anything else ("dense") sums f over the target's adjacency.
     """
     n, m = g.vertex_count, g.edge_count
     uniform = m > 0 and float(np.ptp(g.x)) <= 1e-15
@@ -185,6 +185,41 @@ def _phase1_mode(g: Graph) -> tuple[str, np.ndarray | None]:
     return "dense", None
 
 
+def _phase1_sums(g: Graph, mode: str, side, fvals: np.ndarray, f0: float, Y: np.ndarray, row, proposer, target, y) -> np.ndarray:
+    """Sum of f over the target's neighbors that arrived before the proposer.
+
+    `complete` counts every earlier arrival but the target, `bipartite` the
+    earlier arrivals on the proposer's side, each times the common f; `dense`
+    adds f over the target's adjacency in CSR order. Y is the block's
+    (rows, n) times, C-contiguous.
+    """
+    n = Y.shape[1]
+    if mode == "dense":
+        s = np.zeros(row.size)
+        start = g.indptr[target]
+        deg = g.indptr[target + 1] - start
+        for d in range(int(deg.max(initial=0))):
+            slot = start + np.minimum(d, deg - 1)
+            w = g.adj_v[slot]
+            yw = Y[row, w]
+            earlier = (d < deg) & ((yw < y) | ((yw == y) & (w < proposer)))
+            s += np.where(earlier, fvals[g.adj_eid[slot]], 0.0)
+        return s
+    cnt = np.empty(row.size, dtype=np.int64)
+    cols = np.arange(n)
+    step = max(1, Y.shape[0])  # keeps the (count, n) comparison within the block's size
+    for lo in range(0, row.size, step):
+        sl = slice(lo, lo + step)
+        yr, yv, pv = Y[row[sl]], y[sl, None], proposer[sl, None]
+        earlier = (yr < yv) | ((yr == yv) & (cols < pv))
+        if mode == "bipartite":
+            earlier &= side == side[pv]
+        cnt[sl] = earlier.sum(axis=1)
+    if mode == "complete":
+        cnt -= 1  # the target itself arrived earlier
+    return f0 * cnt
+
+
 def run_two_phase_batch(
     g: Graph,
     t: float,
@@ -204,85 +239,23 @@ def run_two_phase_batch(
         _warn_if_not_one_regular(g)
     trials, n = Y.shape
     m = g.edge_count
-    eidmat = np.full((n, n), -1, dtype=np.int64)
-    eidmat[g.eu, g.ev] = np.arange(m)
-    eidmat[g.ev, g.eu] = np.arange(m)
     avals = prune_factor(g.x, t)
     fvals = survival_prob(g.x, t)
     f0 = float(fvals[0]) if m else 0.0
     mode, side = _phase1_mode(g)
-    needs_b = t > 0.0
-    if needs_b:
-        if mode == "bipartite":
-            side_cnt = np.zeros((trials, 2), dtype=np.int64)
-        elif mode == "dense":
-            fmat = np.zeros((n, n), dtype=np.float64)
-            fmat[g.eu, g.ev] = fvals
-            fmat[g.ev, g.eu] = fvals
-            arrived = np.zeros((trials, n), dtype=bool)
-    rows = np.arange(trials)
-    order = np.argsort(Y, axis=1, kind="stable")
-    matched = np.zeros((trials, n), dtype=bool)
-    accepted = np.zeros(m, dtype=np.int64)
-    active_cnt = np.zeros(m, dtype=np.int64)
-    acc_bin = np.zeros((m, bins), dtype=np.int64) if bins else None
-    act_bin = np.zeros((m, bins), dtype=np.int64) if bins else None
-    acc_edge = np.zeros((trials, m), dtype=bool) if track_edges else None
-    prop_is_ev = np.zeros((trials, m), dtype=bool) if track_edges else None
-
-    for k in range(n):
-        v = order[:, k]
-        y = Y[rows, v]
-        live = y <= t_stop
-        if not live.any():
-            break
-        u = F[rows, v]
-        has = live & (u != NO_CHOICE)
-        uu = np.where(has, u, 0)
-        yu = Y[rows, uu]
-        arrived_u = has & ((yu < y) | ((yu == y) & (uu < v)))
-        idx = np.nonzero(arrived_u)[0]
-        if idx.size:
-            ue, ve, ye = uu[idx], v[idx], y[idx]
-            eid = eidmat[ue, ve]
-            np.add.at(active_cnt, eid, 1)
-            if bins:
-                bi = np.minimum((ye * bins).astype(np.int64), bins - 1)
-                np.add.at(act_bin, (eid, bi), 1)
-            a_bit = UA[idx, ve] <= avals[eid]
-            phase1 = ye < t
-            if needs_b and phase1.any():
-                if mode == "complete":
-                    s = np.full(idx.size, f0 * (k - 1))
-                elif mode == "bipartite":
-                    s = f0 * side_cnt[idx, side[ve]]
-                else:
-                    s = np.einsum("ij,ij->i", fmat[ue], arrived[idx])
-                assert float(np.max(s, initial=0.0)) <= 1.0 + 1e-9, "phase-1 sums must stay within the unit load"
-                b = np.where(phase1, 1.0 / (2.0 - s), 1.0)
-                b_bit = np.where(phase1, UB[idx, ve] <= b, True)
-            else:
-                b_bit = np.ones(idx.size, dtype=bool)
-            free = ~matched[idx, ue]
-            acc = a_bit & b_bit & free
-            ai = idx[acc]
-            if ai.size:
-                ua, va, ea = ue[acc], ve[acc], eid[acc]
-                matched[ai, ua] = True
-                matched[ai, va] = True
-                np.add.at(accepted, ea, 1)
-                if bins:
-                    ba = np.minimum((ye[acc] * bins).astype(np.int64), bins - 1)
-                    np.add.at(acc_bin, (ea, ba), 1)
-                if track_edges:
-                    acc_edge[ai, ea] = True
-                    prop_is_ev[ai, ea] = va == g.ev[ea]
-        if needs_b:
-            if mode == "bipartite":
-                side_cnt[rows[live], side[v[live]]] += 1
-            elif mode == "dense":
-                arrived[rows[live], v[live]] = True
-    return BatchResult(matched, accepted, active_cnt, acc_bin, act_bin, acc_edge, prop_is_ev, None)
+    tally = BatchTally(g, trials, bins, track_edges)
+    for lo, hi in row_blocks(trials, n):
+        yb = np.ascontiguousarray(Y[lo:hi])
+        c = active_choices(g, yb, F[lo:hi], t_stop)
+        tally.count_active(c.edge, c.y)
+        keep = np.ascontiguousarray(UA[lo:hi]).reshape(-1)[c.cell] <= avals[c.edge]
+        if t > 0.0:
+            p1 = np.flatnonzero(keep & (c.y < t))
+            s = _phase1_sums(g, mode, side, fvals, f0, yb, c.row[p1], c.proposer[p1], c.target[p1], c.y[p1])
+            assert float(np.max(s, initial=0.0)) <= 1.0 + 1e-9, "phase-1 sums must stay within the unit load"
+            keep[p1] = np.ascontiguousarray(UB[lo:hi]).reshape(-1)[c.cell[p1]] <= 1.0 / (2.0 - s)
+        tally.resolve(lo, hi, c.row[keep], c.y[keep], c.target[keep], c.proposer[keep], c.edge[keep])
+    return tally.result()
 
 
 def run_two_phase(g: Graph, t: float, s: ArrivalSample, UA: np.ndarray, UB: np.ndarray) -> Matching:

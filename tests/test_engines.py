@@ -1,0 +1,197 @@
+"""Batch engines against their scalar references on tie-heavy inputs.
+
+Arrival times are drawn from a coarse grid, so most rows hold several
+arrivals at the same time and the (time, id) order decides. Every row of
+every BatchResult field must equal what the plain event loops give, and the
+result must not depend on the row-block budget of the shared kernel.
+"""
+
+import warnings
+
+import numpy as np
+import pytest
+
+import crslab.matching
+from crslab.arrivals import ArrivalSample, active_edges, sample_choices_batch
+from crslab.graph import complete, complete_bipartite, cycle, cycle_blowup
+from crslab.recursive import fill_tables_edge, run_edge, run_edge_batch, run_vertex, run_vertex_batch
+from crslab.rng import stream
+from crslab.selection import edge_selection
+from crslab.two_phase import run_two_phase, run_two_phase_batch
+
+GRID = 6  # arrival times k / GRID, k = 1..GRID
+BINS = 4
+FIELDS = ("matched", "accepted", "active", "acc_bin", "act_bin", "acc_edge", "prop_is_ev", "sel_into")
+# t_stop on a grid point, between two grid points, and the full horizon
+T_STOPS = (0.5, 0.6, 1.0)
+
+
+def _grid(rng, shape):
+    return (rng.integers(0, GRID, size=shape) + 1) / GRID
+
+
+def _vertex_draws(g, seed, trials, extra=1):
+    rng = stream(seed, "test-engines")
+    n = g.vertex_count
+    Y = _grid(rng, (trials, n))
+    F = sample_choices_batch(g, rng, trials)
+    return (Y, F) + tuple(rng.random((trials, n)) for _ in range(extra))
+
+
+def _bin(y):
+    return min(int(y * BINS), BINS - 1)
+
+
+class _Reference:
+    """BatchResult fields rebuilt row by row from scalar runs."""
+
+    def __init__(self, g, trials):
+        n, m = g.vertex_count, g.edge_count
+        self.g = g
+        self.matched = np.zeros((trials, n), dtype=bool)
+        self.accepted = np.zeros(m, dtype=np.int64)
+        self.active = np.zeros(m, dtype=np.int64)
+        self.acc_bin = np.zeros((m, BINS), dtype=np.int64)
+        self.act_bin = np.zeros((m, BINS), dtype=np.int64)
+        self.acc_edge = np.zeros((trials, m), dtype=bool)
+        self.prop_is_ev = np.zeros((trials, m), dtype=bool)
+        self.sel_into = np.zeros((trials, n), dtype=bool)
+
+    def add_active(self, eid, y):
+        self.active[eid] += 1
+        self.act_bin[eid, _bin(y)] += 1
+
+    def add_accepted(self, i, eid, y, proposer):
+        u, v = int(self.g.eu[eid]), int(self.g.ev[eid])
+        self.matched[i, u] = self.matched[i, v] = True
+        self.accepted[eid] += 1
+        self.acc_bin[eid, _bin(y)] += 1
+        self.acc_edge[i, eid] = True
+        self.prop_is_ev[i, eid] = proposer == v
+        self.sel_into[i, u + v - proposer] = True
+
+    def check(self, res, fields):
+        for name in FIELDS:
+            got = getattr(res, name)
+            if name not in fields:
+                assert got is None, name
+                continue
+            want = getattr(self, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
+@pytest.mark.parametrize("t_stop", T_STOPS)
+@pytest.mark.parametrize("which,exclude", [("c5", None), ("c5", 2), ("k33", None), ("k33", 4)])
+def test_vertex_batch_rows_match_scalar(which, exclude, t_stop, c5, sel5, table_c5_small, k33, sel_inf, table_k33_small):
+    g, sel, table = (c5, sel5, table_c5_small) if which == "c5" else (k33, sel_inf, table_k33_small)
+    trials = 300
+    Y, F, U = _vertex_draws(g, 811, trials)
+    res = run_vertex_batch(g, sel, table, Y, F, U, t_stop, exclude, BINS, True, True)
+    ref = _Reference(g, trials)
+    for i in range(trials):
+        s = ArrivalSample(mode="vertex", times=Y[i], choices=F[i])
+        for a in active_edges(g, s):
+            if a.arrival <= t_stop and exclude not in (g.eu[a.edge_id], g.ev[a.edge_id]):
+                ref.add_active(a.edge_id, a.arrival)
+        for eid, y, proposer in run_vertex(g, sel, table, s, U[i], t_stop=t_stop, exclude=exclude).accepted:
+            ref.add_accepted(i, eid, y, proposer)
+    ref.check(res, FIELDS)
+
+
+@pytest.mark.parametrize("t_stop", T_STOPS)
+def test_edge_batch_rows_match_scalar(t_stop, k33):
+    g = k33
+    sel = edge_selection("edge_general")
+    table = fill_tables_edge(g, sel, T=6, delta=0.1, Q=200, seed=812)
+    trials, m = 300, g.edge_count
+    rng = stream(813, "test-engines")
+    active = rng.random((trials, m)) < 2.0 * g.x[None, :]
+    Ye = _grid(rng, (trials, m))
+    U = rng.random((trials, m))
+    res = run_edge_batch(g, sel, table, active, Ye, U, t_stop, BINS)
+    ref = _Reference(g, trials)
+    for i in range(trials):
+        for e in np.nonzero(active[i] & (Ye[i] <= t_stop))[0]:
+            ref.add_active(e, Ye[i, e])
+        s = ArrivalSample(mode="edge", active=active[i], edge_times=Ye[i])
+        for eid, y, proposer in run_edge(g, sel, table, s, U[i], t_stop=t_stop).accepted:
+            ref.add_accepted(i, eid, y, proposer)
+    ref.check(res, ("matched", "accepted", "active", "acc_bin", "act_bin"))
+
+
+@pytest.mark.parametrize("t_stop", T_STOPS)
+@pytest.mark.parametrize(
+    "maker,t",
+    [
+        (lambda: complete(5), 0.6),  # complete-graph phase-1 sums
+        (lambda: complete_bipartite(3), 0.6),  # bipartite phase-1 sums
+        (lambda: cycle(5, 0.5), 0.6),  # dense phase-1 sums, degree 2
+        (lambda: cycle_blowup(3, 2), 0.6),  # dense phase-1 sums, degree 4
+    ],
+)
+def test_two_phase_batch_rows_match_scalar(maker, t, t_stop):
+    g = maker()
+    trials = 300
+    Y, F, UA, UB = _vertex_draws(g, 814, trials, extra=2)
+    res = run_two_phase_batch(g, t, Y, F, UA, UB, t_stop, BINS, True)
+    ref = _Reference(g, trials)
+    for i in range(trials):
+        s = ArrivalSample(mode="vertex", times=Y[i], choices=F[i])
+        for a in active_edges(g, s):
+            if a.arrival <= t_stop:
+                ref.add_active(a.edge_id, a.arrival)
+        # earlier decisions never look at later arrivals, so stopping at
+        # t_stop keeps exactly the accepts of the full run made by then
+        for eid, y, proposer in run_two_phase(g, t, s, UA[i], UB[i]).accepted:
+            if y <= t_stop:
+                ref.add_accepted(i, eid, y, proposer)
+    ref.check(res, ("matched", "accepted", "active", "acc_bin", "act_bin", "acc_edge", "prop_is_ev"))
+
+
+def _budgets(width):
+    """One row, a few rows, and the default block budget."""
+    return (1, 3 * width + 1, crslab.matching.ROW_BLOCK_ELEMS)
+
+
+def _same_for_every_budget(monkeypatch, width, run):
+    results = []
+    for budget in _budgets(width):
+        monkeypatch.setattr(crslab.matching, "ROW_BLOCK_ELEMS", budget)
+        results.append(run())
+    for res in results[1:]:
+        for name in FIELDS:
+            a, b = getattr(results[0], name), getattr(res, name)
+            assert (a is None and b is None) or np.array_equal(a, b), name
+
+
+def test_vertex_batch_ignores_block_budget(monkeypatch, c5, sel5, table_c5_small):
+    Y, F, U = _vertex_draws(c5, 821, 200)
+    for t_stop in T_STOPS:
+        _same_for_every_budget(
+            monkeypatch, c5.vertex_count,
+            lambda: run_vertex_batch(c5, sel5, table_c5_small, Y, F, U, t_stop, 1, BINS, True, True),
+        )
+
+
+def test_edge_batch_ignores_block_budget(monkeypatch, k33):
+    sel = edge_selection("edge_general")
+    table = fill_tables_edge(k33, sel, T=6, delta=0.1, Q=200, seed=822)
+    rng = stream(823, "test-engines")
+    active = rng.random((200, 9)) < 2.0 * k33.x[None, :]
+    Ye = _grid(rng, (200, 9))
+    U = rng.random((200, 9))
+    for t_stop in T_STOPS:
+        _same_for_every_budget(monkeypatch, 9, lambda: run_edge_batch(k33, sel, table, active, Ye, U, t_stop, BINS))
+
+
+@pytest.mark.parametrize("maker", [lambda: complete(5), lambda: complete_bipartite(3), lambda: cycle_blowup(3, 2)])
+def test_two_phase_batch_ignores_block_budget(monkeypatch, maker):
+    g = maker()
+    Y, F, UA, UB = _vertex_draws(g, 824, 200, extra=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # every instance here is 1-regular
+        for t_stop in T_STOPS:
+            _same_for_every_budget(
+                monkeypatch, g.vertex_count,
+                lambda: run_two_phase_batch(g, 0.6, Y, F, UA, UB, t_stop, BINS, True),
+            )
