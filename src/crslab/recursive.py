@@ -94,8 +94,7 @@ class EstimateTable:
 
 def _proposal_param(sel: SelectionFunction, table: EstimateTable, y: np.ndarray, shat: np.ndarray) -> np.ndarray:
     """Proposal probability min(c(y) / S_hat * (1 - delta) / (1 + 1/(C T y)), 1)."""
-    T = table.T
-    param = sel(y) / shat * (1.0 - table.delta) / (1.0 + 1.0 / (sel.floor * T * y))
+    param = sel(y) / shat * (1.0 - table.delta) / (1.0 + 1.0 / (sel.floor * table.T * y))
     return np.minimum(param, 1.0, out=param)
 
 

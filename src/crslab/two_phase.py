@@ -185,7 +185,7 @@ def _phase1_mode(g: Graph) -> tuple[str, np.ndarray | None]:
     return "dense", None
 
 
-def _phase1_sums(g: Graph, mode: str, side, fvals: np.ndarray, f0: float, Y: np.ndarray, row, proposer, target, y) -> np.ndarray:
+def _phase1_sums(g: Graph, mode: str, side, fvals: np.ndarray, Y: np.ndarray, row, proposer, target, y) -> np.ndarray:
     """Sum of f over the target's neighbors that arrived before the proposer.
 
     `complete` counts every earlier arrival but the target, `bipartite` the
@@ -217,7 +217,7 @@ def _phase1_sums(g: Graph, mode: str, side, fvals: np.ndarray, f0: float, Y: np.
         cnt[sl] = earlier.sum(axis=1)
     if mode == "complete":
         cnt -= 1  # the target itself arrived earlier
-    return f0 * cnt
+    return fvals[0] * cnt
 
 
 def run_two_phase_batch(
@@ -238,10 +238,8 @@ def run_two_phase_batch(
     if check_regular:
         _warn_if_not_one_regular(g)
     trials, n = Y.shape
-    m = g.edge_count
     avals = prune_factor(g.x, t)
     fvals = survival_prob(g.x, t)
-    f0 = float(fvals[0]) if m else 0.0
     mode, side = _phase1_mode(g)
     tally = BatchTally(g, trials, bins, track_edges)
     for lo, hi in row_blocks(trials, n):
@@ -251,7 +249,7 @@ def run_two_phase_batch(
         keep = np.ascontiguousarray(UA[lo:hi]).reshape(-1)[c.cell] <= avals[c.edge]
         if t > 0.0:
             p1 = np.flatnonzero(keep & (c.y < t))
-            s = _phase1_sums(g, mode, side, fvals, f0, yb, c.row[p1], c.proposer[p1], c.target[p1], c.y[p1])
+            s = _phase1_sums(g, mode, side, fvals, yb, c.row[p1], c.proposer[p1], c.target[p1], c.y[p1])
             assert float(np.max(s, initial=0.0)) <= 1.0 + 1e-9, "phase-1 sums must stay within the unit load"
             keep[p1] = np.ascontiguousarray(UB[lo:hi]).reshape(-1)[c.cell[p1]] <= 1.0 / (2.0 - s)
         tally.resolve(lo, hi, c.row[keep], c.y[keep], c.target[keep], c.proposer[keep], c.edge[keep])
