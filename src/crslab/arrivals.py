@@ -28,9 +28,6 @@ __all__ = [
     "sample_vertex_arrivals",
     "sample_vertex_arrivals_batch",
     "sample_choices_batch",
-    "choice_edges",
-    "ActiveChoices",
-    "active_choices",
     "active_edges",
     "sample_edge_arrivals",
     "sample_edge_arrivals_batch",
@@ -39,10 +36,6 @@ __all__ = [
 ]
 
 NO_CHOICE = -1
-
-# Up to this degree the choice sampler counts cumulative loads with one
-# comparison pass per neighbor, which beats a binary search on short lists.
-LINEAR_PICK_MAX = 32
 
 
 @dataclass
@@ -85,20 +78,18 @@ def sample_choices_batch(g: Graph, rng: np.random.Generator, trials: int) -> np.
         if hi == lo:
             continue
         u = rng.random(trials)
-        cum = g.adj_cumx[lo:hi]
-        # idx counts the cumulative loads <= u; index hi - lo (the leftover
-        # mass) picks the trailing NO_CHOICE
-        if hi - lo <= LINEAR_PICK_MAX:
-            idx = np.zeros(trials, dtype=np.int64)
-            for c in cum:
-                idx += u >= c
-        else:
-            idx = np.searchsorted(cum, u, side="right")
+        # index hi - lo (the leftover mass) picks the trailing NO_CHOICE
+        idx = np.searchsorted(g.adj_cumx[lo:hi], u, side="right")
         out[v] = np.append(g.adj_v[lo:hi], NO_CHOICE)[idx]
     return out.T
 
 
-def choice_edges(g: Graph, F: np.ndarray) -> np.ndarray:
+def _flat(a: np.ndarray) -> np.ndarray:
+    """A flat C-order view of `a` (a copy only when `a` is not contiguous)."""
+    return np.ascontiguousarray(a).reshape(-1)
+
+
+def _choice_edges(g: Graph, F: np.ndarray) -> np.ndarray:
     """Edge id of every pick: out[i, v] is the edge (v, F[i, v]), -1 for none.
 
     One lookup table of n + 1 entries serves each vertex in turn (the last
@@ -117,7 +108,7 @@ def choice_edges(g: Graph, F: np.ndarray) -> np.ndarray:
     return out.T
 
 
-class ActiveChoices(NamedTuple):
+class _ActiveChoices(NamedTuple):
     """Active proposals of a (rows, n) batch, in row-major (row, proposer) order."""
 
     cell: np.ndarray  # flat index row * n + proposer
@@ -128,14 +119,14 @@ class ActiveChoices(NamedTuple):
     y: np.ndarray  # the proposer's arrival time
 
 
-def active_choices(g: Graph, Y: np.ndarray, F: np.ndarray, t_stop: float = 1.0, exclude: int | None = None) -> ActiveChoices:
+def _active_choices(g: Graph, Y: np.ndarray, F: np.ndarray, t_stop: float = 1.0, exclude: int | None = None) -> _ActiveChoices:
     """Every active proposal of a vertex-mode batch that arrives by t_stop.
 
     A proposal is active when the proposer's pick arrived strictly earlier
     in (time, id) order. `exclude` removes one vertex from the instance.
     """
     rows, n = Y.shape
-    y_flat = np.ascontiguousarray(Y).reshape(-1)
+    y_flat = _flat(Y)
     Fc = np.ascontiguousarray(F)
     Yc = y_flat.reshape(rows, n)
     has = (Yc <= t_stop) & (Fc != NO_CHOICE)
@@ -147,8 +138,8 @@ def active_choices(g: Graph, Y: np.ndarray, F: np.ndarray, t_stop: float = 1.0, 
     arrived = has & ((yu < Yc) | ((yu == Yc) & (Fc < np.arange(n))))
     cell = np.flatnonzero(arrived)
     row, proposer = np.divmod(cell, n)
-    edge = choice_edges(g, F).T.reshape(-1)[proposer * rows + row]
-    return ActiveChoices(cell, row, proposer, Fc.reshape(-1)[cell], edge, y_flat[cell])
+    edge = _choice_edges(g, F).T.reshape(-1)[proposer * rows + row]
+    return _ActiveChoices(cell, row, proposer, Fc.reshape(-1)[cell], edge, y_flat[cell])
 
 
 def _interval_times(rng: np.random.Generator, shape, lo, hi) -> np.ndarray:

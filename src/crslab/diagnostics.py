@@ -21,7 +21,7 @@ import numpy as np
 from .arrivals import (
     NO_CHOICE,
     ArrivalSample,
-    choice_edges,
+    _choice_edges,
     sample_vertex_arrivals_batch,
 )
 from .graph import Graph
@@ -236,7 +236,7 @@ def flip_indicators(
     paths = detect_potential_paths_batch(g, F, u, v)
     trials = Y.shape[0]
     B = np.zeros(trials, dtype=bool)
-    FE = choice_edges(g, F)
+    FE = _choice_edges(g, F)
     has = np.nonzero(paths.length > 0)[0]
     for d in np.unique(paths.length[has]):
         ii = has[paths.length[has] == d]

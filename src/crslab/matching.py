@@ -3,7 +3,7 @@
 In every batch engine the only sequential state is `matched`: arrival
 order, active proposals and decision bits depend on the arrivals alone. So
 each engine emits one row block's proposals in a single vectorized pass,
-and `BatchTally.resolve` accepts them in arrival order, visiting only the
+and `_BatchTally.resolve` accepts them in arrival order, visiting only the
 proposals themselves.
 """
 
@@ -15,7 +15,7 @@ import numpy as np
 
 from .graph import Graph
 
-__all__ = ["Matching", "BatchResult", "BatchTally", "row_blocks", "assert_valid_matching"]
+__all__ = ["Matching", "BatchResult", "assert_valid_matching"]
 
 # Element budget (rows x width) of one row block of a batch engine; a
 # block's candidate and kernel arrays stay within a small multiple of it.
@@ -37,7 +37,7 @@ class BatchResult:
     sel_into: np.ndarray | None = None  # (trials, n) vertex was accepted as target
 
 
-def row_blocks(trials: int, width: int) -> list[tuple[int, int]]:
+def _row_blocks(trials: int, width: int) -> list[tuple[int, int]]:
     """(lo, hi) row ranges of at most ROW_BLOCK_ELEMS elements, one row at least."""
     step = max(1, ROW_BLOCK_ELEMS // max(width, 1))
     return [(lo, min(trials, lo + step)) for lo in range(0, trials, step)]
@@ -47,7 +47,7 @@ def _bin_of(y: np.ndarray, bins: int) -> np.ndarray:
     return np.minimum((y * bins).astype(np.int64), bins - 1)
 
 
-class BatchTally:
+class _BatchTally:
     """The BatchResult of one engine batch, filled row block by row block.
 
     An engine passes each block's active proposals to `count_active`, then
@@ -85,33 +85,26 @@ class BatchTally:
         flat = self.matched.reshape(-1)
         ia = (row + lo) * n + target
         ib = (row + lo) * n + proposer
-        acc = np.ones(row.size, dtype=bool)
+        # One padded line per row that holds proposals, in slot order, then
+        # sorted by time (stable, so slot order breaks ties): column s holds
+        # the s-th arrival of every row with more than s proposals, so each
+        # step gathers and scatters over distinct rows.
         cnt = np.bincount(row, minlength=hi - lo)
-        lone = cnt[row] == 1  # nothing precedes a row's only proposal
-        flat[ia[lone]] = True
-        flat[ib[lone]] = True
-        multi = np.flatnonzero(cnt > 1)
-        if multi.size:
-            # Rows with most proposals first, so the rows that still hold an
-            # s-th arrival are a prefix; each step then visits distinct rows.
-            short = cnt.max() - cnt[multi]  # small ints: a radix sort
-            multi = multi[np.argsort(short.astype(np.min_scalar_type(short.max())), kind="stable")]
-            mc = cnt[multi]
-            start = (np.cumsum(cnt) - cnt)[multi]
-            width = int(mc[0])
-            slot = np.arange(width)
-            valid = slot < mc[:, None]
-            pad = np.full(valid.shape, np.inf)
-            pad[valid] = y[(start[:, None] + slot)[valid]]
-            order = np.argsort(pad, axis=1, kind="stable") + start[:, None]
-            holding = np.searchsorted(-mc, -slot, side="left")  # rows with more than s proposals
-            for s in range(width):
-                idx = order[: holding[s], s]
-                a, b = ia[idx], ib[idx]
-                ok = ~flat[a] & ~flat[b]
-                flat[a[ok]] = True
-                flat[b[ok]] = True
-                acc[idx] = ok
+        has = np.flatnonzero(cnt)
+        mc, start = cnt[has], (np.cumsum(cnt) - cnt)[has]
+        slot = np.arange(mc.max(initial=0))
+        valid = slot < mc[:, None]
+        pad = np.full(valid.shape, np.inf)
+        pad[valid] = y
+        order = np.argsort(pad, axis=1, kind="stable") + start[:, None]
+        acc = np.empty(row.size, dtype=bool)
+        for s in slot:
+            idx = order[mc > s, s]
+            a, b = ia[idx], ib[idx]
+            ok = ~flat[a] & ~flat[b]
+            flat[a[ok]] = True
+            flat[b[ok]] = True
+            acc[idx] = ok
         rows, ea = row[acc] + lo, edge[acc]
         self.accepted += np.bincount(ea, minlength=self.accepted.size)
         if self.bins:

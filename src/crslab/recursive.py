@@ -26,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrivals import NO_CHOICE, ArrivalSample, active_choices, sample_choices_batch
+from .arrivals import NO_CHOICE, ArrivalSample, _active_choices, _flat, sample_choices_batch
 from .graph import Graph
-from .matching import BatchResult, BatchTally, Matching, row_blocks
+from .matching import BatchResult, Matching, _BatchTally, _row_blocks
 from .rng import stream
 from .selection import SelectionFunction
 
@@ -66,10 +66,6 @@ def required_samples(C: float, delta: float, T: int, n: int) -> int:
     if T < 1 or n < 1:
         raise ValueError("T and n must be >= 1")
     return math.ceil(3.0 / (C * delta * delta) * math.log(2.0 * T * n * n / delta))
-
-
-def _flat(a: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(a).reshape(-1)
 
 
 def phase_of(y, T: int):
@@ -118,9 +114,9 @@ def run_vertex_batch(
     values realizes coupled executions on G and G minus a vertex.
     """
     trials, n = Y.shape
-    tally = BatchTally(g, trials, bins, track_edges, track_targets)
-    for lo, hi in row_blocks(trials, n):
-        c = active_choices(g, Y[lo:hi], F[lo:hi], t_stop, exclude)
+    tally = _BatchTally(g, trials, bins, track_edges, track_targets)
+    for lo, hi in _row_blocks(trials, n):
+        c = _active_choices(g, Y[lo:hi], F[lo:hi], t_stop, exclude)
         tally.count_active(c.edge, c.y)
         shat = table.values[phase_of(c.y, table.T), 2 * c.edge + (c.target == g.ev[c.edge])]
         bit = _flat(U[lo:hi])[c.cell] <= _proposal_param(sel, table, c.y, shat)
@@ -249,8 +245,8 @@ def run_edge_batch(
 ) -> BatchResult:
     """Vectorized edge-mode runs; feasibility is both endpoints unmatched."""
     trials, m = Ye.shape
-    tally = BatchTally(g, trials, bins)
-    for lo, hi in row_blocks(trials, m):
+    tally = _BatchTally(g, trials, bins)
+    for lo, hi in _row_blocks(trials, m):
         yb = _flat(Ye[lo:hi])
         cell = np.flatnonzero(_flat(active[lo:hi]) & (yb <= t_stop))
         row, e = np.divmod(cell, m)

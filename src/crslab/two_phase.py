@@ -25,9 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from .arrivals import NO_CHOICE, ArrivalSample, active_choices, sample_choices_batch
+from .arrivals import NO_CHOICE, ArrivalSample, _active_choices, _flat, sample_choices_batch
 from .graph import Graph
-from .matching import BatchResult, BatchTally, Matching, row_blocks
+from .matching import BatchResult, Matching, _BatchTally, _row_blocks
 from .rng import stream
 from .selection import SelectionFunction  # noqa: F401  (type referenced in docs)
 
@@ -241,17 +241,17 @@ def run_two_phase_batch(
     avals = prune_factor(g.x, t)
     fvals = survival_prob(g.x, t)
     mode, side = _phase1_mode(g)
-    tally = BatchTally(g, trials, bins, track_edges)
-    for lo, hi in row_blocks(trials, n):
+    tally = _BatchTally(g, trials, bins, track_edges)
+    for lo, hi in _row_blocks(trials, n):
         yb = np.ascontiguousarray(Y[lo:hi])
-        c = active_choices(g, yb, F[lo:hi], t_stop)
+        c = _active_choices(g, yb, F[lo:hi], t_stop)
         tally.count_active(c.edge, c.y)
-        keep = np.ascontiguousarray(UA[lo:hi]).reshape(-1)[c.cell] <= avals[c.edge]
+        keep = _flat(UA[lo:hi])[c.cell] <= avals[c.edge]
         if t > 0.0:
-            p1 = np.flatnonzero(keep & (c.y < t))
+            p1 = np.flatnonzero(c.y < t)
             s = _phase1_sums(g, mode, side, fvals, yb, c.row[p1], c.proposer[p1], c.target[p1], c.y[p1])
             assert float(np.max(s, initial=0.0)) <= 1.0 + 1e-9, "phase-1 sums must stay within the unit load"
-            keep[p1] = np.ascontiguousarray(UB[lo:hi]).reshape(-1)[c.cell[p1]] <= 1.0 / (2.0 - s)
+            keep[p1] &= _flat(UB[lo:hi])[c.cell[p1]] <= 1.0 / (2.0 - s)
         tally.resolve(lo, hi, c.row[keep], c.y[keep], c.target[keep], c.proposer[keep], c.edge[keep])
     return tally.result()
 

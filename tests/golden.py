@@ -34,7 +34,7 @@ import numpy as np
 
 from crslab.arrivals import sample_choices_batch
 from crslab.diagnostics import coupled_batch
-from crslab.graph import complete, complete_bipartite, cycle, random_tree
+from crslab.graph import complete, complete_bipartite, cycle, cycle_blowup, random_tree
 from crslab.harness import run_suite
 from crslab.matching import BatchResult
 from crslab.recursive import fill_tables, fill_tables_edge, run_edge_batch, run_vertex_batch
@@ -198,7 +198,13 @@ def engine_digests() -> dict[str, str]:
     for t_stop in (0.5, 0.6, 1.0):
         out[f"edge-tree9-t{t_stop}"] = batch_digest(run_edge_batch(tree, sel_e, tab_e, active, Ye, U, t_stop, 3))
 
-    for name, g in (("complete7", complete(7)), ("bipartite3", complete_bipartite(3)), ("cycle5", cycle(5, 0.5))):
+    two_phase_graphs = (
+        ("complete7", complete(7)),  # complete-graph phase-1 sums
+        ("bipartite3", complete_bipartite(3)),  # bipartite phase-1 sums
+        ("cycle5", cycle(5, 0.5)),  # dense phase-1 sums, degree 2
+        ("blowup3x2", cycle_blowup(3, 2)),  # dense phase-1 sums, degree 4
+    )
+    for name, g in two_phase_graphs:
         rng = stream(606, "golden-two-phase", name)
         n = g.vertex_count
         Y = _grid_times(rng, (rows, n))
