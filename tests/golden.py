@@ -9,7 +9,10 @@ direct entry points, and hashes what they produce:
 - `pinned_phase1_frequency` with tied pinned times;
 - every `BatchResult` field of the three batch engines on tie-heavy inputs
   (arrival times on a coarse grid), with `exclude`, `track_edges`,
-  `track_targets` and `bins`.
+  `track_targets` and `bins`;
+- the choice sampler's picks on degrees 1 to 60, on zero and tiny loads and
+  on leftover mass, for batches of one row, a few rows and many rows;
+- `c_vertex` on a dense grid of y for several finite girths.
 
 `tests/test_golden.py` compares the digests with the pinned values in
 `tests/golden_digests.json`, so any change in output bytes across commits
@@ -34,12 +37,12 @@ import numpy as np
 
 from crslab.arrivals import sample_choices_batch
 from crslab.diagnostics import coupled_batch
-from crslab.graph import complete, complete_bipartite, cycle, cycle_blowup, random_tree
+from crslab.graph import complete, complete_bipartite, cycle, cycle_blowup, double_star, random_tree, weighted_star
 from crslab.harness import run_suite
 from crslab.matching import BatchResult
 from crslab.recursive import fill_tables, fill_tables_edge, run_edge_batch, run_vertex_batch
 from crslab.rng import stream
-from crslab.selection import INFINITE, edge_selection, vertex_selection
+from crslab.selection import INFINITE, c_vertex, edge_selection, vertex_selection
 from crslab.two_phase import pinned_phase1_frequency, run_two_phase_batch
 
 PINNED = Path(__file__).with_name("golden_digests.json")
@@ -217,6 +220,39 @@ def engine_digests() -> dict[str, str]:
     return out
 
 
+def sampler_digests() -> dict[str, str]:
+    """`sample_choices_batch` picks for one row, a few rows and many rows."""
+    graphs = (
+        ("complete61", complete(61)),  # degree 60
+        # zero and tiny loads (equal and nearly equal breakpoints), leftover mass
+        ("weighted-star", weighted_star([0.0, 1e-12, 0.3, 0.0, 0.0, 1e-13, 0.25, 2e-12, 0.0, 0.1, 1e-4])),
+        ("double-star8", double_star(8)),
+        ("cycle5", cycle(5, 0.5)),
+    )
+    out = {}
+    for name, g in graphs:
+        rng = stream(801, "golden-sampler", name)
+        h = hashlib.sha256()
+        for trials in (1, 7, 20000):
+            h.update(_array_bytes(sample_choices_batch(g, rng, trials)))
+        out[name] = h.hexdigest()
+    return out
+
+
+def selection_digests() -> dict[str, str]:
+    """`c_vertex` on a dense grid of y, on slices of it and at single points."""
+    y = np.concatenate([np.linspace(0.0, 1.0, 100001), np.geomspace(1e-300, 1.0, 2001)])
+    out = {}
+    for g in (3, 5, 7, 21):
+        h = hashlib.sha256()
+        h.update(_array_bytes(c_vertex(y, g)))
+        for lo in range(0, y.size, 9973):  # each slice's largest y sets its term count
+            h.update(_array_bytes(c_vertex(y[lo : lo + 997], g)))
+        h.update(repr([c_vertex(float(v), g) for v in y[::257]]).encode())
+        out[f"g{g}"] = h.hexdigest()
+    return out
+
+
 def pinned_digest() -> str:
     """pinned_phase1_frequency on C5 with tied pinned times."""
     g5 = cycle(5, 0.5)
@@ -238,6 +274,8 @@ def compute_digests() -> dict[str, str]:
             if not path.name.endswith(".timing.json"):
                 out[f"report/{path.name}"] = _sha(path.read_bytes())
     out.update({f"engine/{k}": v for k, v in engine_digests().items()})
+    out.update({f"sampler/{k}": v for k, v in sampler_digests().items()})
+    out.update({f"c-vertex/{k}": v for k, v in selection_digests().items()})
     out["pinned-phase1"] = pinned_digest()
     return out
 
