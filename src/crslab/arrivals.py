@@ -64,12 +64,50 @@ def _check_loads(g: Graph) -> None:
         raise ValueError("vertex load exceeds 1: cannot form the choice distribution")
 
 
+def _pick(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """`np.searchsorted(cum, u, side="right")` for a sorted `cum` and u in [0, 1).
+
+    A guide table (Chen & Asau 1974; Devroye 1986, III.2.4) over the distinct
+    breakpoints b of `cum`: K = 2^p cells, start[k] = count(b <= k/K). A draw
+    starts at j = start[floor(u K)], which never overshoots count(b <= u)
+    because K is a power of two, so u K, its floor and k/K are exact and
+    k/K <= u. Each pass steps over one more breakpoint only when it is <= u,
+    and `steps` passes (the most breakpoints strictly inside one cell) reach
+    count(b <= u). p grows from the smallest K >= 2 len(b) until every cell
+    holds at most one breakpoint or K reaches the number of draws, so the
+    table never costs more than the draws it serves.
+    """
+    b = np.unique(cum)
+    # breakpoint j - 1 is the last one <= u  ->  count(cum <= u)
+    slot_of = np.concatenate(([0], np.searchsorted(cum, b, side="right")))
+    p = (2 * b.size - 1).bit_length()
+    while True:
+        K = 1 << p
+        scaled = b * K
+        inner = scaled[(scaled < K) & (scaled != np.floor(scaled))]
+        steps = int(np.bincount(inner.astype(np.intp)).max()) if inner.size else 0
+        if steps <= 1 or K >= u.size:
+            break
+        p += 1
+    start = np.searchsorted(b, np.arange(K) / K, side="right")
+    b_ext = np.append(b, np.inf)
+    j = start[(u * K).astype(np.intp)]
+    for _ in range(steps):
+        j += b_ext[j] <= u
+    return slot_of[j]
+
+
 def sample_choices_batch(g: Graph, rng: np.random.Generator, trials: int) -> np.ndarray:
     """(trials, n) array of neighbor picks (NO_CHOICE for the leftover mass).
 
-    Built vertex-major: each vertex's picks fill one contiguous row of an
-    (n, trials) array, returned transposed. The uniforms are drawn vertex by
-    vertex as before, so the picks do not depend on the layout.
+    Vertex v picks its s-th neighbor when u lands in [cum[s-1], cum[s]) of its
+    cumulative loads, and nothing past the last one. Built vertex-major: one
+    `rng.random(trials)` per vertex with neighbors, in vertex order, fills
+    one contiguous row of an (n, trials) array, returned transposed. The
+    pick is `_pick`'s guide table, which returns exactly the binary search
+    `np.searchsorted(cum, u, side="right")` for every u in [0, 1) in a
+    constant number of passes per draw at any degree: it relies only on
+    power-of-two cell widths, not on how the generator makes its numbers.
     """
     n = g.vertex_count
     out = np.full((n, trials), NO_CHOICE, dtype=np.int64)
@@ -78,9 +116,8 @@ def sample_choices_batch(g: Graph, rng: np.random.Generator, trials: int) -> np.
         if hi == lo:
             continue
         u = rng.random(trials)
-        # index hi - lo (the leftover mass) picks the trailing NO_CHOICE
-        idx = np.searchsorted(g.adj_cumx[lo:hi], u, side="right")
-        out[v] = np.append(g.adj_v[lo:hi], NO_CHOICE)[idx]
+        # slot hi - lo (the leftover mass) picks the trailing NO_CHOICE
+        out[v] = np.append(g.adj_v[lo:hi], NO_CHOICE)[_pick(g.adj_cumx[lo:hi], u)]
     return out.T
 
 

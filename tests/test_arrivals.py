@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crslab.arrivals import (
     NO_CHOICE,
     ArrivalSample,
+    _pick,
     active_edges,
     earlier,
     sample_choices_batch,
@@ -12,7 +15,7 @@ from crslab.arrivals import (
     sample_vertex_arrivals,
     sample_vertex_arrivals_batch,
 )
-from crslab.graph import Graph, cycle, star, weighted_star
+from crslab.graph import LOAD_TOL, Graph, complete, cycle, star, weighted_star
 from crslab.rng import stream
 
 
@@ -43,6 +46,46 @@ def test_choices_only_hit_neighbors():
     for v in range(5):
         picked = set(np.unique(F[:, v])) - {NO_CHOICE}
         assert picked <= set(g.neighbors(v).tolist())
+
+
+@st.composite
+def cumulative_loads(draw):
+    """Sorted cumulative loads: repeats, gaps near 1e-12, totals below 1 or just above."""
+    values = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40))
+    if draw(st.booleans()):  # a cluster of breakpoints about 1e-12 apart
+        base = draw(st.floats(0.0, 1.0 - 1e-9))
+        gaps = draw(st.lists(st.sampled_from([1e-13, 5e-13, 1e-12, 2e-12, 3e-12]), min_size=1, max_size=12))
+        values += list(base + np.cumsum(gaps))
+    values += draw(st.lists(st.sampled_from(values), max_size=10))  # equal breakpoints
+    cum = np.sort(np.array(values))
+    total = draw(st.sampled_from(["below", "one", "above"]))
+    if total == "one":
+        cum[-1] = 1.0
+    elif total == "above":
+        cum[-1] = 1.0 + draw(st.floats(0.0, LOAD_TOL))
+    return cum
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(cum=cumulative_loads(), n_random=st.sampled_from([0, 5, 3000]))
+def test_pick_equals_binary_search(cum, n_random):
+    below = np.nextafter(cum, -np.inf)
+    u = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], cum, below, np.random.default_rng(n_random).random(n_random)])
+    u = u[(u >= 0.0) & (u < 1.0)]
+    # the number of draws bounds the table size, so both small and large counts matter
+    assert np.array_equal(_pick(cum, u), np.searchsorted(cum, u, side="right"))
+
+
+def test_sampler_equals_binary_search_reference():
+    xs = [0.0, 1e-12, 0.3, 0.0, 1e-13, 0.25, 2e-12, 0.0, 0.1, 1e-4]
+    for g in (weighted_star(xs), complete(9), cycle(5, 0.5)):
+        for trials in (1, 7, 5000):
+            F = sample_choices_batch(g, stream(16, "test-choices"), trials)
+            rng = stream(16, "test-choices")
+            for v in range(g.vertex_count):
+                lo, hi = g.indptr[v], g.indptr[v + 1]
+                idx = np.searchsorted(g.adj_cumx[lo:hi], rng.random(trials), side="right")
+                assert np.array_equal(F[:, v], np.append(g.adj_v[lo:hi], NO_CHOICE)[idx])
 
 
 def test_vertex_batch_shapes_and_interval():
