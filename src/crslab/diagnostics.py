@@ -175,13 +175,11 @@ def detect_potential_paths_batch(g: Graph, F: np.ndarray, u: int, v: int) -> Pot
             case_a = F[:, v] == w
             case_b = F[rows, wk] == v
             cand = alive & (case_a | case_b)
-            for i in np.nonzero(cand)[0]:
-                npaths[i] += 1
-                if dout[i] == 0:
-                    d = k + 2
-                    dout[i] = d
-                    path[i, 0] = v
-                    path[i, 1 : d] = chain[i, : k + 1][::-1]
+            npaths += cand
+            first = cand & (dout == 0)
+            dout[first] = k + 2
+            path[first, 0] = v
+            path[first, 1 : k + 2] = chain[first, k::-1]
         nxt = F[rows, wk]
         ok = alive & (nxt != NO_CHOICE)
         nxtc = np.where(ok, nxt, 0)
