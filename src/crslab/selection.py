@@ -94,16 +94,25 @@ def gamma_upper_int(s: int, z: float) -> float:
 
 
 def _tail_series(minus2y: np.ndarray, g: int) -> np.ndarray:
-    """sum_{k>=g} (-2y)^k / k!, alternating with decreasing terms for y<=1."""
+    """sum_{k>=g} (-2y)^k / k!, alternating with decreasing terms for y<=1.
+
+    The series stops after the first term below 1e-20 at the largest |y|.
+    Rounding is monotone, so every |term_k| is monotone in |y| and that one
+    element decides the term count; it is found first, on that element alone.
+    """
+    widest = minus2y[np.argmax(np.abs(minus2y))][None]
+    term = np.ones_like(widest)
+    for last in range(1, g + 80):
+        term = term * widest / last
+        if last > g and np.abs(term[0]) < 1e-20:
+            break
     term = np.ones_like(minus2y)
     for k in range(1, g + 1):
         term = term * minus2y / k
     tail = term.copy()
-    for k in range(g + 1, g + 80):
+    for k in range(g + 1, last + 1):
         term = term * minus2y / k
         tail += term
-        if np.max(np.abs(term)) < 1e-20:
-            break
     return tail
 
 
