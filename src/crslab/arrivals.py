@@ -78,7 +78,7 @@ def _pick(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     table never costs more than the draws it serves.
     """
     b = np.unique(cum)
-    # breakpoint j - 1 is the last one <= u  ->  count(cum <= u)
+    # slot_of[j] = count(cum <= b[j - 1]), the answer once j = count(b <= u)
     slot_of = np.concatenate(([0], np.searchsorted(cum, b, side="right")))
     p = (2 * b.size - 1).bit_length()
     while True:
