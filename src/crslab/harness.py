@@ -3,7 +3,8 @@
 A config names an instance, a scheme and a trial budget; runners produce a
 flat summary dict (for checks) plus one CSV table (for plotting). Reports
 are deterministic byte-for-byte given the same config and seed: wall-clock
-timing goes to a separate sidecar file so data files can be compared.
+timing and the engine thread count go to a separate sidecar file, so data
+files can be compared across runs and machines.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import matching
 from .diagnostics import correlation_gap
 from .graph import FAMILIES, Graph, generate
 from .hardness import hardness_trajectory, m_de
@@ -495,7 +497,7 @@ def write_report(out_dir: str | Path, name: str, cfg: ExperimentConfig, report: 
         "summary": {k: _py(v) for k, v in report.summary.items()},
     }
     (out / f"{name}.json").write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    (out / f"{name}.timing.json").write_text(json.dumps({"seconds": seconds}) + "\n")
+    (out / f"{name}.timing.json").write_text(json.dumps({"seconds": seconds, "workers": matching.WORKERS}) + "\n")
 
 
 # -- suite -----------------------------------------------------------------------
@@ -595,6 +597,6 @@ def run_suite(path: str | Path, out_dir: str | Path | None = None) -> SuiteResul
         json.dumps({"experiments": entries, "passed": result.passed}, sort_keys=True, indent=2) + "\n"
     )
     (out / "suite.timing.json").write_text(
-        json.dumps({"seconds": time.perf_counter() - total_start}) + "\n"
+        json.dumps({"seconds": time.perf_counter() - total_start, "workers": matching.WORKERS}) + "\n"
     )
     return result

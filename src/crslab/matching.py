@@ -5,10 +5,19 @@ order, active proposals and decision bits depend on the arrivals alone. So
 each engine emits one row block's proposals in a single vectorized pass,
 and `_BatchTally.resolve` accepts them in arrival order, visiting only the
 proposals themselves.
+
+Row blocks share no state but the tally's counters, so `_for_blocks` runs
+them on up to `WORKERS` threads (numpy releases the interpreter lock in its
+kernels). The memory budget of one serial block is split across the
+workers, the counters are integer sums taken under one lock, and the
+selection function is called under that lock too, so the result is the
+same for every worker count and block budget.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,10 +26,15 @@ from .graph import Graph
 
 __all__ = ["Matching", "BatchResult", "assert_valid_matching"]
 
-# Element budget (rows x width) of one row block of a batch engine; a
-# block's candidate and kernel arrays stay within a small multiple of it.
-# Blocks touch no random stream, so results do not depend on the budget.
+# Element budget (rows x width) of the row blocks in flight in a batch
+# engine, split evenly across its workers; a block's candidate and kernel
+# arrays stay within a small multiple of its share. Blocks touch no random
+# stream, so results do not depend on the budget.
 ROW_BLOCK_ELEMS = 1 << 17
+
+# Engine threads: the CPUs this process may run on (`taskset -c 0` gives a
+# serial run). A batch uses at most one per full-budget block.
+WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 @dataclass
@@ -37,10 +51,38 @@ class BatchResult:
     sel_into: np.ndarray | None = None  # (trials, n) vertex was accepted as target
 
 
-def _row_blocks(trials: int, width: int) -> list[tuple[int, int]]:
-    """(lo, hi) row ranges of at most ROW_BLOCK_ELEMS elements, one row at least."""
-    step = max(1, ROW_BLOCK_ELEMS // max(width, 1))
-    return [(lo, min(trials, lo + step)) for lo in range(0, trials, step)]
+def _for_blocks(trials: int, width: int, body) -> None:
+    """Call body(lo, hi) once for each row block lo..hi-1 of a batch.
+
+    A batch of b full-budget blocks runs on w = min(WORKERS, b) threads,
+    the caller's and w - 1 helpers, each taking every w-th block of
+    ROW_BLOCK_ELEMS // w elements (one row at least). The first exception
+    raised in a block stops the blocks not yet started and is re-raised
+    here once every helper has finished.
+    """
+    width = max(width, 1)
+    workers = max(1, min(WORKERS, -(-trials // max(1, ROW_BLOCK_ELEMS // width))))
+    step = max(1, ROW_BLOCK_ELEMS // workers // width)
+    blocks = [(lo, min(trials, lo + step)) for lo in range(0, trials, step)]
+    errors: list[BaseException] = []
+
+    def run(share):
+        try:
+            for lo, hi in share:
+                if errors:
+                    return
+                body(lo, hi)
+        except BaseException as exc:
+            errors.append(exc)
+
+    helpers = [threading.Thread(target=run, args=(blocks[k::workers],), daemon=True) for k in range(1, workers)]
+    for h in helpers:
+        h.start()
+    run(blocks[::workers])
+    for h in helpers:
+        h.join()
+    if errors:
+        raise errors[0]
 
 
 def _bin_of(y: np.ndarray, bins: int) -> np.ndarray:
@@ -51,7 +93,9 @@ class _BatchTally:
     """The BatchResult of one engine batch, filled row block by row block.
 
     An engine passes each block's active proposals to `count_active`, then
-    those whose decision bits passed to `resolve`.
+    those whose decision bits passed to `resolve`. Blocks may run on several
+    threads: each writes only its own rows, and adds to the shared counters
+    under `lock`, which also serializes the engine's selection calls.
     """
 
     def __init__(self, g: Graph, trials: int, bins: int | None = None, track_edges: bool = False, track_targets: bool = False):
@@ -66,12 +110,19 @@ class _BatchTally:
         self.acc_edge = np.zeros((trials, m), dtype=bool) if track_edges else None
         self.prop_is_ev = np.zeros((trials, m), dtype=bool) if track_edges else None
         self.sel_into = np.zeros((trials, n), dtype=bool) if track_targets else None
+        self.lock = threading.Lock()
+
+    def _add(self, total: np.ndarray, ids: np.ndarray) -> None:
+        """Counts of `ids` (computed outside the lock) added to `total` under it."""
+        counts = np.bincount(ids, minlength=total.size)
+        with self.lock:
+            total += counts
 
     def count_active(self, edge: np.ndarray, y: np.ndarray) -> None:
         """Count active proposals per edge (and per arrival bin)."""
-        self.active += np.bincount(edge, minlength=self.active.size)
+        self._add(self.active, edge)
         if self.bins:
-            self.act_bin += np.bincount(edge * self.bins + _bin_of(y, self.bins), minlength=self.act_bin.size)
+            self._add(self.act_bin, edge * self.bins + _bin_of(y, self.bins))
 
     def resolve(self, lo: int, hi: int, row, y, target, proposer, edge) -> None:
         """Accept one block's proposals greedily in arrival order and record them.
@@ -106,9 +157,9 @@ class _BatchTally:
             flat[b[ok]] = True
             acc[idx] = ok
         rows, ea = row[acc] + lo, edge[acc]
-        self.accepted += np.bincount(ea, minlength=self.accepted.size)
+        self._add(self.accepted, ea)
         if self.bins:
-            self.acc_bin += np.bincount(ea * self.bins + _bin_of(y[acc], self.bins), minlength=self.acc_bin.size)
+            self._add(self.acc_bin, ea * self.bins + _bin_of(y[acc], self.bins))
         if self.acc_edge is not None:
             self.acc_edge[rows, ea] = True
             self.prop_is_ev[rows, ea] = proposer[acc] == self.g.ev[ea]

@@ -21,6 +21,7 @@ Bernoulli(e^{-y x_e}) thinning.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -28,7 +29,7 @@ import numpy as np
 
 from .arrivals import NO_CHOICE, ArrivalSample, _active_choices, _flat, sample_choices_batch
 from .graph import Graph
-from .matching import BatchResult, Matching, _BatchTally, _row_blocks
+from .matching import BatchResult, Matching, _BatchTally, _for_blocks
 from .rng import stream
 from .selection import SelectionFunction
 
@@ -88,9 +89,15 @@ class EstimateTable:
         return 2 * eid + (1 if target == g.ev[eid] else 0)
 
 
-def _proposal_param(sel: SelectionFunction, table: EstimateTable, y: np.ndarray, shat: np.ndarray) -> np.ndarray:
-    """Proposal probability min(c(y) / S_hat * (1 - delta) / (1 + 1/(C T y)), 1)."""
-    param = sel(y) / shat * (1.0 - table.delta) / (1.0 + 1.0 / (sel.floor * table.T * y))
+def _proposal_param(sel: SelectionFunction, table: EstimateTable, y: np.ndarray, shat: np.ndarray, lock=contextlib.nullcontext()) -> np.ndarray:
+    """Proposal probability min(c(y) / S_hat * (1 - delta) / (1 + 1/(C T y)), 1).
+
+    `sel` is called under `lock`: it may be a user callable that is not
+    thread-safe.
+    """
+    with lock:
+        c = sel(y)
+    param = c / shat * (1.0 - table.delta) / (1.0 + 1.0 / (sel.floor * table.T * y))
     return np.minimum(param, 1.0, out=param)
 
 
@@ -115,12 +122,15 @@ def run_vertex_batch(
     """
     trials, n = Y.shape
     tally = _BatchTally(g, trials, bins, track_edges, track_targets)
-    for lo, hi in _row_blocks(trials, n):
+
+    def block(lo, hi):
         c = _active_choices(g, Y[lo:hi], F[lo:hi], t_stop, exclude)
         tally.count_active(c.edge, c.y)
         shat = table.values[phase_of(c.y, table.T), 2 * c.edge + (c.target == g.ev[c.edge])]
-        bit = _flat(U[lo:hi])[c.cell] <= _proposal_param(sel, table, c.y, shat)
+        bit = _flat(U[lo:hi])[c.cell] <= _proposal_param(sel, table, c.y, shat, tally.lock)
         tally.resolve(lo, hi, c.row[bit], c.y[bit], c.target[bit], c.proposer[bit], c.edge[bit])
+
+    _for_blocks(trials, n, block)
     return tally.result()
 
 
@@ -246,15 +256,18 @@ def run_edge_batch(
     """Vectorized edge-mode runs; feasibility is both endpoints unmatched."""
     trials, m = Ye.shape
     tally = _BatchTally(g, trials, bins)
-    for lo, hi in _row_blocks(trials, m):
+
+    def block(lo, hi):
         yb = _flat(Ye[lo:hi])
         cell = np.flatnonzero(_flat(active[lo:hi]) & (yb <= t_stop))
         row, e = np.divmod(cell, m)
         y = yb[cell]
         tally.count_active(e, y)
-        bit = _flat(U[lo:hi])[cell] <= _proposal_param(sel, table, y, table.values[phase_of(y, table.T), e])
+        bit = _flat(U[lo:hi])[cell] <= _proposal_param(sel, table, y, table.values[phase_of(y, table.T), e], tally.lock)
         e = e[bit]
         tally.resolve(lo, hi, row[bit], y[bit], g.eu[e], g.ev[e], e)
+
+    _for_blocks(trials, m, block)
     return tally.result()
 
 

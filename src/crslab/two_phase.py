@@ -27,7 +27,8 @@ from numpy.polynomial import Polynomial
 
 from .arrivals import NO_CHOICE, ArrivalSample, _active_choices, _flat, sample_choices_batch
 from .graph import Graph
-from .matching import BatchResult, Matching, _BatchTally, _row_blocks
+from .matching import BatchResult, Matching, _BatchTally, _for_blocks
+from .numerics import bisect
 from .rng import stream
 from .selection import SelectionFunction  # noqa: F401  (type referenced in docs)
 
@@ -89,19 +90,8 @@ def t_root_poly(t: float) -> float:
 
 @functools.lru_cache(maxsize=1)
 def find_t0() -> float:
-    """Unique root of t_root_poly on (0, 1), by bisection to 1e-14."""
-    lo, hi = 0.0, 1.0
-    flo, fhi = t_root_poly(lo), t_root_poly(hi)
-    assert flo < 0.0 < fhi, "sign change on (0,1) expected"
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if t_root_poly(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-16:
-            break
-    return 0.5 * (lo + hi)
+    """Unique root of t_root_poly on (0, 1), by bisection to 1e-16."""
+    return bisect(t_root_poly, 0.0, 1.0, xtol=1e-16)
 
 
 def guarantee_poly(t: float) -> float:
@@ -242,7 +232,8 @@ def run_two_phase_batch(
     fvals = survival_prob(g.x, t)
     mode, side = _phase1_mode(g)
     tally = _BatchTally(g, trials, bins, track_edges)
-    for lo, hi in _row_blocks(trials, n):
+
+    def block(lo, hi):
         yb = np.ascontiguousarray(Y[lo:hi])
         c = _active_choices(g, yb, F[lo:hi], t_stop)
         tally.count_active(c.edge, c.y)
@@ -253,6 +244,8 @@ def run_two_phase_batch(
             assert float(np.max(s, initial=0.0)) <= 1.0 + 1e-9, "phase-1 sums must stay within the unit load"
             keep[p1] &= _flat(UB[lo:hi])[c.cell[p1]] <= 1.0 / (2.0 - s)
         tally.resolve(lo, hi, c.row[keep], c.y[keep], c.target[keep], c.proposer[keep], c.edge[keep])
+
+    _for_blocks(trials, n, block)
     return tally.result()
 
 

@@ -3,9 +3,14 @@
 Arrival times are drawn from a coarse grid, so most rows hold several
 arrivals at the same time and the (time, id) order decides. Every row of
 every BatchResult field must equal what the plain event loops give, and the
-result must not depend on the row-block budget of the shared kernel.
+result must not depend on the row-block budget of the shared kernel or on
+how many threads run its blocks.
 """
 
+import dataclasses
+import sys
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -153,15 +158,22 @@ def _budgets(width):
     return (1, 3 * width + 1, crslab.matching.ROW_BLOCK_ELEMS)
 
 
+def _same_fields(a, b):
+    for name in FIELDS:
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x is None and y is None) or np.array_equal(x, y), name
+
+
 def _same_for_every_budget(monkeypatch, width, run):
+    """Every block budget on 1, 2 and 3 engine threads gives the same result."""
     results = []
-    for budget in _budgets(width):
-        monkeypatch.setattr(crslab.matching, "ROW_BLOCK_ELEMS", budget)
-        results.append(run())
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(crslab.matching, "WORKERS", workers)
+        for budget in _budgets(width):
+            monkeypatch.setattr(crslab.matching, "ROW_BLOCK_ELEMS", budget)
+            results.append(run())
     for res in results[1:]:
-        for name in FIELDS:
-            a, b = getattr(results[0], name), getattr(res, name)
-            assert (a is None and b is None) or np.array_equal(a, b), name
+        _same_fields(results[0], res)
 
 
 def test_vertex_batch_ignores_block_budget(monkeypatch, c5, sel5, table_c5_small):
@@ -195,3 +207,85 @@ def test_two_phase_batch_ignores_block_budget(monkeypatch, maker):
                 monkeypatch, g.vertex_count,
                 lambda: run_two_phase_batch(g, 0.6, Y, F, UA, UB, t_stop, BINS, True),
             )
+
+
+# -- engine threads ------------------------------------------------------------------
+
+
+class _Boom(Exception):
+    pass
+
+
+class _WatchedSelection:
+    """A selection callable that records how many calls overlap, and can
+    raise on the k-th call made from a helper thread."""
+
+    def __init__(self, fn, fail_on_helper_call=None):
+        self.fn = fn
+        self.fail_on = fail_on_helper_call
+        self.guard = threading.Lock()
+        self.inside = self.peak = self.helper_calls = 0
+
+    def __call__(self, y):
+        with self.guard:
+            self.inside += 1
+            self.peak = max(self.peak, self.inside)
+            if threading.current_thread() is not threading.main_thread():
+                self.helper_calls += 1
+                fail = self.helper_calls == self.fail_on
+            else:
+                fail = False
+        try:
+            time.sleep(2e-4)  # leaves room for a second call to enter
+            if fail:
+                raise _Boom("selection failed in a helper block")
+            return self.fn(y)
+        finally:
+            with self.guard:
+                self.inside -= 1
+
+
+def _engine_runs(c5, sel5, table_c5_small, k33):
+    """(width, run(sel)) for the vertex and the edge engine."""
+    Y, F, U = _vertex_draws(c5, 831, 120)
+    sel_e = edge_selection("edge_general")
+    table_e = fill_tables_edge(k33, sel_e, T=6, delta=0.1, Q=100, seed=832)
+    rng = stream(833, "test-engines")
+    active = rng.random((120, 9)) < 2.0 * k33.x[None, :]
+    Ye, Ue = _grid(rng, (120, 9)), rng.random((120, 9))
+    return (
+        (sel5, c5.vertex_count, lambda sel: run_vertex_batch(c5, sel, table_c5_small, Y, F, U, 0.6, None, BINS, True, True)),
+        (sel_e, 9, lambda sel: run_edge_batch(k33, sel, table_e, active, Ye, Ue, 0.6, BINS)),
+    )
+
+
+def test_selection_called_one_at_a_time(monkeypatch, c5, sel5, table_c5_small, k33):
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for sel, width, run in _engine_runs(c5, sel5, table_c5_small, k33):
+            monkeypatch.setattr(crslab.matching, "WORKERS", 1)
+            serial = run(sel)
+            # more threads than this machine's cores, blocks of two rows
+            monkeypatch.setattr(crslab.matching, "WORKERS", 4)
+            monkeypatch.setattr(crslab.matching, "ROW_BLOCK_ELEMS", 8 * width)
+            watched = _WatchedSelection(sel._fn)
+            res = run(dataclasses.replace(sel, _fn=watched))
+            monkeypatch.undo()
+            assert watched.helper_calls > 0
+            assert watched.peak == 1
+            _same_fields(serial, res)
+    finally:
+        sys.setswitchinterval(switch)
+
+
+def test_helper_block_error_reaches_caller(monkeypatch, c5, sel5, table_c5_small, k33):
+    monkeypatch.setattr(crslab.matching, "WORKERS", 2)
+    for sel, width, run in _engine_runs(c5, sel5, table_c5_small, k33):
+        monkeypatch.setattr(crslab.matching, "ROW_BLOCK_ELEMS", 2 * width)
+        threads = threading.active_count()
+        watched = _WatchedSelection(sel._fn, fail_on_helper_call=3)
+        with pytest.raises(_Boom):
+            run(dataclasses.replace(sel, _fn=watched))
+        assert watched.helper_calls == 3
+        assert threading.active_count() == threads  # every helper has joined

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+import crslab.matching
 from crslab.cli import main
 from crslab.graph import Graph, cycle
 from crslab.harness import (
@@ -485,6 +486,21 @@ def test_run_suite_reruns_identically(tmp_path):
         if name.endswith(".timing.json"):
             continue
         assert (a.out_dir / name).read_bytes() == (b.out_dir / name).read_bytes(), name
+
+
+def test_worker_count_only_in_sidecars(tmp_path, monkeypatch):
+    p = write_suite(tmp_path, {"out_dir": "outs", "experiments": [BASE]})
+    monkeypatch.setattr(crslab.matching, "ROW_BLOCK_ELEMS", 20)  # many row blocks
+    outs = {}
+    for workers in (1, 3):
+        monkeypatch.setattr(crslab.matching, "WORKERS", workers)
+        outs[workers] = run_suite(p, out_dir=tmp_path / str(workers)).out_dir
+        for name in ("demo.timing.json", "suite.timing.json"):
+            assert json.loads((outs[workers] / name).read_text())["workers"] == workers
+    for name in ("demo.csv", "demo.json", "suite.json"):
+        data = (outs[3] / name).read_bytes()
+        assert b"workers" not in data, name
+        assert data == (outs[1] / name).read_bytes(), name
 
 
 def test_run_suite_red(tmp_path):
