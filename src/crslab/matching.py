@@ -33,7 +33,7 @@ __all__ = ["Matching", "BatchResult", "assert_valid_matching"]
 ROW_BLOCK_ELEMS = 1 << 17
 
 # Engine threads: the CPUs this process may run on (`taskset -c 0` gives a
-# serial run). A batch uses at most one per full-budget block.
+# serial run). A batch uses at most one per whole ROW_BLOCK_ELEMS block.
 WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
@@ -54,14 +54,16 @@ class BatchResult:
 def _for_blocks(trials: int, width: int, body) -> None:
     """Call body(lo, hi) once for each row block lo..hi-1 of a batch.
 
-    A batch of b full-budget blocks runs on w = min(WORKERS, b) threads,
-    the caller's and w - 1 helpers, each taking every w-th block of
-    ROW_BLOCK_ELEMS // w elements (one row at least). The first exception
-    raised in a block stops the blocks not yet started and is re-raised
-    here once every helper has finished.
+    A batch that fills b whole ROW_BLOCK_ELEMS blocks runs on
+    w = min(WORKERS, b) threads (one if b is 0), the caller's and w - 1
+    helpers, each taking every w-th block of ROW_BLOCK_ELEMS // w elements
+    (one row at least). A smaller batch gives a thread too little numpy
+    work per block to outweigh the interpreter-lock hand-offs. The first
+    exception raised in a block stops the blocks not yet started and is
+    re-raised here once every helper has finished.
     """
     width = max(width, 1)
-    workers = max(1, min(WORKERS, -(-trials // max(1, ROW_BLOCK_ELEMS // width))))
+    workers = max(1, min(WORKERS, trials // max(1, ROW_BLOCK_ELEMS // width)))
     step = max(1, ROW_BLOCK_ELEMS // workers // width)
     blocks = [(lo, min(trials, lo + step)) for lo in range(0, trials, step)]
     errors: list[BaseException] = []
