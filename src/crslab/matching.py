@@ -57,10 +57,10 @@ def _for_blocks(trials: int, width: int, body) -> None:
     A batch that fills b whole ROW_BLOCK_ELEMS blocks runs on
     w = min(WORKERS, b) threads (one if b is 0), the caller's and w - 1
     helpers, each taking every w-th block of ROW_BLOCK_ELEMS // w elements
-    (one row at least). A smaller batch gives a thread too little numpy
-    work per block to outweigh the interpreter-lock hand-offs. The first
-    exception raised in a block stops the blocks not yet started and is
-    re-raised here once every helper has finished.
+    (one row at least). A batch under two whole blocks stays serial: split,
+    its blocks carry too little numpy work to outweigh the interpreter-lock
+    hand-offs. The first exception raised in a block stops the blocks not
+    yet started and is re-raised here once every helper has finished.
     """
     width = max(width, 1)
     workers = max(1, min(WORKERS, trials // max(1, ROW_BLOCK_ELEMS // width)))
