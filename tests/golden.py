@@ -39,6 +39,7 @@ from crslab.arrivals import sample_choices_batch
 from crslab.diagnostics import coupled_batch
 from crslab.graph import complete, complete_bipartite, cycle, cycle_blowup, double_star, random_tree, weighted_star
 from crslab.harness import run_suite
+from crslab import recursive
 from crslab.matching import BatchResult
 from crslab.recursive import fill_tables, fill_tables_edge, run_edge_batch, run_vertex_batch
 from crslab.rng import stream
@@ -167,6 +168,16 @@ def _grid_times(rng: np.random.Generator, shape) -> np.ndarray:
     return (rng.integers(0, GRID, size=shape) + 1) / GRID
 
 
+def _with_row_chunk(chunk: int, fill, *args, **kwargs):
+    """fill(*args, **kwargs) run with recursive.FILL_ROW_CHUNK set to `chunk`."""
+    saved = recursive.FILL_ROW_CHUNK
+    recursive.FILL_ROW_CHUNK = chunk
+    try:
+        return fill(*args, **kwargs)
+    finally:
+        recursive.FILL_ROW_CHUNK = saved
+
+
 def engine_digests() -> dict[str, str]:
     """BatchResult digests of the three batch engines on tie-heavy inputs."""
     out = {}
@@ -178,6 +189,9 @@ def engine_digests() -> dict[str, str]:
     tab33 = fill_tables(g33, sel_inf, T=4, delta=0.1, Q=100, seed=602)
     out["table-vertex-c5"] = _sha(_array_bytes(tab5.values))
     out["table-vertex-k33"] = _sha(_array_bytes(tab33.values))
+    # 1000 rows per phase in chunks of 333/333/333/1
+    tab5_chunked = _with_row_chunk(333, fill_tables, g5, sel5, T=4, delta=0.1, Q=100, seed=601)
+    out["table-vertex-c5-chunk333"] = _sha(_array_bytes(tab5_chunked.values))
     for name, g, sel, tab, excl in (("c5", g5, sel5, tab5, 1), ("k33", g33, sel_inf, tab33, 3)):
         rng = stream(603, "golden-vertex", name)
         Y = _grid_times(rng, (rows, g.vertex_count))
@@ -193,6 +207,10 @@ def engine_digests() -> dict[str, str]:
     tree, sel_e = random_tree(9, seed=5), edge_selection("edge_tree")
     tab_e = fill_tables_edge(tree, sel_e, T=6, delta=0.0, Q=150, seed=604)
     out["table-edge-tree9"] = _sha(_array_bytes(tab_e.values))
+    # 1200 rows per phase in chunks of 500/500/200, cutting through the
+    # 150-row groups of single forced edges
+    tab_e_chunked = _with_row_chunk(500, fill_tables_edge, tree, sel_e, T=6, delta=0.0, Q=150, seed=604)
+    out["table-edge-tree9-chunk500"] = _sha(_array_bytes(tab_e_chunked.values))
     rng = stream(605, "golden-edge")
     m = tree.edge_count
     active = rng.random((rows, m)) < tree.x[None, :]
