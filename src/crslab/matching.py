@@ -12,6 +12,12 @@ kernels). The memory budget of one serial block is split across the
 workers, the counters are integer sums taken under one lock, and the
 selection function is called under that lock too, so the result is the
 same for every worker count and block budget.
+
+`_ahead` overlaps the making of a batch's inputs with the run of the
+previous batch: with WORKERS > 1 the next item is made on one helper
+thread. The edge-mode table fill uses it for its arrival draws, whose
+streams are still created on the calling thread, so the draws, and every
+result, are the same for every worker count.
 """
 
 from __future__ import annotations
@@ -85,6 +91,56 @@ def _for_blocks(trials: int, width: int, body) -> None:
         h.join()
     if errors:
         raise errors[0]
+
+
+def _ahead(make, items):
+    """Yield make(item) for each item of `items`, in order.
+
+    With WORKERS > 1, make(item k + 1) runs on one helper thread while the
+    caller consumes the result of item k; with one CPU every call runs
+    inline. `items` is advanced on the calling thread only, so whatever it
+    creates (random streams, say) is created there. make(item k + 2) starts
+    only once the caller asks for result k + 1, so it may reuse the buffers
+    of result k. An exception raised in make is re-raised here; closing the
+    generator early joins the helper first.
+    """
+    if WORKERS == 1:
+        for item in items:
+            yield make(item)
+        return
+    pending = None
+
+    def start(item):
+        box = {}
+
+        def run():
+            try:
+                box["value"] = make(item)
+            except BaseException as exc:
+                box["error"] = exc
+
+        helper = threading.Thread(target=run, daemon=True)
+        helper.start()
+        return helper, box
+
+    try:
+        items = iter(items)
+        for item in items:
+            pending = start(item)
+            break
+        while pending is not None:
+            helper, box = pending
+            helper.join()
+            pending = None
+            if "error" in box:
+                raise box["error"]
+            for item in items:
+                pending = start(item)
+                break
+            yield box["value"]
+    finally:
+        if pending is not None:
+            pending[0].join()
 
 
 def _bin_of(y: np.ndarray, bins: int) -> np.ndarray:

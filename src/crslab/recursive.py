@@ -29,7 +29,8 @@ import numpy as np
 
 from .arrivals import NO_CHOICE, ArrivalSample, _active_choices, _flat, sample_choices_batch
 from .graph import Graph
-from .matching import BatchResult, Matching, _BatchTally, _for_blocks
+from . import matching
+from .matching import BatchResult, Matching, _ahead, _BatchTally, _for_blocks
 from .rng import stream
 from .selection import SelectionFunction
 
@@ -301,36 +302,60 @@ def run_edge(
 
 
 def fill_tables_edge(g: Graph, sel: SelectionFunction, T: int, delta: float, Q: int, seed: int) -> EstimateTable:
-    """Estimate tables for edge mode: S_hat_e(j) = P[e feasible at t_j | Y_e > t_j]."""
+    """Estimate tables for edge mode: S_hat_e(j) = P[e feasible at t_j | Y_e > t_j].
+
+    Phase j runs Q forced rows per edge (the edge arrives after t_j), in
+    chunks of FILL_ROW_CHUNK rows drawn from the stream
+    (seed, "fill-edge", j, chunk). A chunk's draws do not depend on the
+    table, so when matching.WORKERS > 1 the next chunk's draws are made on
+    a helper thread while the engine runs this one. The streams are created
+    on the calling thread and the draws are unchanged, so the table does
+    not depend on it.
+    """
     m = g.edge_count
     n = g.vertex_count
     floor_clamp = sel.floor / 2.0
     values = np.ones((T, m), dtype=np.float64)
     table = EstimateTable("edge", T, delta, Q, floor_clamp, values)
     eu, ev = g.eu, g.ev
-    for j in range(1, T):
+    rows_total = m * Q
+    n_chunks = (rows_total + FILL_ROW_CHUNK - 1) // FILL_ROW_CHUNK
+
+    def chunks():
+        # Two buffer sets when drawing ahead (one being drawn, one being run).
+        size = min(FILL_ROW_CHUNK, rows_total)
+        sets = [(np.empty((size, m), dtype=bool), np.empty((size, m)), np.empty((size, m))) for _ in range(min(matching.WORKERS, 2))]
+        for j in range(1, T):
+            for c in range(n_chunks):
+                base = c * FILL_ROW_CHUNK
+                count = min(FILL_ROW_CHUNK, rows_total - base)
+                bufs = sets[((j - 1) * n_chunks + c) % len(sets)]
+                yield j, c, base, stream(seed, "fill-edge", j, c), [b[:count] for b in bufs]
+
+    def draw(chunk):
+        j, c, base, rng, (active, Ye, U) = chunk
         tj = j / T
-        rows_total = m * Q
-        feasible = np.zeros(m, dtype=np.float64)
-        n_chunks = (rows_total + FILL_ROW_CHUNK - 1) // FILL_ROW_CHUNK
-        base = 0
-        for c in range(n_chunks):
-            count = min(FILL_ROW_CHUNK, rows_total - base)
-            rng = stream(seed, "fill-edge", j, c)
-            rr = np.arange(count)
-            erow = (base + rr) // Q
-            active = rng.random((count, m)) < g.x[None, :]
-            Ye = rng.random((count, m))
-            y = Ye.reshape(-1)
-            ecell = rr * m + erow  # flat (row, forced edge) cells
-            y[ecell] = tj + y[ecell] * (1.0 - tj)
-            U = rng.random((count, m))
-            res = run_edge_batch(g, sel, table, active, Ye, U, t_stop=tj)
+        rng.random(out=Ye)
+        np.less(Ye, g.x, out=active)
+        rng.random(out=Ye)
+        rr = np.arange(active.shape[0])
+        erow = (base + rr) // Q
+        y = Ye.reshape(-1)
+        ecell = rr * m + erow  # flat (row, forced edge) cells
+        y[ecell] = tj + y[ecell] * (1.0 - tj)
+        rng.random(out=U)
+        return j, c, rr, erow, active, Ye, U
+
+    feasible = np.zeros(m, dtype=np.float64)
+    with contextlib.closing(_ahead(draw, chunks())) as drawn:
+        for j, c, rr, erow, active, Ye, U in drawn:
+            res = run_edge_batch(g, sel, table, active, Ye, U, t_stop=j / T)
             matched = res.matched.reshape(-1)
             free = ~matched[rr * n + eu[erow]] & ~matched[rr * n + ev[erow]]
             feasible += np.bincount(erow, weights=free, minlength=m)
-            base += count
-        values[j] = np.clip(feasible / Q, floor_clamp, 1.0)
+            if c == n_chunks - 1:
+                values[j] = np.clip(feasible / Q, floor_clamp, 1.0)
+                feasible[:] = 0.0
     return table
 
 

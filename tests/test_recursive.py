@@ -1,10 +1,13 @@
 import math
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import crslab.matching
+import crslab.recursive
 from crslab.arrivals import ArrivalSample, sample_choices_batch
 from crslab.graph import complete_bipartite, single_edge, star, weighted_star
 from crslab.matching import assert_valid_matching
@@ -98,6 +101,93 @@ def test_fill_tables_edge_shape(k33):
     assert t.mode == "edge" and t.values.shape == (5, 9)
     assert np.all(t.values[0] == 1.0)
     assert np.all((t.values >= sel.floor / 2.0 - 1e-15) & (t.values <= 1.0))
+
+
+# -- edge fill drawn ahead --------------------------------------------------------
+
+
+def _fill_k33(seed=3310):
+    return fill_tables_edge(complete_bipartite(3), edge_selection("edge_general"), T=5, delta=0.1, Q=300, seed=seed)
+
+
+@pytest.mark.parametrize("chunk", [crslab.recursive.FILL_ROW_CHUNK, 500])
+def test_fill_tables_edge_same_for_any_workers(monkeypatch, chunk):
+    # 2700 rows per phase; chunks of 500 cut through the 300-row edge groups
+    monkeypatch.setattr(crslab.recursive, "FILL_ROW_CHUNK", chunk)
+    tables = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(crslab.matching, "WORKERS", workers)
+        tables.append(_fill_k33().values)
+    assert np.array_equal(tables[0], tables[1]) and np.array_equal(tables[0], tables[2])
+
+
+def test_fill_tables_edge_one_phase_starts_no_thread(monkeypatch):
+    started = []
+
+    class _Thread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(crslab.matching, "WORKERS", 2)
+    monkeypatch.setattr(crslab.matching.threading, "Thread", _Thread)
+    t = fill_tables_edge(complete_bipartite(3), edge_selection("edge_general"), T=1, delta=0.1, Q=300, seed=3311)
+    assert t.values.shape == (1, 9) and np.all(t.values == 1.0)
+    assert not started
+
+
+class _Boom(Exception):
+    pass
+
+
+class _WatchedStream:
+    """A stream whose `random` records the calling thread and can raise on
+    the k-th call made across all watched streams."""
+
+    def __init__(self, rng, calls, fail_on):
+        self.rng, self.calls, self.fail_on = rng, calls, fail_on
+
+    def random(self, *args, **kwargs):
+        self.calls.append(threading.current_thread())
+        if len(self.calls) == self.fail_on:
+            raise _Boom("draw failed")
+        return self.rng.random(*args, **kwargs)
+
+
+def _watch_streams(monkeypatch, fail_on=None):
+    """Patch recursive.stream; return (threads that created streams, threads that drew)."""
+    created, calls = [], []
+
+    def watched(*key):
+        created.append(threading.current_thread())
+        return _WatchedStream(stream(*key), calls, fail_on)
+
+    monkeypatch.setattr(crslab.recursive, "stream", watched)
+    return created, calls
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_fill_tables_edge_draw_error_reaches_caller(monkeypatch, workers):
+    monkeypatch.setattr(crslab.recursive, "FILL_ROW_CHUNK", 500)
+    monkeypatch.setattr(crslab.matching, "WORKERS", workers)
+    threads = threading.active_count()
+    _, calls = _watch_streams(monkeypatch, fail_on=8)  # the third chunk's second draw
+    with pytest.raises(_Boom):
+        _fill_k33()
+    assert len(calls) == 8
+    assert threading.active_count() == threads  # the helper has joined
+
+
+def test_fill_tables_edge_streams_created_on_calling_thread(monkeypatch):
+    monkeypatch.setattr(crslab.recursive, "FILL_ROW_CHUNK", 500)
+    monkeypatch.setattr(crslab.matching, "WORKERS", 2)
+    created, calls = _watch_streams(monkeypatch)
+    values = _fill_k33().values
+    assert len(created) == 4 * 6  # phases 1..4, six chunks each
+    assert all(t is threading.main_thread() for t in created)
+    assert any(t is not threading.main_thread() for t in calls)  # drawn ahead
+    monkeypatch.setattr(crslab.recursive, "stream", stream)
+    assert np.array_equal(values, _fill_k33().values)
 
 
 def test_estimate_safety_range(c5, sel5, table_c5_small):
