@@ -532,15 +532,16 @@ def simulate_rank1(g: Graph, trials: int, seed: int, bins: int = 20) -> Rank1Res
         first = elig_y[rows, winner]
         elig_y[rows, winner] = np.inf
         second = np.min(elig_y, axis=1)
-        b = np.minimum((Ye * bins).astype(np.int64), bins - 1)
-        for e in range(m):
-            act_e = active[:, e]
-            out.active[e] += int(act_e.sum())
-            out.act_bin[e] += np.bincount(b[act_e, e], minlength=bins)
-            won = has & (winner == e)
-            out.accepted[e] += int(won.sum())
-            out.acc_bin[e] += np.bincount(b[won, e], minlength=bins)
-            safe = np.where(winner == e, second, first) > Ye[:, e]
-            out.all_bin[e] += np.bincount(b[:, e], minlength=bins)
-            out.safe_bin[e] += np.bincount(b[safe, e], minlength=bins)
+        # Flat (edge, arrival bin) cells, one bincount per counter.
+        cell = np.arange(m) * bins + np.minimum((Ye * bins).astype(np.int64), bins - 1)
+        is_winner = winner[:, None] == np.arange(m)
+        safe = np.where(is_winner, second[:, None], first[:, None]) > Ye
+        act_bin = np.bincount(cell[active], minlength=m * bins).reshape(m, bins)
+        acc_bin = np.bincount(cell[rows[has], winner[has]], minlength=m * bins).reshape(m, bins)
+        out.act_bin += act_bin
+        out.active += act_bin.sum(axis=1)
+        out.acc_bin += acc_bin
+        out.accepted += acc_bin.sum(axis=1)
+        out.all_bin += np.bincount(cell.reshape(-1), minlength=m * bins).reshape(m, bins)
+        out.safe_bin += np.bincount(cell[safe], minlength=m * bins).reshape(m, bins)
     return out
