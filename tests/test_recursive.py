@@ -1,4 +1,5 @@
 import math
+import sys
 import threading
 
 import numpy as np
@@ -115,9 +116,14 @@ def test_fill_tables_edge_same_for_any_workers(monkeypatch, chunk):
     # 2700 rows per phase; chunks of 500 cut through the 300-row edge groups
     monkeypatch.setattr(crslab.recursive, "FILL_ROW_CHUNK", chunk)
     tables = []
-    for workers in (1, 2, 3):
-        monkeypatch.setattr(crslab.matching, "WORKERS", workers)
-        tables.append(_fill_k33().values)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(crslab.matching, "WORKERS", workers)
+            tables.append(_fill_k33().values)
+    finally:
+        sys.setswitchinterval(switch)
     assert np.array_equal(tables[0], tables[1]) and np.array_equal(tables[0], tables[2])
 
 
