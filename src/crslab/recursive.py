@@ -30,7 +30,7 @@ import numpy as np
 from .arrivals import NO_CHOICE, ArrivalSample, _active_choices, _flat, sample_choices_batch
 from .graph import Graph
 from . import matching
-from .matching import BatchResult, Matching, _ahead, _BatchTally, _for_blocks
+from .matching import BatchResult, Matching, _ahead, _BatchTally, _bin_of, _for_blocks
 from .rng import stream
 from .selection import SelectionFunction
 
@@ -532,10 +532,12 @@ def simulate_rank1(g: Graph, trials: int, seed: int, bins: int = 20) -> Rank1Res
         first = elig_y[rows, winner]
         elig_y[rows, winner] = np.inf
         second = np.min(elig_y, axis=1)
+        safe = first[:, None] > Ye
+        safe[rows, winner] = second > Ye[rows, winner]
+        del U, eligible, elig_y  # keeps the (count, m) cells below within the draws' memory
         # Flat (edge, arrival bin) cells, one bincount per counter.
-        cell = np.arange(m) * bins + np.minimum((Ye * bins).astype(np.int64), bins - 1)
-        is_winner = winner[:, None] == np.arange(m)
-        safe = np.where(is_winner, second[:, None], first[:, None]) > Ye
+        cell = _bin_of(Ye, bins)
+        cell += np.arange(m) * bins
         act_bin = np.bincount(cell[active], minlength=m * bins).reshape(m, bins)
         acc_bin = np.bincount(cell[rows[has], winner[has]], minlength=m * bins).reshape(m, bins)
         out.act_bin += act_bin
