@@ -107,8 +107,8 @@ def test_fill_tables_edge_shape(k33):
 # -- edge fill drawn ahead --------------------------------------------------------
 
 
-def _fill_k33(seed=3310):
-    return fill_tables_edge(complete_bipartite(3), edge_selection("edge_general"), T=5, delta=0.1, Q=300, seed=seed)
+def _fill_k33():
+    return fill_tables_edge(complete_bipartite(3), edge_selection("edge_general"), T=5, delta=0.1, Q=300, seed=3310)
 
 
 @pytest.mark.parametrize("chunk", [crslab.recursive.FILL_ROW_CHUNK, 500])
