@@ -108,35 +108,34 @@ def _ahead(make, items):
         for item in items:
             yield make(item)
         return
-    pending = None
+    items = iter(items)
 
-    def start(item):
-        box = {}
-
-        def run():
-            try:
-                box["value"] = make(item)
-            except BaseException as exc:
-                box["error"] = exc
-
-        helper = threading.Thread(target=run, daemon=True)
-        helper.start()
-        return helper, box
-
-    try:
-        items = iter(items)
+    def start_next():
+        """The helper and result box of the next item; None when none is left."""
         for item in items:
-            pending = start(item)
-            break
+            box = {}
+
+            def run():
+                try:
+                    box["value"] = make(item)
+                except BaseException as exc:
+                    box["error"] = exc
+
+            helper = threading.Thread(target=run, daemon=True)
+            helper.start()
+            return helper, box
+        return None
+
+    pending = None
+    try:
+        pending = start_next()
         while pending is not None:
             helper, box = pending
             helper.join()
             pending = None
             if "error" in box:
                 raise box["error"]
-            for item in items:
-                pending = start(item)
-                break
+            pending = start_next()
             yield box["value"]
     finally:
         if pending is not None:

@@ -1,8 +1,12 @@
+import threading
+import time
+
 import numpy as np
 import pytest
 
+import crslab.matching
 from crslab.graph import cycle
-from crslab.matching import Matching, assert_valid_matching
+from crslab.matching import Matching, _ahead, assert_valid_matching
 
 
 def test_matching_add_and_size():
@@ -37,3 +41,14 @@ def test_matched_flags_external_array():
     m = Matching(5, matched=flags)
     m.add(cycle(5, 0.5), 0, 0.1, 1)
     assert flags[0] and flags[1]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_ahead_yields_in_order_and_close_joins_helper(monkeypatch, workers):
+    monkeypatch.setattr(crslab.matching, "WORKERS", workers)
+    assert list(_ahead(lambda k: k * k, range(6))) == [0, 1, 4, 9, 16, 25]
+    threads = threading.active_count()
+    slow = _ahead(lambda k: (time.sleep(0.05), k)[1], range(6))
+    assert next(slow) == 0  # item 1 is now being made ahead
+    slow.close()
+    assert threading.active_count() == threads
