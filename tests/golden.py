@@ -12,6 +12,10 @@ direct entry points, and hashes what they produce:
   `track_targets` and `bins`;
 - the choice sampler's picks on degrees 1 to 60, on zero and tiny loads and
   on leftover mass, for batches of one row, a few rows and many rows;
+- `hardness_trajectory`'s `matched` and `balance` at several n, greedy and
+  with a constant and a round-dependent acceptance rule;
+- every `detect_potential_paths_batch` field on C5, C7 (with leftover mass),
+  K_{3,3} and K_6;
 - `c_vertex` on a dense grid of y for several finite girths.
 
 `tests/test_golden.py` compares the digests with the pinned values in
@@ -36,8 +40,9 @@ from pathlib import Path
 import numpy as np
 
 from crslab.arrivals import sample_choices_batch
-from crslab.diagnostics import coupled_batch
+from crslab.diagnostics import coupled_batch, detect_potential_paths_batch
 from crslab.graph import complete, complete_bipartite, cycle, cycle_blowup, double_star, random_tree, weighted_star
+from crslab.hardness import hardness_trajectory
 from crslab.harness import run_suite
 from crslab import recursive
 from crslab.matching import BatchResult
@@ -271,6 +276,43 @@ def selection_digests() -> dict[str, str]:
     return out
 
 
+def _half_rule(t: int, n: int) -> float:
+    return 0.5
+
+
+def _ramp_rule(t: int, n: int) -> float:
+    """Round-dependent: accepts less as the rounds go on, never at the end."""
+    return 1.0 - t / (2 * n)
+
+
+def hardness_digests() -> dict[str, str]:
+    """`hardness_trajectory` bytes, greedy and under two acceptance rules."""
+    cases = [("greedy", n, trials, "greedy") for n, trials in ((1, 5), (2, 9), (7, 13), (60, 40))]
+    cases += [(name, n, trials, rule) for name, rule in (("half", _half_rule), ("ramp", _ramp_rule))
+              for n, trials in ((7, 13), (60, 40))]
+    out = {}
+    for name, n, trials, rule in cases:
+        rep = hardness_trajectory(n, trials, 1000 + n, rule)
+        out[f"{name}-n{n}"] = _sha(_array_bytes(rep.matched) + _array_bytes(rep.balance))
+    return out
+
+
+def paths_digests() -> dict[str, str]:
+    """Every `detect_potential_paths_batch` field on sampled choices."""
+    graphs = (
+        ("c5", cycle(5, 0.5), 0, 1),
+        ("c7", cycle(7, 0.4), 0, 1),  # leftover mass: some walks stop at NO_CHOICE
+        ("k33", complete_bipartite(3), 0, 3),  # bipartite: no path ever closes
+        ("complete6", complete(6), 0, 1),
+    )
+    out = {}
+    for name, g, u, v in graphs:
+        F = sample_choices_batch(g, stream(901, "golden-paths", name), 4000)
+        scan = detect_potential_paths_batch(g, F, u, v)
+        out[name] = _sha(_array_bytes(scan.length) + _array_bytes(scan.path) + _array_bytes(scan.count))
+    return out
+
+
 def pinned_digest() -> str:
     """pinned_phase1_frequency on C5 with tied pinned times."""
     g5 = cycle(5, 0.5)
@@ -294,6 +336,8 @@ def compute_digests() -> dict[str, str]:
     out.update({f"engine/{k}": v for k, v in engine_digests().items()})
     out.update({f"sampler/{k}": v for k, v in sampler_digests().items()})
     out.update({f"c-vertex/{k}": v for k, v in selection_digests().items()})
+    out.update({f"hardness/{k}": v for k, v in hardness_digests().items()})
+    out.update({f"paths/{k}": v for k, v in paths_digests().items()})
     out["pinned-phase1"] = pinned_digest()
     return out
 
