@@ -6,6 +6,14 @@ distribution) and the algorithm may accept that pair if the partner has
 already arrived and both are unmatched. The matched fraction M(t)/n tracks
 the solution m(s) = (e^{-s} + s - 1)/2 of m' = s/2 - m, and the balance
 event Q_t controls how far the two sides' unarrived counts may drift apart.
+
+`hardness_trajectory` does not replay the rounds one by one. Whether a pick
+is feasible depends only on the draws (its partner arrived in an earlier
+round), so one pass over all rounds finds every feasible pick. The arriving
+vertex is never matched yet, so a feasible pick is accepted iff its partner
+is still free: a greedy pass visits only the feasible picks, the s-th one of
+every trial at once. M(t) is the running count of accepted picks, and Q_t
+follows from the running count of left-side arrivals.
 """
 
 from __future__ import annotations
@@ -93,50 +101,108 @@ def hardness_trajectory(
 
     `algorithm` is "greedy" (accept every feasible pair) or a callable
     (round, n) -> probability thinning feasible pairs, which models
-    time-dependent selection rules in round time.
+    time-dependent selection rules in round time; it is called once per
+    round, in round order.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if algorithm != "greedy" and not callable(algorithm):
+        raise ValueError("algorithm must be 'greedy' or a callable")
     N = 2 * n
+    # vertex ids, rounds and the balance bounds (within [-n, 3n]) fit in `small`
+    small = np.int16 if N < 2**14 else np.int32
+    rounds = np.arange(N, dtype=small)
     rng = stream(seed, "hardness", n)
-    order = rng.permuted(np.tile(np.arange(N), (trials, 1)), axis=1)
-    choice = rng.integers(0, n, size=(trials, N))
-    rule: AcceptRule | None = None
+    order = np.tile(rounds, (trials, 1))
+    rng.permuted(order, axis=1, out=order)  # its draws do not depend on the dtype
+    is_left = order < n
+    balance = _balance(n, is_left, small)
+    # from here on a vertex is named by the round it arrives in
+    arrival = np.empty_like(order)
+    np.put_along_axis(arrival, order, rounds[None, :], axis=1)
+    del order
+    partner = rng.integers(0, n, size=(trials, N))
+    np.add(partner, n, out=partner, where=is_left)
+    del is_left
+    partner_round = np.take_along_axis(arrival, partner, axis=1)
+    del arrival, partner
+    feasible = partner_round < rounds
     if algorithm != "greedy":
-        if not callable(algorithm):
-            raise ValueError("algorithm must be 'greedy' or a callable")
-        rule = algorithm
         accept_u = rng.random((trials, N))
-    rows = np.arange(trials)
-    arrived = np.zeros((trials, N), dtype=bool)
-    matched_v = np.zeros((trials, N), dtype=bool)
+        p = np.fromiter((algorithm(t, n) for t in range(N)), dtype=np.float64, count=N)
+        feasible &= accept_u <= p
+        del accept_u
+    picks, partner_at, width = _slots(feasible, partner_round)
+    del feasible, partner_round
+
+    # greedy pass, one slot at a time. The arriving vertex is never matched
+    # yet, so a pick is accepted iff its partner is still free; then the
+    # partner is matched whatever happened, and the arriving vertex with it.
+    free = np.ones(trials * N, dtype=bool)  # by (row, arrival round)
+    taken = np.empty(picks.size, dtype=bool)
+    lo = 0
+    for hi in np.cumsum(width).tolist():
+        at = partner_at[lo:hi]
+        ok = np.take(free, at, out=taken[lo:hi])
+        free[at] = False
+        free[picks[lo:hi]] = ~ok
+        lo = hi
+    del free, partner_at
+    accepted = np.zeros((trials, N), dtype=bool)
+    accepted.reshape(-1)[picks] = taken
+    del picks, taken
     matched = np.zeros((trials, N + 1), dtype=np.int64)
-    balance = np.zeros((trials, N + 1), dtype=bool)
-    thresholds = (1.0 + n ** (-1.0 / 3.0)) * (N - np.arange(N + 1)) / 2.0
-    left_arrived = np.zeros(trials, dtype=np.int64)
-    right_arrived = np.zeros(trials, dtype=np.int64)
-    count = np.zeros(trials, dtype=np.int64)
-    balance[:, 0] = n <= thresholds[0]
-    for t in range(N):
-        w = order[:, t]
-        is_left = w < n
-        partner = np.where(is_left, n + choice[:, t], choice[:, t])
-        arrived[rows, w] = True
-        left_arrived += is_left
-        right_arrived += ~is_left
-        ok = arrived[rows, partner] & ~matched_v[rows, partner]
-        if rule is not None:
-            ok &= accept_u[:, t] <= rule(t, n)
-        matched_v[rows, w] |= ok
-        matched_v[rows, partner] |= ok
-        count += ok
-        matched[:, t + 1] = count
-        unarrived = np.maximum(n - left_arrived, n - right_arrived)
-        balance[:, t + 1] = unarrived <= thresholds[t + 1]
+    np.cumsum(accepted, axis=1, dtype=np.int64, out=matched[:, 1:])
     name = algorithm if isinstance(algorithm, str) else getattr(algorithm, "__name__", "custom")
     return TrajectoryReport(n, trials, name, matched, balance)
+
+
+def _balance(n: int, is_left: np.ndarray, small) -> np.ndarray:
+    """(trials, 2n+1) indicator of Q_t from which side each arrival is on.
+
+    After t rounds with L left arrivals, max(n - L, n - (t - L)) unarrived
+    vertices must be at most the round's threshold, i.e. at most its floor
+    `b`: both L and t - L at least n - b.
+    """
+    trials, N = is_left.shape
+    thresholds = (1.0 + n ** (-1.0 / 3.0)) * (N - np.arange(N + 1)) / 2.0
+    need = n - np.floor(thresholds).astype(np.int64)
+    lo = need[1:].astype(small)
+    hi = (np.arange(1, N + 1) - need[1:]).astype(small)
+    left = np.cumsum(is_left, axis=1, dtype=small)
+    balance = np.empty((trials, N + 1), dtype=bool)
+    balance[:, 0] = n <= thresholds[0]
+    np.greater_equal(left, lo, out=balance[:, 1:])
+    balance[:, 1:] &= left <= hi
+    return balance
+
+
+def _slots(feasible: np.ndarray, partner_round: np.ndarray):
+    """The feasible picks laid out slot by slot for the greedy pass.
+
+    Slot s holds the s-th feasible pick of every row that has more than s,
+    rows by falling pick count, so each slot is a prefix of the rows.
+    Returns each pick's flat (row, round) cell, which also names its
+    arriving vertex, the flat (row, arrival round) of its partner, and the
+    width of each slot.
+    """
+    trials, N = feasible.shape
+    idx = np.int32 if trials * N < 2**31 else np.int64
+    counts = np.count_nonzero(feasible, axis=1)
+    width = trials - np.cumsum(np.bincount(counts))[:-1]
+    # row r's picks fill the first counts[r] cells of its row of a
+    # (trials, slots) grid, which is then read slot by slot
+    grid = np.arange(width.size) < counts[:, None]
+    cells = np.zeros(grid.shape, dtype=idx)
+    cells[grid] = np.flatnonzero(feasible)
+    partners = np.zeros(grid.shape, dtype=idx)
+    partners[grid] = partner_round[feasible]
+    partners += np.arange(0, trials * N, N, dtype=idx)[:, None]
+    by_count = np.argsort(-counts, kind="stable")
+    grid = grid[by_count].T
+    return cells[by_count].T[grid], partners[by_count].T[grid], width
 
 
 @dataclass

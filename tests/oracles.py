@@ -5,11 +5,15 @@ the library code: the vertex selection family is reproduced by integrating its
 defining ODE with a fixed-step RK4 scheme, and the matching-trajectory
 reference solves its linear ODE the same way. Frozen constants were computed
 once from these oracles and are asserted against the library's closed forms.
+`hardness_rounds` replays the K_{n,n} round process one round at a time, the
+reference for the library's pass over feasible picks.
 """
 
 import math
 
 import numpy as np
+
+from crslab.rng import stream
 
 # Root of the switch-time polynomial, frozen from an independent bisection.
 T0_FROZEN = 0.11982305274185451
@@ -81,3 +85,48 @@ def ode_trajectory_reference(s_max: float = 2.0, n_steps: int = 20_000):
 def trapezoid_alpha(ts: np.ndarray, cs: np.ndarray) -> float:
     """2 int c(y) y dy from ODE samples (trapezoid; fine at 2e4 nodes)."""
     return float(np.trapezoid(2.0 * cs * ts, ts))
+
+
+def hardness_rounds(n: int, trials: int, seed: int, algorithm="greedy"):
+    """Round-by-round reference for `hardness_trajectory`: (matched, balance).
+
+    Draws exactly what the library draws from the same stream, then plays
+    every round 0..2n-1 on all trials: the arriving vertex's pick is taken
+    when its partner has arrived and is unmatched (and, under a callable
+    rule, the round's uniform passes `rule(t, n)`).
+    """
+    N = 2 * n
+    rng = stream(seed, "hardness", n)
+    order = rng.permuted(np.tile(np.arange(N), (trials, 1)), axis=1)
+    choice = rng.integers(0, n, size=(trials, N))
+    rule = None
+    if algorithm != "greedy":
+        rule = algorithm
+        accept_u = rng.random((trials, N))
+    rows = np.arange(trials)
+    arrived = np.zeros((trials, N), dtype=bool)
+    matched_v = np.zeros((trials, N), dtype=bool)
+    matched = np.zeros((trials, N + 1), dtype=np.int64)
+    balance = np.zeros((trials, N + 1), dtype=bool)
+    thresholds = (1.0 + n ** (-1.0 / 3.0)) * (N - np.arange(N + 1)) / 2.0
+    left_arrived = np.zeros(trials, dtype=np.int64)
+    right_arrived = np.zeros(trials, dtype=np.int64)
+    count = np.zeros(trials, dtype=np.int64)
+    balance[:, 0] = n <= thresholds[0]
+    for t in range(N):
+        w = order[:, t]
+        is_left = w < n
+        partner = np.where(is_left, n + choice[:, t], choice[:, t])
+        arrived[rows, w] = True
+        left_arrived += is_left
+        right_arrived += ~is_left
+        ok = arrived[rows, partner] & ~matched_v[rows, partner]
+        if rule is not None:
+            ok &= accept_u[:, t] <= rule(t, n)
+        matched_v[rows, w] |= ok
+        matched_v[rows, partner] |= ok
+        count += ok
+        matched[:, t + 1] = count
+        unarrived = np.maximum(n - left_arrived, n - right_arrived)
+        balance[:, t + 1] = unarrived <= thresholds[t + 1]
+    return matched, balance
