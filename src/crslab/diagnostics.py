@@ -154,39 +154,49 @@ class PotentialPaths:
 
 
 def detect_potential_paths_batch(g: Graph, F: np.ndarray, u: int, v: int) -> PotentialPaths:
-    """Vectorized potential-path scan over the trial axis."""
+    """Vectorized potential-path scan over the trial axis.
+
+    Only the rows still walking are visited: their offsets, walk heads and
+    F_v sit in one (3, live) array that is compacted whenever a walk stops,
+    and the visited sets in one flat (trials, n) array addressed through
+    the offsets. A row's first path is the reverse of its walk up to the
+    closing step, so it is written afterwards by walking again from F_u.
+    """
     if u == v:
         raise ValueError("u and v must differ")
     trials, n = F.shape
-    rows = np.arange(trials)
-    path = -np.ones((trials, n), dtype=np.int64)
+    Ff = np.ascontiguousarray(F).reshape(-1)
     dout = np.zeros(trials, dtype=np.int64)
     npaths = np.zeros(trials, dtype=np.int64)
-    chain = -np.ones((trials, n), dtype=np.int64)
-    visited = np.zeros((trials, n), dtype=bool)
-    w = F[:, u].copy()  # walk position, starts at F_u = p_d
-    alive = (w != NO_CHOICE) & (w != v) & (w != u)
+    visited = np.zeros(trials * n, dtype=bool)
+    w = F[:, u]  # walk position, starts at F_u = p_d
+    live = np.flatnonzero((w != NO_CHOICE) & (w != v) & (w != u))
+    walk = np.stack([live * n, w[live], F[live, v]])
     k = 0
-    while alive.any() and k < n:
-        wk = np.where(alive, w, 0)
-        chain[alive, k] = w[alive]
-        visited[rows[alive], wk[alive]] = True
+    while walk.shape[1] and k < n:
+        base, w, fv = walk
+        at = base + w
+        visited[at] = True
+        nxt = Ff[at]
         if k % 2 == 0:
-            case_a = F[:, v] == w
-            case_b = F[rows, wk] == v
-            cand = alive & (case_a | case_b)
-            npaths += cand
-            first = cand & (dout == 0)
-            dout[first] = k + 2
-            path[first, 0] = v
-            path[first, 1 : k + 2] = chain[first, k::-1]
-        nxt = F[rows, wk]
-        ok = alive & (nxt != NO_CHOICE)
-        nxtc = np.where(ok, nxt, 0)
-        ok &= (nxtc != u) & (nxtc != v) & ~visited[rows, nxtc]
-        w = np.where(ok, nxt, NO_CHOICE)
-        alive = ok
+            rows = base[(fv == w) | (nxt == v)] // n
+            npaths[rows] += 1
+            dout[rows[dout[rows] == 0]] = k + 2
+        # NO_CHOICE reads some other visited cell, masked by the first test
+        ok = (nxt != NO_CHOICE) & (nxt != u) & (nxt != v) & ~visited[base + nxt]
+        walk[1] = nxt
+        if not ok.all():
+            walk = walk.compress(ok, axis=1)
         k += 1
+    path = np.full((trials, n), -1, dtype=np.int64)
+    rows = np.flatnonzero(dout)
+    path[rows, 0] = v
+    col = dout[rows] - 1  # where F_u goes; each later walk step one column left
+    w = F[rows, u]
+    while rows.size:
+        path[rows, col] = w
+        keep = col > 1
+        rows, col, w = rows[keep], col[keep] - 1, Ff[rows[keep] * n + w[keep]]
     return PotentialPaths(dout, path, npaths)
 
 

@@ -23,7 +23,7 @@ from crslab.diagnostics import (
     flip_indicators,
     gap_bound,
 )
-from crslab.graph import cycle
+from crslab.graph import complete, cycle
 from crslab.recursive import EstimateTable, run_vertex
 from crslab.rng import stream
 from crslab.selection import INFINITE
@@ -112,20 +112,19 @@ def test_batch_scan_counts_every_candidate(c5):
 
 
 def test_batch_scan_matches_single(c5, k33):
-    for g, seed in ((c5, 41), (k33, 42)):
+    # C7 at x = 0.4 leaves mass for NO_CHOICE; K_6 closes paths of length 2 and 4
+    for g, seed in ((c5, 41), (k33, 42), (cycle(7, 0.4), 44), (complete(6), 45)):
         rng = stream(seed, "trials-vertex", 0)
-        Y, F = sample_vertex_arrivals_batch(g, rng, 400)
+        Y, F = sample_vertex_arrivals_batch(g, rng, 1000)
         scan = detect_potential_paths_batch(g, F, 0, 1)
-        for i in range(400):
+        for i in range(1000):
             s = vertex_sample(Y[i], F[i])
             path = detect_potential_path(g, s, 0, 1)
-            if path is None:
-                assert scan.length[i] == 0
-            else:
-                d = scan.length[i]
-                assert d == len(path)
-                assert scan.path[i, :d].tolist() == path
-                assert scan.count[i] >= 1
+            d = 0 if path is None else len(path)
+            assert scan.length[i] == d
+            assert scan.path[i, :d].tolist() == (path or [])
+            assert (scan.path[i, d:] == -1).all()
+            assert (scan.count[i] >= 1) == (path is not None)
 
 
 def test_bipartite_has_no_potential_paths(k33):
