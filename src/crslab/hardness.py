@@ -182,8 +182,7 @@ def _balance(n: int, is_left: np.ndarray, small) -> np.ndarray:
 def _slots(feasible: np.ndarray, partner_round: np.ndarray):
     """The feasible picks laid out slot by slot for the greedy pass.
 
-    Slot s holds the s-th feasible pick of every row that has more than s,
-    rows by falling pick count, so each slot is a prefix of the rows.
+    Slot s holds the s-th feasible pick of every row that has more than s.
     Returns each pick's flat (row, round) cell, which also names its
     arriving vertex, the flat (row, arrival round) of its partner, and the
     width of each slot.
@@ -200,9 +199,8 @@ def _slots(feasible: np.ndarray, partner_round: np.ndarray):
     partners = np.zeros(grid.shape, dtype=idx)
     partners[grid] = partner_round[feasible]
     partners += np.arange(0, trials * N, N, dtype=idx)[:, None]
-    by_count = np.argsort(-counts, kind="stable")
-    grid = grid[by_count].T
-    return cells[by_count].T[grid], partners[by_count].T[grid], width
+    grid = grid.T
+    return cells.T[grid], partners.T[grid], width
 
 
 @dataclass
