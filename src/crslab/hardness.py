@@ -154,7 +154,7 @@ def hardness_trajectory(
     accepted.reshape(-1)[picks] = taken
     del picks, taken
     matched = np.zeros((trials, N + 1), dtype=np.int64)
-    np.cumsum(accepted, axis=1, dtype=np.int64, out=matched[:, 1:])
+    matched[:, 1:] = np.cumsum(accepted, axis=1, dtype=small)  # at most n
     name = algorithm if isinstance(algorithm, str) else getattr(algorithm, "__name__", "custom")
     return TrajectoryReport(n, trials, name, matched, balance)
 
