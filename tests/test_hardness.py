@@ -5,9 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from crslab.hardness import DriftBucket, drift_report, hardness_trajectory, m_de
-
 from crslab import hardness
+from crslab.hardness import DriftBucket, drift_report, hardness_trajectory, m_de
 
 from .oracles import hardness_rounds, ode_trajectory_reference
 
