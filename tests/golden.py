@@ -10,6 +10,9 @@ direct entry points, and hashes what they produce:
 - every `BatchResult` field of the three batch engines on tie-heavy inputs
   (arrival times on a coarse grid), with `exclude`, `track_edges`,
   `track_targets` and `bins`;
+- every `BatchResult` field after `_BatchTally.resolve` alone on fixed
+  blocks: rows past the first block, edge-like proposals, times on a
+  4-point grid, and every tracked field on;
 - the choice sampler's picks on degrees 1 to 60, on zero and tiny loads and
   on leftover mass, for batches of one row, a few rows and many rows;
 - `hardness_trajectory`'s `matched` and `balance` at several n, greedy and
@@ -45,7 +48,7 @@ from crslab.graph import complete, complete_bipartite, cycle, cycle_blowup, doub
 from crslab.hardness import hardness_trajectory
 from crslab.harness import run_suite
 from crslab import recursive
-from crslab.matching import BatchResult
+from crslab.matching import BatchResult, _BatchTally
 from crslab.recursive import fill_tables, fill_tables_edge, run_edge_batch, run_vertex_batch
 from crslab.rng import stream
 from crslab.selection import INFINITE, c_vertex, edge_selection, vertex_selection
@@ -243,6 +246,35 @@ def engine_digests() -> dict[str, str]:
     return out
 
 
+def _kernel_block(g, rng, rows: int, grid: int | None, flip: bool):
+    """One resolve block: each row holds each edge with probability 1/2, in
+    edge-id (slot) order, at a uniform time or one on a `grid`-point lattice.
+    The target is the edge's `eu` end (edge mode), or either end with `flip`."""
+    row, e = np.nonzero(rng.random((rows, g.edge_count)) < 0.5)
+    y = rng.random(e.size) if grid is None else (rng.integers(0, grid, size=e.size) + 1) / grid
+    side = rng.random(e.size) < 0.5 if flip else np.zeros(e.size, dtype=bool)
+    return row, y, np.where(side, g.ev[e], g.eu[e]), np.where(side, g.eu[e], g.ev[e]), e
+
+
+def kernel_digests() -> dict[str, str]:
+    """BatchResult digests of `_BatchTally.resolve` alone on fixed blocks."""
+    cases = (
+        # (name, graph, trials, blocks, grid, flip, bins, tracked)
+        ("resolve-lo", complete(7), 50, ((0, 20), (20, 45)), None, True, None, False),
+        ("resolve-edge", random_tree(9, seed=5), 200, ((0, 200),), None, False, None, False),
+        ("resolve-ties", complete_bipartite(4), 300, ((0, 300),), 4, True, 4, False),
+        ("resolve-tracked", complete(6), 120, ((0, 70), (70, 120)), 4, True, 3, True),
+    )
+    out = {}
+    for name, g, trials, blocks, grid, flip, bins, tracked in cases:
+        rng = stream(1101, "golden-kernel", name)
+        tally = _BatchTally(g, trials, bins, tracked, tracked)
+        for lo, hi in blocks:
+            tally.resolve(lo, hi, *_kernel_block(g, rng, hi - lo, grid, flip))
+        out[name] = batch_digest(tally.result())
+    return out
+
+
 def sampler_digests() -> dict[str, str]:
     """`sample_choices_batch` picks for one row, a few rows and many rows."""
     graphs = (
@@ -334,6 +366,7 @@ def compute_digests() -> dict[str, str]:
             if not path.name.endswith(".timing.json"):
                 out[f"report/{path.name}"] = _sha(path.read_bytes())
     out.update({f"engine/{k}": v for k, v in engine_digests().items()})
+    out.update({f"kernel/{k}": v for k, v in kernel_digests().items()})
     out.update({f"sampler/{k}": v for k, v in sampler_digests().items()})
     out.update({f"c-vertex/{k}": v for k, v in selection_digests().items()})
     out.update({f"hardness/{k}": v for k, v in hardness_digests().items()})
