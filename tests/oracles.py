@@ -6,7 +6,8 @@ defining ODE with a fixed-step RK4 scheme, and the matching-trajectory
 reference solves its linear ODE the same way. Frozen constants were computed
 once from these oracles and are asserted against the library's closed forms.
 `hardness_rounds` replays the K_{n,n} round process one round at a time, the
-reference for the library's pass over feasible picks.
+reference for the library's pass over feasible picks. `greedy_resolve` takes
+a row block's proposals one at a time, the reference for the engines' kernel.
 """
 
 import math
@@ -130,3 +131,37 @@ def hardness_rounds(n: int, trials: int, seed: int, algorithm="greedy"):
         unarrived = np.maximum(n - left_arrived, n - right_arrived)
         balance[:, t + 1] = unarrived <= thresholds[t + 1]
     return matched, balance
+
+
+def greedy_resolve(g, trials: int, lo: int, row, y, target, proposer, edge, bins: int | None = None) -> dict:
+    """Sequential reference for `_BatchTally.resolve` on one block of a fresh tally.
+
+    Each row's proposals are taken in (y, index) order; one is accepted iff
+    both its endpoints are still free. Returns the fields resolve writes:
+    matched, accepted, acc_bin (None without bins), acc_edge, prop_is_ev and
+    sel_into, as arrays shaped like BatchResult's.
+    """
+    n, m = g.vertex_count, g.edge_count
+    out = {
+        "matched": np.zeros((trials, n), dtype=bool),
+        "accepted": np.zeros(m, dtype=np.int64),
+        "acc_bin": np.zeros((m, bins), dtype=np.int64) if bins else None,
+        "acc_edge": np.zeros((trials, m), dtype=bool),
+        "prop_is_ev": np.zeros((trials, m), dtype=bool),
+        "sel_into": np.zeros((trials, n), dtype=bool),
+    }
+    matched = out["matched"]
+    for r in sorted(set(int(k) for k in row)):
+        mine = [i for i in range(len(row)) if row[i] == r]
+        for i in sorted(mine, key=lambda i: (y[i], i)):
+            a, b, e = int(target[i]), int(proposer[i]), int(edge[i])
+            if matched[lo + r, a] or matched[lo + r, b]:
+                continue
+            matched[lo + r, a] = matched[lo + r, b] = True
+            out["accepted"][e] += 1
+            if bins:
+                out["acc_bin"][e, min(int(y[i] * bins), bins - 1)] += 1
+            out["acc_edge"][lo + r, e] = True
+            out["prop_is_ev"][lo + r, e] = b == g.ev[e]
+            out["sel_into"][lo + r, a] = True
+    return out
