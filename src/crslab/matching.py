@@ -3,7 +3,7 @@
 In every batch engine the only sequential state is `matched`: arrival
 order, active proposals and decision bits depend on the arrivals alone. So
 each engine emits one row block's proposals in a single vectorized pass,
-and `_BatchTally.resolve` accepts them in arrival order, visiting only the
+and `_BatchTally.resolve` accepts them in greedy rounds, visiting only the
 proposals themselves.
 
 Row blocks share no state but the tally's counters, so `_for_blocks` runs
@@ -182,37 +182,50 @@ class _BatchTally:
             self._add(self.act_bin, edge * self.bins + _bin_of(y, self.bins))
 
     def resolve(self, lo: int, hi: int, row, y, target, proposer, edge) -> None:
-        """Accept one block's proposals greedily in arrival order and record them.
+        """Accept one block's proposals by the greedy rule and record them.
 
-        Rows lo..hi-1 must be untouched. `row` (block-local) is
-        non-decreasing and a row's proposals come in slot order (proposer id
-        or edge id), which breaks ties in `y`. A proposal is accepted iff
-        both endpoints are still unmatched when it arrives.
+        Rows lo..hi-1 must be untouched; `row` is block-local. A proposal is
+        accepted iff both endpoints are still unmatched when it arrives, in
+        (y, index) order within its row, so a row's proposals must come in
+        slot order (proposer id or edge id): index order breaks ties in `y`.
+
+        The rule runs in greedy rounds (Blelloch, Fineman & Shun, SPAA
+        2012), each over the live proposals. A proposal wins a round when it
+        is the earliest live one at both its endpoints (the vertex keys
+        row*n + target and row*n + proposer). Every earlier proposal at those
+        vertices has then been decided, so sequential greedy accepts it too;
+        and any live proposal touching a winner's endpoint came later, so it
+        is rejected. Winners mark their endpoints matched, and every live
+        proposal touching a matched vertex drops out. Equal times at a shared
+        vertex are detected per round, and only then broken by the lowest
+        index. The earliest live proposal of every row wins each round, so
+        the rounds never outnumber the most proposals in any row.
         """
         n = self.matched.shape[1]
-        flat = self.matched.reshape(-1)
-        ia = (row + lo) * n + target
-        ib = (row + lo) * n + proposer
-        # One padded line per row that holds proposals, in slot order, then
-        # sorted by time (stable, so slot order breaks ties): column s holds
-        # the s-th arrival of every row with more than s proposals, so each
-        # step gathers and scatters over distinct rows.
-        cnt = np.bincount(row, minlength=hi - lo)
-        has = np.flatnonzero(cnt)
-        mc, start = cnt[has], (np.cumsum(cnt) - cnt)[has]
-        slot = np.arange(mc.max(initial=0))
-        valid = slot < mc[:, None]
-        pad = np.full(valid.shape, np.inf)
-        pad[valid] = y
-        order = np.argsort(pad, axis=1, kind="stable") + start[:, None]
-        acc = np.empty(row.size, dtype=bool)
-        for s in slot:
-            idx = order[mc > s, s]
-            a, b = ia[idx], ib[idx]
-            ok = ~flat[a] & ~flat[b]
-            flat[a[ok]] = True
-            flat[b[ok]] = True
-            acc[idx] = ok
+        flat = self.matched[lo:hi].reshape(-1)
+        # the live proposals: index, vertex keys and time
+        live, a, b, t = np.arange(row.size), row * n + target, row * n + proposer, y
+        acc = np.zeros(row.size, dtype=bool)
+        first = np.full(flat.size, np.inf) if row.size else None  # earliest live time per key
+        while live.size:
+            np.minimum.at(first, a, t)
+            np.minimum.at(first, b, t)
+            at_a, at_b = t == first[a], t == first[b]
+            win = at_a & at_b
+            # without ties, each touched key has exactly one proposal at its minimum
+            if np.count_nonzero(at_a) + np.count_nonzero(at_b) > np.count_nonzero(first != np.inf):
+                lowest = np.full(flat.size, row.size)
+                np.minimum.at(lowest, a[at_a], live[at_a])
+                np.minimum.at(lowest, b[at_b], live[at_b])
+                win &= (lowest[a] == live) & (lowest[b] == live)
+            first[a] = np.inf
+            first[b] = np.inf
+            w = np.flatnonzero(win)
+            acc[live[w]] = True
+            flat[a[w]] = True
+            flat[b[w]] = True
+            keep = np.flatnonzero(~(flat[a] | flat[b]))
+            live, a, b, t = live[keep], a[keep], b[keep], t[keep]
         rows, ea = row[acc] + lo, edge[acc]
         self._add(self.accepted, ea)
         if self.bins:

@@ -77,9 +77,10 @@ def _resolve_vs_oracle(g, trials, lo, hi, block, bins=None):
     per_row=st.sampled_from([0, 1, 3, 30]),
     grid=st.sampled_from([None, 1, 2, 4]),
     bins=st.sampled_from([None, 3]),
+    interleave=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_resolve_equals_greedy_oracle(n, rows, lo, per_row, grid, bins, seed):
+def test_resolve_equals_greedy_oracle(n, rows, lo, per_row, grid, bins, interleave, seed):
     """Random blocks, with ties on grid times, against the sequential greedy rule."""
     g = complete(n)
     eid = np.full((n, n), -1)
@@ -89,7 +90,12 @@ def test_resolve_equals_greedy_oracle(n, rows, lo, per_row, grid, bins, seed):
     target = rng.integers(0, n, size=row.size)
     proposer = (target + rng.integers(1, n, size=row.size)) % n
     y = rng.random(row.size) if grid is None else (rng.integers(0, grid, size=row.size) + 1) / grid
-    _resolve_vs_oracle(g, lo + rows + 1, lo, lo + rows, (row, y, target, proposer, eid[target, proposer]), bins)
+    block = (row, y, target, proposer, eid[target, proposer])
+    if interleave:  # rows in any order, each row's proposals still in slot order
+        perm = np.empty(row.size, dtype=np.int64)
+        perm[np.argsort(rng.permutation(row), kind="stable")] = np.arange(row.size)
+        block = tuple(x[perm] for x in block)
+    _resolve_vs_oracle(g, lo + rows + 1, lo, lo + rows, block, bins)
 
 
 def test_resolve_path_with_increasing_times():
