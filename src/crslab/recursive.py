@@ -94,12 +94,19 @@ def _proposal_param(sel: SelectionFunction, table: EstimateTable, y: np.ndarray,
     """Proposal probability min(c(y) / S_hat * (1 - delta) / (1 + 1/(C T y)), 1).
 
     `sel` is called under `lock`: it may be a user callable that is not
-    thread-safe.
+    thread-safe. At y = 0 the damping is infinite and the probability is its
+    limit 0.
     """
     with lock:
         c = sel(y)
-    param = c / shat * (1.0 - table.delta) / (1.0 + 1.0 / (sel.floor * table.T * y))
+    with np.errstate(divide="ignore"):
+        param = c / shat * (1.0 - table.delta) / (1.0 + 1.0 / (sel.floor * table.T * y))
     return np.minimum(param, 1.0, out=param)
+
+
+def _damping(C: float, T: int, y: float) -> float:
+    """1 + 1/(C T y) for one arrival; at y = 0 its limit inf, as in the batch engines."""
+    return 1.0 + 1.0 / (C * T * y) if y > 0.0 else math.inf
 
 
 def run_vertex_batch(
@@ -162,7 +169,7 @@ def run_vertex(
         assert not out.matched[v], "a proposer is always unmatched at its own arrival"
         j = int(phase_of(float(y[v]), T))
         shat = table.values[j, table.dir_index(g, v, u)]
-        param = float(sel(float(y[v]))) / shat * (1.0 - delta) / (1.0 + 1.0 / (C * T * float(y[v])))
+        param = float(sel(float(y[v]))) / shat * (1.0 - delta) / _damping(C, T, float(y[v]))
         if decision_u[v] <= min(param, 1.0) and not out.matched[u]:
             out.add(g, g.edge_id(u, v), float(y[v]), v)
     return out
@@ -295,7 +302,7 @@ def run_edge(
         if out.matched[u] or out.matched[v]:
             continue
         j = int(phase_of(float(y[e]), T))
-        param = float(sel(float(y[e]))) / table.values[j, e] * (1.0 - delta) / (1.0 + 1.0 / (C * T * float(y[e])))
+        param = float(sel(float(y[e]))) / table.values[j, e] * (1.0 - delta) / _damping(C, T, float(y[e]))
         if decision_u[e] <= min(param, 1.0):
             out.add(g, e, float(y[e]), u)
     return out

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import crslab.matching
-from crslab.arrivals import ArrivalSample, active_edges, sample_choices_batch
+from crslab.arrivals import NO_CHOICE, ArrivalSample, active_edges, sample_choices_batch
 from crslab.graph import complete, complete_bipartite, cycle, cycle_blowup
 from crslab.recursive import fill_tables_edge, run_edge, run_edge_batch, run_vertex, run_vertex_batch
 from crslab.rng import stream
@@ -289,3 +289,30 @@ def test_helper_block_error_reaches_caller(monkeypatch, c5, sel5, table_c5_small
             run(dataclasses.replace(sel, _fn=watched))
         assert watched.helper_calls == 3
         assert threading.active_count() == threads  # every helper has joined
+
+
+def test_arrival_at_time_zero(c5, sel5, table_c5_small):
+    """At y = 0 the damping 1 + 1/(C T y) is infinite: the proposal probability is
+    its limit 0, with no warning in the batch engines and no error in the scalar
+    references. Forced target times u * t_j and Generator.random can both give 0."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # vertex 1 proposes to vertex 0 at time 0; the later proposals pass
+        Y = np.array([[0.0, 0.0, 0.3, 0.6, 0.9]])
+        F = np.array([[NO_CHOICE, 0, 1, 2, 3]])
+        U = np.full((1, 5), 1e-9)
+        res = run_vertex_batch(c5, sel5, table_c5_small, Y, F, U)
+        ref = run_vertex(c5, sel5, table_c5_small, ArrivalSample(mode="vertex", times=Y[0], choices=F[0]), U[0])
+        assert np.array_equal(res.matched[0], ref.matched)
+        assert sorted(e for e, _, _ in ref.accepted) == sorted(np.flatnonzero(res.accepted))
+        assert not res.matched[0, 0] and res.matched[0, 1:].all()
+
+        sel = edge_selection("edge_general")
+        table = fill_tables_edge(c5, sel, T=4, delta=0.1, Q=50, seed=814)
+        active = np.ones((1, c5.edge_count), dtype=bool)
+        Ye = np.array([[0.0, 0.2, 0.4, 0.6, 0.8]])
+        Ue = np.full((1, c5.edge_count), 1e-9)
+        res = run_edge_batch(c5, sel, table, active, Ye, Ue)
+        ref = run_edge(c5, sel, table, ArrivalSample(mode="edge", active=active[0], edge_times=Ye[0]), Ue[0])
+        assert np.array_equal(res.matched[0], ref.matched)
+        assert res.accepted[0] == 0 and sorted(e for e, _, _ in ref.accepted) == sorted(np.flatnonzero(res.accepted))
