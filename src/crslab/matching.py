@@ -206,7 +206,7 @@ class _BatchTally:
         # the live proposals: index, vertex keys and time
         live, a, b, t = np.arange(row.size), row * n + target, row * n + proposer, y
         acc = np.zeros(row.size, dtype=bool)
-        first = np.full(flat.size, np.inf) if row.size else None  # earliest live time per key
+        first = np.full(flat.size, np.inf)  # earliest live time per key
         while live.size:
             np.minimum.at(first, a, t)
             np.minimum.at(first, b, t)
