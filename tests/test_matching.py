@@ -65,7 +65,7 @@ def _resolve_vs_oracle(g, trials, lo, hi, block, bins=None):
     got = tally.result()
     want = greedy_resolve(g, trials, lo, *block, bins=bins)
     for name, value in want.items():
-        assert np.array_equal(getattr(got, name), value) if value is not None else getattr(got, name) is None, name
+        assert np.array_equal(getattr(got, name), value), name  # None equals only None
     return got
 
 
