@@ -10,6 +10,8 @@ direct entry points, and hashes what they produce:
 - every `BatchResult` field of the three batch engines on tie-heavy inputs
   (arrival times on a coarse grid), with `exclude`, `track_edges`,
   `track_targets` and `bins`;
+- every chunked loop (the six trial loops and the edge fill) over several
+  chunks with a partial last one;
 - every `BatchResult` field after `_BatchTally.resolve` alone on fixed
   blocks: rows past the first block, edge-like proposals, times on a
   4-point grid, and every tracked field on;
@@ -43,11 +45,11 @@ from pathlib import Path
 import numpy as np
 
 from crslab.arrivals import sample_choices_batch
-from crslab.diagnostics import coupled_batch, detect_potential_paths_batch
+from crslab import diagnostics, recursive, two_phase
+from crslab.diagnostics import correlation_gap, coupled_batch, detect_potential_paths_batch
 from crslab.graph import complete, complete_bipartite, cycle, cycle_blowup, double_star, random_tree, weighted_star
 from crslab.hardness import hardness_trajectory
 from crslab.harness import run_suite
-from crslab import recursive
 from crslab.matching import BatchResult, _BatchTally
 from crslab.recursive import fill_tables, fill_tables_edge, run_edge_batch, run_vertex_batch
 from crslab.rng import stream
@@ -176,14 +178,14 @@ def _grid_times(rng: np.random.Generator, shape) -> np.ndarray:
     return (rng.integers(0, GRID, size=shape) + 1) / GRID
 
 
-def _with_row_chunk(chunk: int, fill, *args, **kwargs):
-    """fill(*args, **kwargs) run with recursive.FILL_ROW_CHUNK set to `chunk`."""
-    saved = recursive.FILL_ROW_CHUNK
-    recursive.FILL_ROW_CHUNK = chunk
+def _with_const(module, name: str, value, fn, *args, **kwargs):
+    """fn(*args, **kwargs) run with the module constant `module.name` set to `value`."""
+    saved = getattr(module, name)
+    setattr(module, name, value)
     try:
-        return fill(*args, **kwargs)
+        return fn(*args, **kwargs)
     finally:
-        recursive.FILL_ROW_CHUNK = saved
+        setattr(module, name, saved)
 
 
 def engine_digests() -> dict[str, str]:
@@ -198,7 +200,7 @@ def engine_digests() -> dict[str, str]:
     out["table-vertex-c5"] = _sha(_array_bytes(tab5.values))
     out["table-vertex-k33"] = _sha(_array_bytes(tab33.values))
     # 1000 rows per phase in chunks of 333/333/333/1
-    tab5_chunked = _with_row_chunk(333, fill_tables, g5, sel5, T=4, delta=0.1, Q=100, seed=601)
+    tab5_chunked = _with_const(recursive, "FILL_ROW_CHUNK", 333, fill_tables, g5, sel5, T=4, delta=0.1, Q=100, seed=601)
     out["table-vertex-c5-chunk333"] = _sha(_array_bytes(tab5_chunked.values))
     for name, g, sel, tab, excl in (("c5", g5, sel5, tab5, 1), ("k33", g33, sel_inf, tab33, 3)):
         rng = stream(603, "golden-vertex", name)
@@ -217,7 +219,7 @@ def engine_digests() -> dict[str, str]:
     out["table-edge-tree9"] = _sha(_array_bytes(tab_e.values))
     # 1200 rows per phase in chunks of 500/500/200, cutting through the
     # 150-row groups of single forced edges
-    tab_e_chunked = _with_row_chunk(500, fill_tables_edge, tree, sel_e, T=6, delta=0.0, Q=150, seed=604)
+    tab_e_chunked = _with_const(recursive, "FILL_ROW_CHUNK", 500, fill_tables_edge, tree, sel_e, T=6, delta=0.0, Q=150, seed=604)
     out["table-edge-tree9-chunk500"] = _sha(_array_bytes(tab_e_chunked.values))
     rng = stream(605, "golden-edge")
     m = tree.edge_count
@@ -243,6 +245,47 @@ def engine_digests() -> dict[str, str]:
         for t_stop in (0.5, 0.6, 1.0):
             res = run_two_phase_batch(g, 0.6, Y, F, UA, UB, t_stop, 4, True, False)
             out[f"two-phase-{name}-t{t_stop}"] = batch_digest(res)
+    return out
+
+
+def sim_digest(res, extra=()) -> str:
+    """sha256 over a simulation result's counters and the `extra` fields."""
+    h = hashlib.sha256()
+    for name in ("trials", "bins", "accepted", "active", "acc_bin", "act_bin", *extra):
+        value = getattr(res, name)
+        h.update(name.encode() + b"=")
+        h.update(_array_bytes(np.asarray(value)))
+    return h.hexdigest()
+
+
+def chunk_digests() -> dict[str, str]:
+    """Every chunked loop over several chunks, the last one partial.
+
+    The trial loops run 2,500 trials in chunks of 1,000, so their chunks
+    1 and 2 are keyed too. The edge fill of `tree9-chunk1100` cuts each
+    phase's 1,200 rows into 1,100 + 100, so its first chunk ends inside
+    the last edge's 150 rows.
+    """
+    trials = 2500
+    g5, sel5 = cycle(5, 0.5), vertex_selection(5)
+    tree, sel_e = random_tree(9, seed=3), edge_selection("edge_tree")
+    star = weighted_star([1.0 / 6.0] * 6)
+    out = {}
+    res = _with_const(recursive, "TRIAL_CHUNK", 1000, recursive.simulate_vertex, g5, sel5, 4, 0.1, trials, 1201, Q=100, bins=5)
+    out["simulate-vertex-c5"] = sim_digest(res) + _sha(_array_bytes(res.table.values))
+    res = _with_const(recursive, "TRIAL_CHUNK", 1000, recursive.simulate_edge, tree, sel_e, 6, 0.0, trials, 1202, Q=150, bins=4)
+    out["simulate-edge-tree9"] = sim_digest(res) + _sha(_array_bytes(res.table.values))
+    res = _with_const(recursive, "TRIAL_CHUNK", 1000, recursive.simulate_rank1, star, trials, 1203, bins=5)
+    out["simulate-rank1-star6"] = sim_digest(res, ("safe_bin", "all_bin"))
+    res = _with_const(two_phase, "TRIAL_CHUNK", 1000, two_phase.simulate_two_phase, complete(7), 0.5, trials, 1204, bins=4)
+    out["simulate-two-phase-complete7"] = sim_digest(res)
+    got = _with_const(two_phase, "TRIAL_CHUNK", 1000, pinned_phase1_frequency, g5, 0.6, 0, 1, 0.25, {2: 0.25, 3: 0.1, 4: 0.1}, trials, 1205)
+    out["pinned-phase1-c5"] = _sha(repr(got).encode())
+    tab5 = fill_tables(g5, sel5, T=4, delta=0.1, Q=100, seed=1206)
+    rep = _with_const(diagnostics, "GAP_TRIAL_CHUNK", 1000, correlation_gap, g5, sel5, tab5, 0, 1, 0.5, trials, 1207)
+    out["correlation-gap-c5"] = _sha(repr(rep).encode())
+    tab = _with_const(recursive, "FILL_ROW_CHUNK", 1100, fill_tables_edge, tree, sel_e, T=6, delta=0.0, Q=150, seed=1208)
+    out["table-edge-tree9-chunk1100"] = _sha(_array_bytes(tab.values))
     return out
 
 
@@ -366,6 +409,7 @@ def compute_digests() -> dict[str, str]:
             if not path.name.endswith(".timing.json"):
                 out[f"report/{path.name}"] = _sha(path.read_bytes())
     out.update({f"engine/{k}": v for k, v in engine_digests().items()})
+    out.update({f"chunks/{k}": v for k, v in chunk_digests().items()})
     out.update({f"kernel/{k}": v for k, v in kernel_digests().items()})
     out.update({f"sampler/{k}": v for k, v in sampler_digests().items()})
     out.update({f"c-vertex/{k}": v for k, v in selection_digests().items()})
