@@ -3,7 +3,8 @@
 Every stochastic routine in the package draws from a stream keyed by
 (master seed, purpose tags...). Streams with distinct tags are independent,
 and a given key always reproduces the same draws, which is what makes
-chunked and nested simulations replayable.
+chunked and nested simulations replayable. Every chunked loop gets its
+streams from `chunks`, the one place where rows map to stream keys.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import hashlib
 
 import numpy as np
 
-__all__ = ["stream", "spawn_key"]
+__all__ = ["stream", "chunks", "spawn_key"]
 
 
 def _tag_words(tag) -> tuple[int, ...]:
@@ -45,3 +46,15 @@ def stream(master_seed: int, *tags) -> np.random.Generator:
     """Independent generator keyed by (master_seed, *tags)."""
     seq = np.random.SeedSequence(master_seed, spawn_key=spawn_key(*tags))
     return np.random.Generator(np.random.PCG64(seq))
+
+
+def chunks(master_seed: int, total: int, size: int, *tags):
+    """Yield (stream(master_seed, *tags, i), lo, count) for chunk i of `total` rows.
+
+    Chunk i holds rows lo..lo+count-1 with lo = i * size; only the last one
+    may hold fewer than `size` rows, and zero rows make no chunk. `stream`
+    is looked up here at each chunk, so a patched `crslab.rng.stream` sees
+    every chunk's key.
+    """
+    for i, lo in enumerate(range(0, total, size)):
+        yield stream(master_seed, *tags, i), lo, min(size, total - lo)

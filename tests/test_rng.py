@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from crslab.rng import spawn_key, stream
+from crslab.rng import chunks, spawn_key, stream
 
 
 def test_same_tags_same_stream():
@@ -46,3 +46,32 @@ def test_large_int_tags_keep_all_bits():
 @given(st.integers(min_value=0, max_value=2**31), st.integers(min_value=0, max_value=100))
 def test_streams_reproducible_property(seed, tag):
     assert np.array_equal(stream(seed, tag).random(4), stream(seed, tag).random(4))
+
+
+def test_chunk_draws_equal_its_stream():
+    for i, (rng, lo, count) in enumerate(chunks(7, 2500, 1000, "trials-vertex")):
+        assert lo == 1000 * i
+        assert np.array_equal(rng.random(16), stream(7, "trials-vertex", i).random(16))
+
+
+def test_chunk_keys_append_the_index_to_every_tag():
+    (rng, lo, count), = chunks(7, 10, 20, "fill-edge", 3)
+    assert (lo, count) == (0, 10)
+    assert np.array_equal(rng.random(16), stream(7, "fill-edge", 3, 0).random(16))
+
+
+@given(st.integers(min_value=1, max_value=10_000), st.integers(min_value=1, max_value=3_000))
+def test_chunk_counts_cover_total_and_only_the_last_is_partial(total, size):
+    spans = [(lo, count) for _, lo, count in chunks(0, total, size, "t")]
+    assert sum(count for _, count in spans) == total
+    assert all(count == size for _, count in spans[:-1])
+    assert 0 < spans[-1][1] <= size
+    assert [lo for lo, _ in spans] == list(range(0, total, size))
+
+
+def test_total_below_size_gives_one_chunk():
+    assert [(lo, count) for _, lo, count in chunks(0, 999, 1000, "t")] == [(0, 999)]
+
+
+def test_zero_total_yields_nothing():
+    assert list(chunks(0, 0, 1000, "t")) == []
