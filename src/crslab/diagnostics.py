@@ -26,7 +26,7 @@ from .arrivals import (
 )
 from .graph import Graph
 from .recursive import EstimateTable, _proposal_param, phase_of, run_vertex, run_vertex_batch
-from .rng import stream
+from .rng import chunks
 from .selection import INFINITE, SelectionFunction
 
 __all__ = [
@@ -344,11 +344,7 @@ def correlation_gap(
     sum_inner = cnt_inner = sum_outer = cnt_outer = 0
     flips = violations = 0
     max_paths = 0
-    done = 0
-    ci = 0
-    while done < trials:
-        count = min(GAP_TRIAL_CHUNK, trials - done)
-        rng = stream(seed, "corr-gap", ci)
+    for rng, _, count in chunks(seed, trials, GAP_TRIAL_CHUNK, "corr-gap"):
         Y, F = sample_vertex_arrivals_batch(g, rng, count)
         U = rng.random((count, n))
         full, dropped = coupled_batch(g, sel, table, v, Y, F, U, t_k=t_k)
@@ -364,8 +360,6 @@ def correlation_gap(
         flips += int(need.sum())
         violations += int((need & ~B).sum())
         max_paths = max(max_paths, int(paths.count.max()))
-        done += count
-        ci += 1
     mean_inner = sum_inner / cnt_inner if cnt_inner else math.nan
     mean_outer = sum_outer / cnt_outer if cnt_outer else math.nan
     gap = mean_inner - mean_outer

@@ -25,12 +25,16 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .graph import Graph
 
-__all__ = ["Matching", "BatchResult", "assert_valid_matching"]
+if TYPE_CHECKING:
+    from .recursive import EstimateTable
+
+__all__ = ["Matching", "BatchResult", "SimResult", "assert_valid_matching"]
 
 # Element budget (rows x width) of the row blocks in flight in a batch
 # engine, split evenly across its workers; a block's candidate and kernel
@@ -55,6 +59,45 @@ class BatchResult:
     acc_edge: np.ndarray | None = None  # (trials, m) accepted indicator
     prop_is_ev: np.ndarray | None = None  # (trials, m) proposer side of accepted edge
     sel_into: np.ndarray | None = None  # (trials, n) vertex was accepted as target
+
+
+@dataclass
+class SimResult:
+    """Per-edge and per-bin counts accumulated over all trials of a simulation."""
+
+    trials: int
+    bins: int
+    accepted: np.ndarray  # (m,)
+    active: np.ndarray  # (m,)
+    acc_bin: np.ndarray  # (m, bins) accepted by arrival bin
+    act_bin: np.ndarray  # (m, bins) active by arrival bin
+    table: EstimateTable | None = None  # the recursive schemes' estimate tables
+    safe_bin: np.ndarray | None = None  # (m, bins) rank-1: trials where nothing was taken before Y_e
+    all_bin: np.ndarray | None = None  # (m, bins) rank-1: trials by Y_e bin
+
+    @classmethod
+    def zeros(cls, g: Graph, trials: int, bins: int, **fields) -> SimResult:
+        """All four counters zero; `fields` sets the optional ones."""
+        m = g.edge_count
+        return cls(trials, bins, np.zeros(m, np.int64), np.zeros(m, np.int64), np.zeros((m, bins), np.int64), np.zeros((m, bins), np.int64), **fields)
+
+    def add(self, batch: BatchResult) -> None:
+        """Add one batch's four counters."""
+        self.accepted += batch.accepted
+        self.active += batch.active
+        self.acc_bin += batch.acc_bin
+        self.act_bin += batch.act_bin
+
+    def ratio_active(self) -> np.ndarray:
+        """Accepted / active per edge (nan when an edge was never active)."""
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return np.where(self.active > 0, self.accepted / np.maximum(self.active, 1), np.nan)
+
+    def ratio_x(self, g: Graph) -> np.ndarray:
+        """Accepted / (trials * x_e) per edge (nan where x_e is 0)."""
+        with np.errstate(invalid="ignore", divide="ignore"):
+            denom = self.trials * g.x
+            return np.where(denom > 0, self.accepted / np.where(denom > 0, denom, 1.0), np.nan)
 
 
 def _for_blocks(trials: int, width: int, body) -> None:

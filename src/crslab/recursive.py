@@ -22,6 +22,7 @@ Bernoulli(e^{-y x_e}) thinning.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -30,8 +31,8 @@ import numpy as np
 from .arrivals import NO_CHOICE, ArrivalSample, _active_choices, _flat, sample_choices_batch
 from .graph import Graph
 from . import matching
-from .matching import BatchResult, Matching, _ahead, _BatchTally, _bin_of, _for_blocks
-from .rng import stream
+from .matching import BatchResult, Matching, SimResult, _ahead, _BatchTally, _bin_of, _for_blocks
+from .rng import chunks, stream
 from .selection import SelectionFunction
 
 __all__ = [
@@ -51,7 +52,6 @@ __all__ = [
     "simulate_rank1",
     "BatchResult",
     "SimResult",
-    "Rank1Result",
 ]
 
 # Row budget for one estimator batch; keeps peak memory modest and makes
@@ -195,13 +195,8 @@ def fill_tables(g: Graph, sel: SelectionFunction, T: int, delta: float, Q: int, 
         targets[2 * eid + 1], proposers[2 * eid + 1] = v, u  # dir u->v (target ev)
     for j in range(1, T):
         tj = j / T
-        rows_total = 2 * m * Q
         unmatched = np.zeros(2 * m, dtype=np.float64)
-        n_chunks = (rows_total + FILL_ROW_CHUNK - 1) // FILL_ROW_CHUNK
-        base = 0
-        for c in range(n_chunks):
-            count = min(FILL_ROW_CHUNK, rows_total - base)
-            rng = stream(seed, "fill-vertex", j, c)
+        for rng, base, count in chunks(seed, 2 * m * Q, FILL_ROW_CHUNK, "fill-vertex", j):
             rr = np.arange(count)
             dir_id = (base + rr) // Q
             tcell = rr * n + targets[dir_id]  # flat (row, target) cells
@@ -215,7 +210,6 @@ def fill_tables(g: Graph, sel: SelectionFunction, T: int, delta: float, Q: int, 
             res = run_vertex_batch(g, sel, table, Y, F, U, t_stop=tj)
             free = ~res.matched.reshape(-1)[tcell]
             unmatched += np.bincount(dir_id, weights=free, minlength=2 * m)
-            base += count
         values[j] = np.clip(unmatched / Q, floor_clamp, 1.0)
     return table
 
@@ -326,41 +320,34 @@ def fill_tables_edge(g: Graph, sel: SelectionFunction, T: int, delta: float, Q: 
     table = EstimateTable("edge", T, delta, Q, floor_clamp, values)
     eu, ev = g.eu, g.ev
     rows_total = m * Q
-    n_chunks = (rows_total + FILL_ROW_CHUNK - 1) // FILL_ROW_CHUNK
+    # Two buffer sets when drawing ahead (one being drawn, one being run).
+    size = min(FILL_ROW_CHUNK, rows_total)
+    sets = [(np.empty((size, m), dtype=bool), np.empty((size, m)), np.empty((size, m))) for _ in range(min(matching.WORKERS, 2))]
+    phases = ((j, chunk) for j in range(1, T) for chunk in chunks(seed, rows_total, FILL_ROW_CHUNK, "fill-edge", j))
 
-    def chunks():
-        # Two buffer sets when drawing ahead (one being drawn, one being run).
-        size = min(FILL_ROW_CHUNK, rows_total)
-        sets = [(np.empty((size, m), dtype=bool), np.empty((size, m)), np.empty((size, m))) for _ in range(min(matching.WORKERS, 2))]
-        for j in range(1, T):
-            for c in range(n_chunks):
-                base = c * FILL_ROW_CHUNK
-                count = min(FILL_ROW_CHUNK, rows_total - base)
-                bufs = sets[((j - 1) * n_chunks + c) % len(sets)]
-                yield j, c, base, stream(seed, "fill-edge", j, c), [b[:count] for b in bufs]
-
-    def draw(chunk):
-        j, c, base, rng, (active, Ye, U) = chunk
+    def draw(item):
+        (j, (rng, base, count)), bufs = item
+        active, Ye, U = (b[:count] for b in bufs)
         tj = j / T
         rng.random(out=Ye)
         np.less(Ye, g.x, out=active)
         rng.random(out=Ye)
-        rr = np.arange(active.shape[0])
+        rr = np.arange(count)
         erow = (base + rr) // Q
         y = Ye.reshape(-1)
         ecell = rr * m + erow  # flat (row, forced edge) cells
         y[ecell] = tj + y[ecell] * (1.0 - tj)
         rng.random(out=U)
-        return j, c, rr, erow, active, Ye, U
+        return j, base + count == rows_total, rr, erow, active, Ye, U
 
     feasible = np.zeros(m, dtype=np.float64)
-    with contextlib.closing(_ahead(draw, chunks())) as drawn:
-        for j, c, rr, erow, active, Ye, U in drawn:
+    with contextlib.closing(_ahead(draw, zip(phases, itertools.cycle(sets)))) as drawn:
+        for j, last, rr, erow, active, Ye, U in drawn:
             res = run_edge_batch(g, sel, table, active, Ye, U, t_stop=j / T)
             matched = res.matched.reshape(-1)
             free = ~matched[rr * n + eu[erow]] & ~matched[rr * n + ev[erow]]
             feasible += np.bincount(erow, weights=free, minlength=m)
-            if c == n_chunks - 1:
+            if last:  # the phase's rows are all in
                 values[j] = np.clip(feasible / Q, floor_clamp, 1.0)
                 feasible[:] = 0.0
     return table
@@ -393,35 +380,18 @@ def run_rank1_closed_form(g: Graph, s: ArrivalSample, decision_u: np.ndarray) ->
 # -- top-level experiment loops -------------------------------------------------
 
 
-@dataclass
-class SimResult:
-    """Accumulated per-edge and per-bin counts over all trials."""
-
-    trials: int
-    bins: int
-    accepted: np.ndarray  # (m,)
-    active: np.ndarray  # (m,)
-    acc_bin: np.ndarray  # (m, bins)
-    act_bin: np.ndarray  # (m, bins)
-    table: EstimateTable | None = None
-
-    def ratio_active(self) -> np.ndarray:
-        """Accepted / active per edge (nan when an edge was never active)."""
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return np.where(self.active > 0, self.accepted / np.maximum(self.active, 1), np.nan)
-
-    def ratio_x(self, g: Graph) -> np.ndarray:
-        with np.errstate(invalid="ignore", divide="ignore"):
-            denom = self.trials * g.x
-            return np.where(denom > 0, self.accepted / np.where(denom > 0, denom, 1.0), np.nan)
-
-
 TRIAL_CHUNK = 100_000
 
 
-def _trial_chunks(trials: int, chunk: int):
-    starts = range(0, trials, chunk)
-    return [(i, min(chunk, trials - s)) for i, s in enumerate(starts)]
+def _table(fill, g: Graph, sel: SelectionFunction, T: int, delta: float, Q: int | None, seed: int, table: EstimateTable | None) -> EstimateTable:
+    """`table` if given, else fill(...) with Q samples per phase (by default the required number)."""
+    if table is not None:
+        return table
+    if Q is None:
+        if delta == 0.0:
+            raise ValueError("delta=0 (idealized mode) needs an explicit Q")
+        Q = required_samples(sel.floor, delta, T, g.vertex_count)
+    return fill(g, sel, T, delta, Q, seed)
 
 
 def simulate_vertex(
@@ -436,24 +406,13 @@ def simulate_vertex(
     table: EstimateTable | None = None,
 ) -> SimResult:
     """Fill tables once, then measure acceptance over independent trials."""
-    if delta == 0.0 and Q is None and table is None:
-        raise ValueError("delta=0 (idealized mode) needs an explicit Q")
-    if Q is None and table is None:
-        Q = required_samples(sel.floor, delta, T, g.vertex_count)
-    if table is None:
-        table = fill_tables(g, sel, T, delta, Q, seed)
-    m = g.edge_count
-    out = SimResult(trials, bins, np.zeros(m, np.int64), np.zeros(m, np.int64), np.zeros((m, bins), np.int64), np.zeros((m, bins), np.int64), table)
-    for ci, count in _trial_chunks(trials, TRIAL_CHUNK):
-        rng = stream(seed, "trials-vertex", ci)
+    table = _table(fill_tables, g, sel, T, delta, Q, seed, table)
+    out = SimResult.zeros(g, trials, bins, table=table)
+    for rng, _, count in chunks(seed, trials, TRIAL_CHUNK, "trials-vertex"):
         Y = rng.random((count, g.vertex_count))
         F = sample_choices_batch(g, rng, count)
         U = rng.random((count, g.vertex_count))
-        res = run_vertex_batch(g, sel, table, Y, F, U, bins=bins)
-        out.accepted += res.accepted
-        out.active += res.active
-        out.acc_bin += res.acc_bin
-        out.act_bin += res.act_bin
+        out.add(run_vertex_batch(g, sel, table, Y, F, U, bins=bins))
     return out
 
 
@@ -468,44 +427,18 @@ def simulate_edge(
     bins: int = 20,
     table: EstimateTable | None = None,
 ) -> SimResult:
-    if delta == 0.0 and Q is None and table is None:
-        raise ValueError("delta=0 (idealized mode) needs an explicit Q")
-    if Q is None and table is None:
-        Q = required_samples(sel.floor, delta, T, g.vertex_count)
-    if table is None:
-        table = fill_tables_edge(g, sel, T, delta, Q, seed)
+    table = _table(fill_tables_edge, g, sel, T, delta, Q, seed, table)
     m = g.edge_count
-    out = SimResult(trials, bins, np.zeros(m, np.int64), np.zeros(m, np.int64), np.zeros((m, bins), np.int64), np.zeros((m, bins), np.int64), table)
-    for ci, count in _trial_chunks(trials, TRIAL_CHUNK):
-        rng = stream(seed, "trials-edge", ci)
+    out = SimResult.zeros(g, trials, bins, table=table)
+    for rng, _, count in chunks(seed, trials, TRIAL_CHUNK, "trials-edge"):
         active = rng.random((count, m)) < g.x[None, :]
         Ye = rng.random((count, m))
         U = rng.random((count, m))
-        res = run_edge_batch(g, sel, table, active, Ye, U, bins=bins)
-        out.accepted += res.accepted
-        out.active += res.active
-        out.acc_bin += res.acc_bin
-        out.act_bin += res.act_bin
+        out.add(run_edge_batch(g, sel, table, active, Ye, U, bins=bins))
     return out
 
 
-@dataclass
-class Rank1Result:
-    trials: int
-    bins: int
-    accepted: np.ndarray  # (m,)
-    active: np.ndarray  # (m,)
-    acc_bin: np.ndarray  # (m, bins) accepted by arrival bin
-    act_bin: np.ndarray  # (m, bins) active by arrival bin
-    safe_bin: np.ndarray  # (m, bins) trials where nothing was taken before Y_e
-    all_bin: np.ndarray  # (m, bins) trials by Y_e bin
-
-    def ratio_active(self) -> np.ndarray:
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return np.where(self.active > 0, self.accepted / np.maximum(self.active, 1), np.nan)
-
-
-def simulate_rank1(g: Graph, trials: int, seed: int, bins: int = 20) -> Rank1Result:
+def simulate_rank1(g: Graph, trials: int, seed: int, bins: int = 20) -> SimResult:
     """Vectorized closed-form rank-1 runs with safety tracking.
 
     The first active element passing its thinning bit is the unique accept,
@@ -513,18 +446,8 @@ def simulate_rank1(g: Graph, trials: int, seed: int, bins: int = 20) -> Rank1Res
     """
     _check_rank1(g)
     m = g.edge_count
-    out = Rank1Result(
-        trials,
-        bins,
-        np.zeros(m, np.int64),
-        np.zeros(m, np.int64),
-        np.zeros((m, bins), np.int64),
-        np.zeros((m, bins), np.int64),
-        np.zeros((m, bins), np.int64),
-        np.zeros((m, bins), np.int64),
-    )
-    for ci, count in _trial_chunks(trials, TRIAL_CHUNK):
-        rng = stream(seed, "trials-rank1", ci)
+    out = SimResult.zeros(g, trials, bins, safe_bin=np.zeros((m, bins), np.int64), all_bin=np.zeros((m, bins), np.int64))
+    for rng, _, count in chunks(seed, trials, TRIAL_CHUNK, "trials-rank1"):
         active = rng.random((count, m)) < g.x[None, :]
         Ye = rng.random((count, m))
         U = rng.random((count, m))

@@ -27,10 +27,9 @@ from numpy.polynomial import Polynomial
 
 from .arrivals import NO_CHOICE, ArrivalSample, _active_choices, _flat, sample_choices_batch
 from .graph import Graph
-from .matching import BatchResult, Matching, _BatchTally, _for_blocks
+from .matching import BatchResult, Matching, SimResult, _BatchTally, _for_blocks
 from .numerics import bisect
-from .rng import stream
-from .selection import SelectionFunction  # noqa: F401  (type referenced in docs)
+from .rng import chunks
 
 __all__ = [
     "prune_factor",
@@ -46,7 +45,6 @@ __all__ = [
     "prune_greedy_batch",
     "balanced_ocrs_batch",
     "simulate_two_phase",
-    "TwoPhaseSimResult",
     "RecursionBound",
     "recursion_bound",
     "overall_recursion_bound",
@@ -290,49 +288,19 @@ def balanced_ocrs_batch(g: Graph, Y: np.ndarray, F: np.ndarray, UB: np.ndarray) 
     return run_two_phase_batch(g, 1.0, Y, F, ones, UB, check_regular=False)
 
 
-@dataclass
-class TwoPhaseSimResult:
-    trials: int
-    bins: int
-    accepted: np.ndarray
-    active: np.ndarray
-    acc_bin: np.ndarray
-    act_bin: np.ndarray
-
-    def ratio_active(self) -> np.ndarray:
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return np.where(self.active > 0, self.accepted / np.maximum(self.active, 1), np.nan)
-
-    def ratio_x(self, g: Graph) -> np.ndarray:
-        with np.errstate(invalid="ignore", divide="ignore"):
-            denom = self.trials * g.x
-            return np.where(denom > 0, self.accepted / np.where(denom > 0, denom, 1.0), np.nan)
-
-
 TRIAL_CHUNK = 200_000
 
 
-def simulate_two_phase(g: Graph, t: float, trials: int, seed: int, bins: int = 20) -> TwoPhaseSimResult:
+def simulate_two_phase(g: Graph, t: float, trials: int, seed: int, bins: int = 20) -> SimResult:
     _warn_if_not_one_regular(g)
-    m = g.edge_count
     n = g.vertex_count
-    out = TwoPhaseSimResult(trials, bins, np.zeros(m, np.int64), np.zeros(m, np.int64), np.zeros((m, bins), np.int64), np.zeros((m, bins), np.int64))
-    done = 0
-    ci = 0
-    while done < trials:
-        count = min(TRIAL_CHUNK, trials - done)
-        rng = stream(seed, "trials-two-phase", ci)
+    out = SimResult.zeros(g, trials, bins)
+    for rng, _, count in chunks(seed, trials, TRIAL_CHUNK, "trials-two-phase"):
         Y = rng.random((count, n))
         F = sample_choices_batch(g, rng, count)
         UA = rng.random((count, n))
         UB = rng.random((count, n))
-        res = run_two_phase_batch(g, t, Y, F, UA, UB, bins=bins, check_regular=False)
-        out.accepted += res.accepted
-        out.active += res.active
-        out.acc_bin += res.acc_bin
-        out.act_bin += res.act_bin
-        done += count
-        ci += 1
+        out.add(run_two_phase_batch(g, t, Y, F, UA, UB, bins=bins, check_regular=False))
     return out
 
 
@@ -360,11 +328,7 @@ def pinned_phase1_frequency(
     n = g.vertex_count
     eid = g.edge_id(u0, u1)
     hits = 0
-    done = 0
-    ci = 0
-    while done < trials:
-        count = min(TRIAL_CHUNK, trials - done)
-        rng = stream(seed, "pinned-phase1", ci)
+    for rng, _, count in chunks(seed, trials, TRIAL_CHUNK, "pinned-phase1"):
         Y = np.empty((count, n))
         for w, yw in pinned.items():
             Y[:, w] = yw
@@ -375,8 +339,6 @@ def pinned_phase1_frequency(
         UB = rng.random((count, n))
         res = run_two_phase_batch(g, t, Y, F, UA, UB, t_stop=y0, track_edges=True, check_regular=False)
         hits += int(res.acc_edge[:, eid].sum())
-        done += count
-        ci += 1
     freq = hits / trials
     sigma = math.sqrt(max(freq * (1.0 - freq), 1e-12) / trials)
     return freq, sigma

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import crslab.matching
 import crslab.recursive
+import crslab.rng
 from crslab.arrivals import ArrivalSample, sample_choices_batch
 from crslab.graph import complete_bipartite, single_edge, star, weighted_star
 from crslab.matching import assert_valid_matching
@@ -161,14 +162,14 @@ class _WatchedStream:
 
 
 def _watch_streams(monkeypatch, fail_on=None):
-    """Patch recursive.stream; return (threads that created streams, threads that drew)."""
+    """Patch rng.stream, which rng.chunks looks up; return (threads that created streams, threads that drew)."""
     created, calls = [], []
 
     def watched(*key):
         created.append(threading.current_thread())
         return _WatchedStream(stream(*key), calls, fail_on)
 
-    monkeypatch.setattr(crslab.recursive, "stream", watched)
+    monkeypatch.setattr(crslab.rng, "stream", watched)
     return created, calls
 
 
@@ -192,7 +193,7 @@ def test_fill_tables_edge_streams_created_on_calling_thread(monkeypatch):
     assert len(created) == 4 * 6  # phases 1..4, six chunks each
     assert all(t is threading.main_thread() for t in created)
     assert any(t is not threading.main_thread() for t in calls)  # drawn ahead
-    monkeypatch.setattr(crslab.recursive, "stream", stream)
+    monkeypatch.setattr(crslab.rng, "stream", stream)
     assert np.array_equal(values, _fill_k33().values)
 
 
