@@ -8,60 +8,23 @@ endpoint picked the earlier one; the later endpoint is the proposer.
 Edge mode: every edge is independently active with probability x_e and
 carries its own uniform arrival time Y_e.
 
-Both samplers accept optional per-index interval constraints (inverse-CDF on
-the restricted interval), which is how the recursive engine forces
-"target arrives before t_j, proposer after t_j" in its estimator runs.
+Callers draw the uniform arrival times and decision bits straight from
+their keyed streams; the table fills force the arrivals they condition on
+by rescaling those times themselves. This module samples the neighbor
+choices (`sample_choices_batch`) and finds a batch's active proposals.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .graph import Graph, LOAD_TOL
+from .graph import Graph
 
-__all__ = [
-    "ArrivalSample",
-    "ActiveEdge",
-    "sample_vertex_arrivals",
-    "sample_vertex_arrivals_batch",
-    "sample_choices_batch",
-    "active_edges",
-    "sample_edge_arrivals",
-    "sample_edge_arrivals_batch",
-    "earlier",
-    "NO_CHOICE",
-]
+__all__ = ["sample_choices_batch", "NO_CHOICE"]
 
 NO_CHOICE = -1
-
-
-@dataclass
-class ArrivalSample:
-    mode: str  # "vertex" | "edge"
-    times: np.ndarray | None = None  # (n,) vertex arrival times
-    choices: np.ndarray | None = None  # (n,) neighbor id or NO_CHOICE
-    active: np.ndarray | None = None  # (m,) edge-mode activity
-    edge_times: np.ndarray | None = None  # (m,) edge-mode arrival times
-
-
-@dataclass
-class ActiveEdge:
-    edge_id: int
-    proposer: int  # later-arriving endpoint
-    arrival: float  # max of the two endpoint times
-
-
-def earlier(ya: float, a: int, yb: float, b: int) -> bool:
-    """Strict arrival order with id tie-break (keeps runs deterministic)."""
-    return (ya, a) < (yb, b)
-
-
-def _check_loads(g: Graph) -> None:
-    if not g.validate_fractional_matching().ok:
-        raise ValueError("vertex load exceeds 1: cannot form the choice distribution")
 
 
 def _pick(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -177,65 +140,3 @@ def _active_choices(g: Graph, Y: np.ndarray, F: np.ndarray, t_stop: float = 1.0,
     row, proposer = np.divmod(cell, n)
     edge = _choice_edges(g, F).T.reshape(-1)[proposer * rows + row]
     return _ActiveChoices(cell, row, proposer, Fc.reshape(-1)[cell], edge, y_flat[cell])
-
-
-def _interval_times(rng: np.random.Generator, shape, lo, hi) -> np.ndarray:
-    u = rng.random(shape)
-    lo = np.asarray(lo, dtype=np.float64)
-    hi = np.asarray(hi, dtype=np.float64)
-    if np.any(lo < 0.0) or np.any(hi > 1.0) or np.any(lo >= hi):
-        raise ValueError("time intervals must satisfy 0 <= lo < hi <= 1")
-    return lo + u * (hi - lo)
-
-
-def sample_vertex_arrivals_batch(
-    g: Graph,
-    rng: np.random.Generator,
-    trials: int,
-    lo=0.0,
-    hi=1.0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Times (trials, n) and choices (trials, n) for independent trials."""
-    _check_loads(g)
-    times = _interval_times(rng, (trials, g.vertex_count), lo, hi)
-    choices = sample_choices_batch(g, rng, trials)
-    return times, choices
-
-
-def sample_vertex_arrivals(g: Graph, rng: np.random.Generator, lo=0.0, hi=1.0) -> ArrivalSample:
-    times, choices = sample_vertex_arrivals_batch(g, rng, 1, lo=lo, hi=hi)
-    return ArrivalSample(mode="vertex", times=times[0], choices=choices[0])
-
-
-def active_edges(g: Graph, s: ArrivalSample) -> list[ActiveEdge]:
-    """Active edges of a vertex-mode sample, each tagged with its proposer."""
-    if s.mode != "vertex":
-        raise ValueError("active_edges needs a vertex-mode sample")
-    y, f = s.times, s.choices
-    out = []
-    for eid in range(g.edge_count):
-        u, v = int(g.eu[eid]), int(g.ev[eid])
-        if f[v] == u and earlier(y[u], u, y[v], v):
-            out.append(ActiveEdge(eid, proposer=v, arrival=float(y[v])))
-        elif f[u] == v and earlier(y[v], v, y[u], u):
-            out.append(ActiveEdge(eid, proposer=u, arrival=float(y[u])))
-    return out
-
-
-def sample_edge_arrivals_batch(
-    g: Graph,
-    rng: np.random.Generator,
-    trials: int,
-    lo=0.0,
-    hi=1.0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Activity (trials, m) bool and times (trials, m) for independent trials."""
-    m = g.edge_count
-    active = rng.random((trials, m)) < g.x[None, :]
-    times = _interval_times(rng, (trials, m), lo, hi)
-    return active, times
-
-
-def sample_edge_arrivals(g: Graph, rng: np.random.Generator, lo=0.0, hi=1.0) -> ArrivalSample:
-    active, times = sample_edge_arrivals_batch(g, rng, 1, lo=lo, hi=hi)
-    return ArrivalSample(mode="edge", active=active[0], edge_times=times[0])

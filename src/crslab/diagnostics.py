@@ -18,80 +18,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrivals import (
-    NO_CHOICE,
-    ArrivalSample,
-    _choice_edges,
-    sample_vertex_arrivals_batch,
-)
+from .arrivals import NO_CHOICE, _choice_edges, sample_choices_batch
 from .graph import Graph
-from .recursive import EstimateTable, _proposal_param, phase_of, run_vertex, run_vertex_batch
+from .recursive import EstimateTable, _proposal_param, phase_of, run_vertex_batch
 from .rng import chunks
 from .selection import INFINITE, SelectionFunction
 
 __all__ = [
-    "CoupledRun",
-    "FlippingReport",
     "PotentialPaths",
     "GapReport",
-    "coupled_run",
     "coupled_batch",
-    "detect_potential_path",
     "detect_potential_paths_batch",
-    "check_badly_ordered",
     "flip_indicators",
-    "analyze_flipping",
     "gap_bound",
     "correlation_gap",
 ]
 
 GAP_TRIAL_CHUNK = 100_000
-
-
-@dataclass
-class CoupledRun:
-    """One shared-randomness pair of executions: on G and on G minus v."""
-
-    u: int
-    v: int
-    t_k: float
-    sample: ArrivalSample
-    decision_u: np.ndarray
-    matched_full: np.ndarray  # (n,) matched status by t_k with v present
-    matched_dropped: np.ndarray  # (n,) matched status by t_k with v deleted
-
-    @property
-    def m_u(self) -> bool:
-        return bool(self.matched_full[self.u])
-
-    @property
-    def m_u_dropped(self) -> bool:
-        return bool(self.matched_dropped[self.u])
-
-
-def coupled_run(
-    g: Graph,
-    sel: SelectionFunction,
-    table: EstimateTable,
-    u: int,
-    v: int,
-    t_k: float,
-    rng: np.random.Generator,
-) -> CoupledRun:
-    """Draw one sample and run the scheme with and without vertex v.
-
-    Both executions consume the identical times, choices and decision bits;
-    only v's participation differs.
-    """
-    if u == v:
-        raise ValueError("u and v must differ")
-    g.edge_id(u, v)  # (u, v) must be an edge
-    times, choices = sample_vertex_arrivals_batch(g, rng, 1)
-    decision = rng.random(g.vertex_count)
-    s = ArrivalSample("vertex", times[0], choices[0], None, None)
-    full = run_vertex(g, sel, table, s, decision, t_stop=t_k)
-    dropped = run_vertex(g, sel, table, s, decision, t_stop=t_k, exclude=v)
-    return CoupledRun(u, v, t_k, s, decision, full.matched, dropped.matched)
 
 
 def coupled_batch(
@@ -112,36 +55,6 @@ def coupled_batch(
 
 
 # -- potential paths ------------------------------------------------------------
-
-
-def detect_potential_path(g: Graph, s: ArrivalSample, u: int, v: int) -> list[int] | None:
-    """Shortest path (v, p_2, ..., p_d) with potential, or None.
-
-    Walks the choice digraph backwards from F_u; a candidate closes at even
-    walk index k (so d = k + 2 is even) when either v chose the walk head
-    or the walk head chose v.
-    """
-    if s.mode != "vertex":
-        raise ValueError("vertex-mode sample required")
-    if u == v:
-        raise ValueError("u and v must differ")
-    f = s.choices
-    w = int(f[u])
-    if w == NO_CHOICE or w == u or w == v:
-        return None
-    chain: list[int] = []  # visited walk, p_d down to the current vertex
-    seen = {u, v}
-    k = 0
-    while True:
-        chain.append(w)
-        seen.add(w)
-        if k % 2 == 0 and (int(f[v]) == w or int(f[w]) == v):
-            return [v] + chain[::-1]
-        nxt = int(f[w])
-        if nxt == NO_CHOICE or nxt in seen:
-            return None
-        w = nxt
-        k += 1
 
 
 @dataclass
@@ -200,18 +113,6 @@ def detect_potential_paths_batch(g: Graph, F: np.ndarray, u: int, v: int) -> Pot
     return PotentialPaths(dout, path, npaths)
 
 
-def check_badly_ordered(s: ArrivalSample, path: list[int], u: int) -> bool:
-    """All path times precede Y_u, sorted or with the first two swapped."""
-    y = s.times
-    times = [float(y[w]) for w in path]
-    if max(times) >= float(y[u]):
-        return False
-    inc = all(a < b for a, b in zip(times, times[1:]))
-    swapped = [times[1], times[0]] + times[2:]
-    inc_swapped = all(a < b for a, b in zip(swapped, swapped[1:]))
-    return inc or inc_swapped
-
-
 # -- survival and the flip indicator --------------------------------------------
 
 
@@ -262,31 +163,6 @@ def flip_indicators(
             survive &= _survives_batch(g, sel, table, Y, F, U, FE, ii, P[:, i], P[:, i + 1])
         B[ii] = ok & survive
     return B, paths
-
-
-@dataclass
-class FlippingReport:
-    potential_path: list[int] | None
-    badly_ordered: bool
-    flipping: bool  # the indicator B for this sample
-    indicator_violation: bool  # matched-without-v minus matched exceeded B
-
-
-def analyze_flipping(
-    g: Graph,
-    sel: SelectionFunction,
-    table: EstimateTable,
-    run: CoupledRun,
-) -> FlippingReport:
-    """Witness analysis of one coupled run."""
-    Y = run.sample.times[None, :]
-    F = run.sample.choices[None, :]
-    U = run.decision_u[None, :]
-    B, _ = flip_indicators(g, sel, table, Y, F, U, run.u, run.v)
-    path = detect_potential_path(g, run.sample, run.u, run.v)
-    badly = path is not None and check_badly_ordered(run.sample, path, run.u)
-    flipped = run.m_u_dropped and not run.m_u
-    return FlippingReport(path, badly, bool(B[0]), flipped and not bool(B[0]))
 
 
 # -- correlation gap -------------------------------------------------------------
@@ -345,7 +221,8 @@ def correlation_gap(
     flips = violations = 0
     max_paths = 0
     for rng, _, count in chunks(seed, trials, GAP_TRIAL_CHUNK, "corr-gap"):
-        Y, F = sample_vertex_arrivals_batch(g, rng, count)
+        Y = rng.random((count, n))
+        F = sample_choices_batch(g, rng, count)
         U = rng.random((count, n))
         full, dropped = coupled_batch(g, sel, table, v, Y, F, U, t_k=t_k)
         outer = Y[:, u] < t_k

@@ -29,9 +29,7 @@ from .rng import stream
 __all__ = [
     "m_de",
     "TrajectoryReport",
-    "DriftBucket",
     "hardness_trajectory",
-    "drift_report",
 ]
 
 AcceptRule = Callable[[int, int], float]  # (round index, n) -> accept probability
@@ -202,43 +200,3 @@ def _slots(feasible: np.ndarray, partner_round: np.ndarray):
     grid = grid.T
     return cells.T[grid], partners.T[grid], width
 
-
-@dataclass
-class DriftBucket:
-    t_lo: int
-    t_hi: int
-    count: int
-    mean_residual: float
-    sigma: float
-
-    @property
-    def ok(self) -> bool:
-        return self.mean_residual <= 3.0 * self.sigma
-
-
-def drift_report(report: TrajectoryReport, buckets: int = 20) -> list[DriftBucket]:
-    """One-step drift audit on rounds where the balance event held.
-
-    Residual per step: Delta M - (1 + n^{-1/3}) (t/(2n) - M(t)/n). Each
-    step's conditional mean is <= 0 under Q_t, so every bucket mean must
-    sit below 3 standard errors.
-    """
-    n = report.n
-    N = 2 * n
-    factor = 1.0 + n ** (-1.0 / 3.0)
-    delta_m = np.diff(report.matched, axis=1).astype(np.float64)
-    m_before = report.matched[:, :-1].astype(np.float64)
-    t_idx = np.arange(N, dtype=np.float64)[None, :]
-    residual = delta_m - factor * (t_idx / N - m_before / n)
-    mask = report.balance[:, :-1]
-    edges = np.linspace(0, N, buckets + 1).astype(np.int64)
-    out: list[DriftBucket] = []
-    for b in range(buckets):
-        lo, hi = int(edges[b]), int(edges[b + 1])
-        vals = residual[:, lo:hi][mask[:, lo:hi]]
-        if vals.size < 2:
-            continue
-        mean = float(vals.mean())
-        sigma = float(vals.std(ddof=1) / math.sqrt(vals.size))
-        out.append(DriftBucket(lo, hi, int(vals.size), mean, sigma))
-    return out

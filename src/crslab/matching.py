@@ -1,4 +1,4 @@
-"""Matching result types and the candidate-then-resolve kernel of the engines.
+"""Engine result types and the candidate-then-resolve kernel of the engines.
 
 In every batch engine the only sequential state is `matched`: arrival
 order, active proposals and decision bits depend on the arrivals alone. So
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -34,7 +34,7 @@ from .graph import Graph
 if TYPE_CHECKING:
     from .recursive import EstimateTable
 
-__all__ = ["Matching", "BatchResult", "SimResult", "assert_valid_matching"]
+__all__ = ["BatchResult", "SimResult"]
 
 # Element budget (rows x width) of the row blocks in flight in a batch
 # engine, split evenly across its workers; a block's candidate and kernel
@@ -284,36 +284,3 @@ class _BatchTally:
         acc_bin = self.acc_bin.reshape(m, self.bins) if self.bins else None
         act_bin = self.act_bin.reshape(m, self.bins) if self.bins else None
         return BatchResult(self.matched, self.accepted, self.active, acc_bin, act_bin, self.acc_edge, self.prop_is_ev, self.sel_into)
-
-
-@dataclass
-class Matching:
-    """Accepted edges with acceptance metadata and per-vertex matched flags."""
-
-    vertex_count: int
-    accepted: list[tuple[int, float, int]] = field(default_factory=list)  # (edge_id, time, proposer)
-    matched: np.ndarray = None
-
-    def __post_init__(self) -> None:
-        if self.matched is None:
-            self.matched = np.zeros(self.vertex_count, dtype=bool)
-
-    def add(self, g: Graph, edge_id: int, time: float, proposer: int) -> None:
-        u, v = int(g.eu[edge_id]), int(g.ev[edge_id])
-        self.accepted.append((int(edge_id), float(time), int(proposer)))
-        self.matched[u] = True
-        self.matched[v] = True
-
-    @property
-    def size(self) -> int:
-        return len(self.accepted)
-
-
-def assert_valid_matching(g: Graph, m: Matching) -> None:
-    """No two accepted edges may share a vertex."""
-    seen = set()
-    for eid, _, _ in m.accepted:
-        for w in (int(g.eu[eid]), int(g.ev[eid])):
-            if w in seen:
-                raise AssertionError(f"vertex {w} covered twice")
-            seen.add(w)

@@ -28,11 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrivals import NO_CHOICE, ArrivalSample, _active_choices, _flat, sample_choices_batch
+from .arrivals import _active_choices, _flat, sample_choices_batch
 from .graph import Graph
 from . import matching
-from .matching import BatchResult, Matching, SimResult, _ahead, _BatchTally, _bin_of, _for_blocks
-from .rng import chunks, stream
+from .matching import BatchResult, SimResult, _ahead, _BatchTally, _bin_of, _for_blocks
+from .rng import chunks
 from .selection import SelectionFunction
 
 __all__ = [
@@ -41,12 +41,8 @@ __all__ = [
     "phase_of",
     "fill_tables",
     "fill_tables_edge",
-    "estimate_safety",
-    "run_vertex",
-    "run_edge",
     "run_vertex_batch",
     "run_edge_batch",
-    "run_rank1_closed_form",
     "simulate_vertex",
     "simulate_edge",
     "simulate_rank1",
@@ -85,10 +81,6 @@ class EstimateTable:
     floor_clamp: float
     values: np.ndarray  # (T, 2m) vertex / (T, m) edge; row 0 is all ones
 
-    def dir_index(self, g: Graph, proposer: int, target: int) -> int:
-        eid = g.edge_id(proposer, target)
-        return 2 * eid + (1 if target == g.ev[eid] else 0)
-
 
 def _proposal_param(sel: SelectionFunction, table: EstimateTable, y: np.ndarray, shat: np.ndarray, lock=contextlib.nullcontext()) -> np.ndarray:
     """Proposal probability min(c(y) / S_hat * (1 - delta) / (1 + 1/(C T y)), 1).
@@ -102,11 +94,6 @@ def _proposal_param(sel: SelectionFunction, table: EstimateTable, y: np.ndarray,
     with np.errstate(divide="ignore"):
         param = c / shat * (1.0 - table.delta) / (1.0 + 1.0 / (sel.floor * table.T * y))
     return np.minimum(param, 1.0, out=param)
-
-
-def _damping(C: float, T: int, y: float) -> float:
-    """1 + 1/(C T y) for one arrival; at y = 0 its limit inf, as in the batch engines."""
-    return 1.0 + 1.0 / (C * T * y) if y > 0.0 else math.inf
 
 
 def run_vertex_batch(
@@ -140,39 +127,6 @@ def run_vertex_batch(
 
     _for_blocks(trials, n, block)
     return tally.result()
-
-
-def run_vertex(
-    g: Graph,
-    sel: SelectionFunction,
-    table: EstimateTable,
-    s: ArrivalSample,
-    decision_u: np.ndarray,
-    t_stop: float = 1.0,
-    exclude: int | None = None,
-) -> Matching:
-    """Single-sample reference implementation (plain event loop)."""
-    if s.mode != "vertex":
-        raise ValueError("vertex-mode sample required")
-    y, f = s.times, s.choices
-    n = g.vertex_count
-    T, delta, C = table.T, table.delta, sel.floor
-    out = Matching(n)
-    for v in sorted(range(n), key=lambda w: (y[w], w)):
-        if y[v] > t_stop:
-            break
-        u = int(f[v])
-        if u == NO_CHOICE or v == exclude or u == exclude:
-            continue
-        if not ((y[u], u) < (y[v], v)):
-            continue
-        assert not out.matched[v], "a proposer is always unmatched at its own arrival"
-        j = int(phase_of(float(y[v]), T))
-        shat = table.values[j, table.dir_index(g, v, u)]
-        param = float(sel(float(y[v]))) / shat * (1.0 - delta) / _damping(C, T, float(y[v]))
-        if decision_u[v] <= min(param, 1.0) and not out.matched[u]:
-            out.add(g, g.edge_id(u, v), float(y[v]), v)
-    return out
 
 
 def fill_tables(g: Graph, sel: SelectionFunction, T: int, delta: float, Q: int, seed: int) -> EstimateTable:
@@ -214,34 +168,6 @@ def fill_tables(g: Graph, sel: SelectionFunction, T: int, delta: float, Q: int, 
     return table
 
 
-def estimate_safety(
-    g: Graph,
-    sel: SelectionFunction,
-    table: EstimateTable,
-    j: int,
-    proposer: int,
-    target: int,
-    seed: int,
-    Q: int | None = None,
-) -> float:
-    """One forced-run estimate S_hat_{proposer->target}(j) using phases < j."""
-    if j < 1:
-        raise ValueError("estimates exist for phases j >= 1 only")
-    Q = table.Q if Q is None else Q
-    tj = j / table.T
-    n = g.vertex_count
-    rng = stream(seed, "estimate", j, proposer, target)
-    rr = np.arange(Q)
-    Y = rng.random((Q, n))
-    Y[:, target] *= tj
-    Y[:, proposer] = tj + Y[:, proposer] * (1.0 - tj)
-    F = sample_choices_batch(g, rng, Q)
-    U = rng.random((Q, n))
-    res = run_vertex_batch(g, sel, table, Y, F, U, t_stop=tj)
-    frac = float(np.mean(~res.matched[rr, target]))
-    return max(frac, table.floor_clamp)
-
-
 # -- edge mode ----------------------------------------------------------------
 
 
@@ -271,35 +197,6 @@ def run_edge_batch(
 
     _for_blocks(trials, m, block)
     return tally.result()
-
-
-def run_edge(
-    g: Graph,
-    sel: SelectionFunction,
-    table: EstimateTable,
-    s: ArrivalSample,
-    decision_u: np.ndarray,
-    t_stop: float = 1.0,
-) -> Matching:
-    """Single-sample reference implementation for edge mode."""
-    if s.mode != "edge":
-        raise ValueError("edge-mode sample required")
-    y, act = s.edge_times, s.active
-    T, delta, C = table.T, table.delta, sel.floor
-    out = Matching(g.vertex_count)
-    for e in sorted(range(g.edge_count), key=lambda i: (y[i], i)):
-        if y[e] > t_stop:
-            break
-        if not act[e]:
-            continue
-        u, v = int(g.eu[e]), int(g.ev[e])
-        if out.matched[u] or out.matched[v]:
-            continue
-        j = int(phase_of(float(y[e]), T))
-        param = float(sel(float(y[e]))) / table.values[j, e] * (1.0 - delta) / _damping(C, T, float(y[e]))
-        if decision_u[e] <= min(param, 1.0):
-            out.add(g, e, float(y[e]), u)
-    return out
 
 
 def fill_tables_edge(g: Graph, sel: SelectionFunction, T: int, delta: float, Q: int, seed: int) -> EstimateTable:
@@ -353,37 +250,13 @@ def fill_tables_edge(g: Graph, sel: SelectionFunction, T: int, delta: float, Q: 
     return table
 
 
-# -- rank-1 closed form --------------------------------------------------------
-
-
-def _check_rank1(g: Graph) -> None:
-    if abs(float(np.sum(g.x)) - 1.0) > 1e-9:
-        raise ValueError("rank-1 closed form needs element values summing to 1")
-
-
-def run_rank1_closed_form(g: Graph, s: ArrivalSample, decision_u: np.ndarray) -> Matching:
-    """Accept the first active element passing Bernoulli(e^{-y x_e})."""
-    _check_rank1(g)
-    if s.mode != "edge":
-        raise ValueError("edge-mode sample required")
-    out = Matching(g.vertex_count)
-    for e in sorted(range(g.edge_count), key=lambda i: (s.edge_times[i], i)):
-        if not s.active[e]:
-            continue
-        y = float(s.edge_times[e])
-        if decision_u[e] <= math.exp(-y * float(g.x[e])):
-            out.add(g, e, y, int(g.eu[e]))
-            break
-    return out
-
-
 # -- top-level experiment loops -------------------------------------------------
 
 
 TRIAL_CHUNK = 100_000
 
 
-def _table(fill, g: Graph, sel: SelectionFunction, T: int, delta: float, Q: int | None, seed: int, table: EstimateTable | None) -> EstimateTable:
+def _table(fill, g: Graph, sel: SelectionFunction, T: int, delta: float, Q: int | None, seed: int, table: EstimateTable | None = None) -> EstimateTable:
     """`table` if given, else fill(...) with Q samples per phase (by default the required number)."""
     if table is not None:
         return table
@@ -444,7 +317,8 @@ def simulate_rank1(g: Graph, trials: int, seed: int, bins: int = 20) -> SimResul
     The first active element passing its thinning bit is the unique accept,
     so a run reduces to an argmin over eligible arrival times.
     """
-    _check_rank1(g)
+    if abs(float(np.sum(g.x)) - 1.0) > 1e-9:
+        raise ValueError("rank-1 closed form needs element values summing to 1")
     m = g.edge_count
     out = SimResult.zeros(g, trials, bins, safe_bin=np.zeros((m, bins), np.int64), all_bin=np.zeros((m, bins), np.int64))
     for rng, _, count in chunks(seed, trials, TRIAL_CHUNK, "trials-rank1"):

@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .numerics import adaptive_simpson, integrate_grid
+from .numerics import integrate_grid
 
 __all__ = [
     "INFINITE",
@@ -28,11 +28,9 @@ __all__ = [
     "c_vertex",
     "c_edge",
     "alpha_closed_form",
-    "alpha_numeric",
     "SelectionFunction",
     "vertex_selection",
     "edge_selection",
-    "custom_selection",
     "CertificateReport",
     "verify_selection_conditions",
     "parse_girth",
@@ -169,19 +167,11 @@ def alpha_closed_form(g) -> float:
     return 0.5 + 1.0 / (2.0 * e2) - (2.0 / gi - gamma_diff / (2.0 ** (gi - 1) * e2)) / math.factorial(gi - 1)
 
 
-def alpha_numeric(g, tol: float = 1e-10) -> float:
-    """Quadrature of 2 int_0^1 c_vertex(y, g) y dy to absolute tolerance tol."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    _check_girth(g)
-    return adaptive_simpson(lambda y: 2.0 * c_vertex(y, g) * y, 0.0, 1.0, tol)
-
-
 @dataclass
 class SelectionFunction:
     """An evaluable selection function with its floor and target integral.
 
-    kind: "vertex" (uses g), one of the edge kinds, or "custom" (table).
+    kind: "vertex" (uses g) or one of the edge kinds.
     floor: positive constant C with c(y) >= C on [0,1] (C = c(1) for the
     closed forms). alpha: the kind's guarantee integral (density 2y for the
     vertex model, uniform for the edge model).
@@ -191,7 +181,6 @@ class SelectionFunction:
     g: float | None = None
     floor: float = 0.0
     alpha: float | None = None
-    table: tuple[np.ndarray, np.ndarray] | None = None
     _fn: Callable | None = field(default=None, repr=False)
 
     def __call__(self, y):
@@ -214,21 +203,6 @@ def edge_selection(kind: str) -> SelectionFunction:
         "edge_tree": 0.5,
     }[kind]
     return SelectionFunction(kind=kind, floor=float(c_edge(1.0, kind)), alpha=alpha, _fn=fn)
-
-
-def custom_selection(ys, values, floor: float) -> SelectionFunction:
-    """Piecewise-linear table on [0,1]; floor must be supplied by the caller."""
-    ys = np.asarray(ys, dtype=np.float64)
-    values = np.asarray(values, dtype=np.float64)
-    if ys.ndim != 1 or ys.shape != values.shape or ys.size < 2:
-        raise ValueError("need matching 1-d arrays with at least two knots")
-    if ys[0] != 0.0 or ys[-1] != 1.0 or np.any(np.diff(ys) <= 0):
-        raise ValueError("knots must increase strictly from 0 to 1")
-    if floor <= 0.0:
-        raise ValueError("floor must be positive")
-    fn = lambda y: np.interp(y, ys, values)
-    alpha = adaptive_simpson(lambda y: 2.0 * fn(y) * y, 0.0, 1.0, 1e-10)
-    return SelectionFunction(kind="custom", floor=float(floor), alpha=alpha, table=(ys, values), _fn=fn)
 
 
 @dataclass

@@ -6,7 +6,7 @@ direct entry points, and hashes what they produce:
 - every report file `run_suite` writes (not the `.timing.json` wall-clock
   sidecars);
 - the estimate tables of both recursive fillers;
-- `pinned_phase1_frequency` with tied pinned times;
+- `pinned_phase1_frequency` (from `tests/analysis.py`) with tied pinned times;
 - every `BatchResult` field of the three batch engines on tie-heavy inputs
   (arrival times on a coarse grid), with `exclude`, `track_edges`,
   `track_targets` and `bins`;
@@ -54,7 +54,9 @@ from crslab.matching import BatchResult, _BatchTally
 from crslab.recursive import fill_tables, fill_tables_edge, run_edge_batch, run_vertex_batch
 from crslab.rng import stream
 from crslab.selection import INFINITE, c_vertex, edge_selection, vertex_selection
-from crslab.two_phase import pinned_phase1_frequency, run_two_phase_batch
+from crslab.two_phase import run_two_phase_batch
+
+from .analysis import pinned_phase1_frequency
 
 PINNED = Path(__file__).with_name("golden_digests.json")
 
@@ -243,7 +245,7 @@ def engine_digests() -> dict[str, str]:
         UA = rng.random((rows, n))
         UB = rng.random((rows, n))
         for t_stop in (0.5, 0.6, 1.0):
-            res = run_two_phase_batch(g, 0.6, Y, F, UA, UB, t_stop, 4, True, False)
+            res = run_two_phase_batch(g, 0.6, Y, F, UA, UB, t_stop, 4, True)
             out[f"two-phase-{name}-t{t_stop}"] = batch_digest(res)
     return out
 

@@ -8,13 +8,21 @@ once from these oracles and are asserted against the library's closed forms.
 `hardness_rounds` replays the K_{n,n} round process one round at a time, the
 reference for the library's pass over feasible picks. `greedy_resolve` takes
 a row block's proposals one at a time, the reference for the engines' kernel.
+The scalar event loops (`run_vertex`, `run_edge`, `run_two_phase`,
+`run_rank1_closed_form`) replay one sample at a time, the references for the
+batch engines, and `detect_potential_path` walks one choice vector, the
+reference for the batch potential-path scan.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
+from crslab.arrivals import NO_CHOICE, sample_choices_batch
+from crslab.diagnostics import flip_indicators
 from crslab.rng import stream
+from crslab.two_phase import prune_factor, survival_prob
 
 # Root of the switch-time polynomial, frozen from an independent bisection.
 T0_FROZEN = 0.11982305274185451
@@ -165,3 +173,200 @@ def greedy_resolve(g, trials: int, lo: int, row, y, target, proposer, edge, bins
             out["prop_is_ev"][lo + r, e] = b == g.ev[e]
             out["sel_into"][lo + r, a] = True
     return out
+
+
+# -- scalar event loops ------------------------------------------------------------
+#
+# One sample at a time, over plain row arrays: vertex mode takes arrival times
+# y, choices f and decision uniforms u of length n; edge mode takes activity,
+# times and uniforms of length m. Each loop visits the arrivals in (time, id)
+# order and returns the accepted (edge id, time, proposer) triples.
+
+
+def dir_index(g, proposer: int, target: int) -> int:
+    """Column of the directed pair proposer -> target in a vertex-mode table."""
+    eid = g.edge_id(proposer, target)
+    return 2 * eid + (1 if target == g.ev[eid] else 0)
+
+
+def _phase(y: float, T: int) -> int:
+    """j with y in (j/T, (j+1)/T], clipped to 0..T-1."""
+    return min(max(math.ceil(y * T) - 1, 0), T - 1)
+
+
+def _damping(C: float, T: int, y: float) -> float:
+    """1 + 1/(C T y) for one arrival; at y = 0 its limit inf."""
+    return 1.0 + 1.0 / (C * T * y) if y > 0.0 else math.inf
+
+
+def _param(sel, table, y: float, shat: float) -> float:
+    """min(c(y) / S_hat * (1 - delta) / (1 + 1/(C T y)), 1)."""
+    return min(float(sel(y)) / shat * (1.0 - table.delta) / _damping(sel.floor, table.T, y), 1.0)
+
+
+def _in_order(times):
+    return sorted(range(len(times)), key=lambda w: (times[w], w))
+
+
+def matched_flags(g, accepted) -> np.ndarray:
+    """Per-vertex matched flags of an accepted list; no vertex may be covered twice."""
+    flags = np.zeros(g.vertex_count, dtype=bool)
+    for eid, _, _ in accepted:
+        for w in (g.eu[eid], g.ev[eid]):
+            assert not flags[w], f"vertex {w} covered twice"
+            flags[w] = True
+    return flags
+
+
+def run_vertex(g, sel, table, y, f, u, t_stop: float = 1.0, exclude: int | None = None) -> list:
+    """Recursive vertex scheme, one sample: the later endpoint proposes to its pick."""
+    matched = np.zeros(g.vertex_count, dtype=bool)
+    out = []
+    for v in _in_order(y):
+        if y[v] > t_stop:
+            break
+        w = int(f[v])
+        if w == NO_CHOICE or exclude in (v, w) or not (y[w], w) < (y[v], v):
+            continue
+        assert not matched[v], "a proposer is always unmatched at its own arrival"
+        yv = float(y[v])
+        shat = table.values[_phase(yv, table.T), dir_index(g, v, w)]
+        if u[v] <= _param(sel, table, yv, shat) and not matched[w]:
+            matched[v] = matched[w] = True
+            out.append((g.edge_id(w, v), yv, v))
+    return out
+
+
+def run_edge(g, sel, table, active, ye, u, t_stop: float = 1.0) -> list:
+    """Recursive edge scheme, one sample: an active edge needs both endpoints free."""
+    matched = np.zeros(g.vertex_count, dtype=bool)
+    out = []
+    for e in _in_order(ye):
+        if ye[e] > t_stop:
+            break
+        a, b = int(g.eu[e]), int(g.ev[e])
+        if not active[e] or matched[a] or matched[b]:
+            continue
+        y = float(ye[e])
+        if u[e] <= _param(sel, table, y, table.values[_phase(y, table.T), e]):
+            matched[a] = matched[b] = True
+            out.append((e, y, a))
+    return out
+
+
+def run_two_phase(g, t: float, y, f, ua, ub) -> list:
+    """Two-phase scheme, one sample: prune bit, then the balance bit before t."""
+    fvals = survival_prob(g.x, t)
+    matched = np.zeros(g.vertex_count, dtype=bool)
+    out = []
+    for v in _in_order(y):
+        w = int(f[v])
+        if w == NO_CHOICE or not (y[w], w) < (y[v], v):
+            continue
+        eid = g.edge_id(w, v)
+        if ua[v] > prune_factor(float(g.x[eid]), t):
+            continue
+        if y[v] < t:
+            s = sum(float(fvals[g.edge_id(w, int(k))]) for k in g.neighbors(w) if (y[k], int(k)) < (y[v], v))
+            assert s <= 1.0 + 1e-9
+            if ub[v] > 1.0 / (2.0 - s):
+                continue
+        if not matched[w]:
+            matched[v] = matched[w] = True
+            out.append((eid, float(y[v]), v))
+    return out
+
+
+def run_rank1_closed_form(g, active, ye, u) -> list:
+    """Rank-1 closed form, one sample: the first active element passing Bernoulli(e^{-y x_e})."""
+    for e in _in_order(ye):
+        if active[e] and u[e] <= math.exp(-float(ye[e]) * float(g.x[e])):
+            return [(e, float(ye[e]), int(g.eu[e]))]
+    return []
+
+
+# -- coupled executions and their witness ---------------------------------------------
+
+
+def vertex_draws(g, rng, trials: int):
+    """Times (trials, n) and choices (trials, n), drawn as the library's trial loops draw them."""
+    return rng.random((trials, g.vertex_count)), sample_choices_batch(g, rng, trials)
+
+
+def detect_potential_path(f, u: int, v: int) -> list[int] | None:
+    """Shortest path (v, p_2, ..., p_d) with potential, or None.
+
+    Walks the choice digraph backwards from F_u; a candidate closes at even
+    walk index k (so d = k + 2 is even) when either v chose the walk head
+    or the walk head chose v.
+    """
+    w = int(f[u])
+    if w in (NO_CHOICE, u, v):
+        return None
+    chain: list[int] = []  # visited walk, p_d down to the current vertex
+    seen = {u, v}
+    k = 0
+    while True:
+        chain.append(w)
+        seen.add(w)
+        if k % 2 == 0 and (int(f[v]) == w or int(f[w]) == v):
+            return [v] + chain[::-1]
+        w = int(f[w])
+        if w == NO_CHOICE or w in seen:
+            return None
+        k += 1
+
+
+def check_badly_ordered(y, path: list[int], u: int) -> bool:
+    """All path times precede Y_u, sorted or with the first two swapped."""
+    times = [float(y[w]) for w in path]
+    if max(times) >= float(y[u]):
+        return False
+    swapped = [times[1], times[0]] + times[2:]
+    return any(all(a < b for a, b in zip(ts, ts[1:])) for ts in (times, swapped))
+
+
+@dataclass
+class CoupledRun:
+    """One shared-randomness pair of executions: on G and on G minus v."""
+
+    u: int
+    v: int
+    t_k: float
+    y: np.ndarray
+    f: np.ndarray
+    decision_u: np.ndarray
+    matched_full: np.ndarray  # (n,) matched status by t_k with v present
+    matched_dropped: np.ndarray  # (n,) matched status by t_k with v deleted
+
+    @property
+    def m_u(self) -> bool:
+        return bool(self.matched_full[self.u])
+
+    @property
+    def m_u_dropped(self) -> bool:
+        return bool(self.matched_dropped[self.u])
+
+
+def coupled_run(g, sel, table, u: int, v: int, t_k: float, y, f, decision_u) -> CoupledRun:
+    """Run the vertex scheme on one sample with and without vertex v."""
+    full = run_vertex(g, sel, table, y, f, decision_u, t_stop=t_k)
+    dropped = run_vertex(g, sel, table, y, f, decision_u, t_stop=t_k, exclude=v)
+    return CoupledRun(u, v, t_k, y, f, decision_u, matched_flags(g, full), matched_flags(g, dropped))
+
+
+@dataclass
+class FlippingReport:
+    potential_path: list[int] | None
+    badly_ordered: bool
+    flipping: bool  # the library's indicator B for this sample
+    indicator_violation: bool  # matched-without-v minus matched exceeded B
+
+
+def analyze_flipping(g, sel, table, run: CoupledRun) -> FlippingReport:
+    """Witness analysis of one coupled run, next to the library's flip indicator."""
+    B, _ = flip_indicators(g, sel, table, run.y[None, :], run.f[None, :], run.decision_u[None, :], run.u, run.v)
+    path = detect_potential_path(run.f, run.u, run.v)
+    badly = path is not None and check_badly_ordered(run.y, path, run.u)
+    flipped = run.m_u_dropped and not run.m_u
+    return FlippingReport(path, badly, bool(B[0]), flipped and not bool(B[0]))

@@ -21,7 +21,7 @@ import pytest
 
 from crslab.diagnostics import correlation_gap
 from crslab.graph import complete, complete_bipartite, cycle, double_star, random_tree, star
-from crslab.hardness import drift_report, hardness_trajectory, m_de
+from crslab.hardness import hardness_trajectory, m_de
 from crslab.harness import ExperimentConfig, exact_selection_profile, run_suite
 from crslab.recursive import (
     fill_tables,
@@ -33,19 +33,13 @@ from crslab.recursive import (
 from crslab.selection import (
     INFINITE,
     alpha_closed_form,
-    alpha_numeric,
     edge_selection,
     verify_selection_conditions,
     vertex_selection,
 )
-from crslab.two_phase import (
-    find_t0,
-    guarantee_poly,
-    pinned_phase1_frequency,
-    prune_factor,
-    simulate_two_phase,
-    t_root_poly,
-)
+from crslab.two_phase import find_t0, prune_factor, simulate_two_phase, t_root_poly
+
+from .analysis import alpha_numeric, drift_report, guarantee_poly, pinned_phase1_frequency
 
 # per-criterion wall-clock budgets in seconds, accumulated across a
 # criterion's tests and asserted inside every timed section

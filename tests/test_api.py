@@ -1,0 +1,47 @@
+"""Every public name of the library has a caller inside the library.
+
+A name in a module's `__all__` must be read somewhere in `src/crslab`
+outside its own definition (a class's own methods or a function's own body
+do not count); `cli.main` is the command's entry point. Code that only the
+tests call belongs in `tests/` (see `tests/oracles.py` and
+`tests/analysis.py`).
+"""
+
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import crslab
+
+ENTRY_POINTS = {("crslab.cli", "main")}
+
+
+def _used_names() -> set[str]:
+    """Names read in the library, each outside the top-level definition it names."""
+    used = set()
+    for path in Path(crslab.__file__).parent.glob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            owner = getattr(top, "name", None)
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                else:
+                    continue
+                if name != owner:
+                    used.add(name)
+    return used
+
+
+def test_every_public_name_has_a_library_caller():
+    used = _used_names()
+    modules = [crslab] + [importlib.import_module(f"crslab.{m.name}") for m in pkgutil.iter_modules(crslab.__path__)]
+    unused = [
+        f"{mod.__name__}.{name}"
+        for mod in modules
+        for name in getattr(mod, "__all__", ())
+        if name not in used and (mod.__name__, name) not in ENTRY_POINTS
+    ]
+    assert not unused, f"public names that only tests use: {unused}"

@@ -1,29 +1,20 @@
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crslab.arrivals import (
-    NO_CHOICE,
-    ArrivalSample,
-    _pick,
-    active_edges,
-    earlier,
-    sample_choices_batch,
-    sample_edge_arrivals,
-    sample_edge_arrivals_batch,
-    sample_vertex_arrivals,
-    sample_vertex_arrivals_batch,
-)
-from crslab.graph import LOAD_TOL, Graph, complete, cycle, star, weighted_star
+from crslab.arrivals import NO_CHOICE, _active_choices, _pick, sample_choices_batch
+from crslab.graph import LOAD_TOL, complete, cycle, weighted_star
+from crslab.recursive import simulate_edge
 from crslab.rng import stream
+from crslab.selection import edge_selection
+
+from .oracles import vertex_draws
 
 
-def test_earlier_breaks_ties_by_id():
-    assert earlier(0.3, 1, 0.4, 0)
-    assert not earlier(0.4, 0, 0.3, 1)
-    assert earlier(0.3, 0, 0.3, 1)
-    assert not earlier(0.3, 1, 0.3, 0)
+def _active(g, y, f):
+    """{edge id: (proposer, arrival)} of one row's active proposals."""
+    c = _active_choices(g, np.asarray([y], dtype=np.float64), np.asarray([f]))
+    return {int(e): (int(p), float(t)) for e, p, t in zip(c.edge, c.proposer, c.y)}
 
 
 def test_choice_marginals_match_x():
@@ -88,76 +79,31 @@ def test_sampler_equals_binary_search_reference():
                 assert np.array_equal(F[:, v], np.append(g.adj_v[lo:hi], NO_CHOICE)[idx])
 
 
-def test_vertex_batch_shapes_and_interval():
-    g = cycle(5, 0.5)
-    rng = stream(13, "test-arrivals")
-    Y, F = sample_vertex_arrivals_batch(g, rng, 1000, lo=0.25, hi=0.75)
-    assert Y.shape == (1000, 5) and F.shape == (1000, 5)
-    assert Y.min() >= 0.25 and Y.max() < 0.75
-    with pytest.raises(ValueError):
-        sample_vertex_arrivals_batch(g, rng, 10, lo=0.5, hi=0.5)
-    with pytest.raises(ValueError):
-        sample_vertex_arrivals_batch(g, rng, 10, lo=-0.1, hi=1.0)
-
-
-def test_per_vertex_intervals():
-    g = cycle(5, 0.5)
-    rng = stream(14, "test-arrivals")
-    lo = np.array([0.0, 0.5, 0.0, 0.9, 0.2])
-    hi = np.array([0.1, 1.0, 1.0, 1.0, 0.3])
-    Y, _ = sample_vertex_arrivals_batch(g, rng, 500, lo=lo, hi=hi)
-    assert np.all(Y >= lo) and np.all(Y < hi)
-
-
-def test_overloaded_graph_rejected():
-    g = Graph(3, [(0, 1, 0.9), (0, 2, 0.9)])
-    with pytest.raises(ValueError, match="load exceeds 1"):
-        sample_vertex_arrivals_batch(g, stream(15, "x"), 10)
-
-
 def test_active_edges_rule_hand_built():
     g = cycle(4, 0.5)  # edges (0,1),(1,2),(2,3),(0,3)
-    y = np.array([0.1, 0.5, 0.2, 0.8])
-    f = np.array([NO_CHOICE, 0, 3, 2])
-    s = ArrivalSample(mode="vertex", times=y, choices=f)
-    out = {a.edge_id: a for a in active_edges(g, s)}
+    out = _active(g, [0.1, 0.5, 0.2, 0.8], [NO_CHOICE, 0, 3, 2])
     # (0,1): later endpoint 1 chose 0 -> active, proposer 1
-    assert g.edge_id(0, 1) in out and out[g.edge_id(0, 1)].proposer == 1
+    assert out[g.edge_id(0, 1)][0] == 1
     # (2,3): vertex 2 chose 3 but 3 arrives later -> not active from 2;
     # 3 chose 2 and 2 is earlier -> active with proposer 3
-    assert g.edge_id(2, 3) in out and out[g.edge_id(2, 3)].proposer == 3
-    assert out[g.edge_id(2, 3)].arrival == 0.8
+    assert out[g.edge_id(2, 3)] == (3, 0.8)
     assert g.edge_id(1, 2) not in out
     assert len(out) == 2
 
 
 def test_active_edges_tie_broken_by_id():
     g = cycle(3, 0.5)
-    y = np.array([0.4, 0.4, 0.9])
-    f = np.array([1, 0, NO_CHOICE])
-    s = ArrivalSample(mode="vertex", times=y, choices=f)
-    out = active_edges(g, s)
     # equal times: vertex 1 counts as later than vertex 0, so only
     # 1's pick of 0 creates an active edge
-    assert len(out) == 1 and out[0].proposer == 1
-    with pytest.raises(ValueError):
-        active_edges(g, ArrivalSample(mode="edge"))
-
-
-def test_single_sample_wrappers():
-    g = star(3, 0.25)
-    s = sample_vertex_arrivals(g, stream(16, "w"))
-    assert s.mode == "vertex" and s.times.shape == (4,) and s.choices.shape == (4,)
-    e = sample_edge_arrivals(g, stream(17, "w"))
-    assert e.mode == "edge" and e.active.shape == (3,) and e.edge_times.shape == (3,)
+    out = _active(g, [0.4, 0.4, 0.9], [1, 0, NO_CHOICE])
+    assert list(out.values()) == [(1, 0.4)]
 
 
 def test_edge_batch_activity_rate():
+    # edge-mode trials: every edge is active with probability x_e
     g = weighted_star([0.5, 0.25, 0.1])
-    A, Y = sample_edge_arrivals_batch(g, stream(18, "w"), 100_000)
-    assert A.shape == (100_000, 3)
-    assert np.allclose(A.mean(axis=0), [0.5, 0.25, 0.1], atol=0.005)
-    assert Y.min() >= 0.0 and Y.max() < 1.0
+    res = simulate_edge(g, edge_selection("edge_general"), T=1, delta=0.1, trials=100_000, seed=18, Q=1)
+    assert np.allclose(res.active / res.trials, [0.5, 0.25, 0.1], atol=0.005)
 
 
 def test_active_edge_frequency_is_x():
@@ -165,10 +111,6 @@ def test_active_edge_frequency_is_x():
     g = cycle(5, 0.5)
     rng = stream(19, "w")
     trials = 40_000
-    Y, F = sample_vertex_arrivals_batch(g, rng, trials)
-    counts = np.zeros(g.edge_count)
-    for i in range(trials):
-        s = ArrivalSample(mode="vertex", times=Y[i], choices=F[i])
-        for a in active_edges(g, s):
-            counts[a.edge_id] += 1
+    Y, F = vertex_draws(g, rng, trials)
+    counts = np.bincount(_active_choices(g, Y, F).edge, minlength=g.edge_count)
     assert np.allclose(counts / trials, 0.5, atol=0.01)

@@ -1,10 +1,10 @@
-"""Batch engines against their scalar references on tie-heavy inputs.
+"""Batch engines against their scalar references in `tests/oracles.py`.
 
-Arrival times are drawn from a coarse grid, so most rows hold several
-arrivals at the same time and the (time, id) order decides. Every row of
-every BatchResult field must equal what the plain event loops give, and the
-result must not depend on the row-block budget of the shared kernel or on
-how many threads run its blocks.
+Arrival times are mostly drawn from a coarse grid, so most rows hold several
+arrivals at the same time and the (time, id) order decides; a few cases draw
+continuous (tie-free) times. Every row of every BatchResult field must equal
+what the plain event loops give, and the result must not depend on the
+row-block budget of the shared kernel or on how many threads run its blocks.
 """
 
 import dataclasses
@@ -17,12 +17,14 @@ import numpy as np
 import pytest
 
 import crslab.matching
-from crslab.arrivals import NO_CHOICE, ArrivalSample, active_edges, sample_choices_batch
+from crslab.arrivals import NO_CHOICE, sample_choices_batch
 from crslab.graph import complete, complete_bipartite, cycle, cycle_blowup
-from crslab.recursive import fill_tables_edge, run_edge, run_edge_batch, run_vertex, run_vertex_batch
+from crslab.recursive import fill_tables_edge, run_edge_batch, run_vertex_batch
 from crslab.rng import stream
 from crslab.selection import edge_selection
-from crslab.two_phase import run_two_phase, run_two_phase_batch
+from crslab.two_phase import run_two_phase_batch
+
+from .oracles import T0_FROZEN, matched_flags, run_edge, run_two_phase, run_vertex
 
 GRID = 6  # arrival times k / GRID, k = 1..GRID
 BINS = 4
@@ -31,14 +33,15 @@ FIELDS = ("matched", "accepted", "active", "acc_bin", "act_bin", "acc_edge", "pr
 T_STOPS = (0.5, 0.6, 1.0)
 
 
-def _grid(rng, shape):
-    return (rng.integers(0, GRID, size=shape) + 1) / GRID
+def _grid(rng, shape, grid=GRID):
+    """Times on a `grid`-point lattice on (0, 1]; continuous uniforms when grid is None."""
+    return rng.random(shape) if grid is None else (rng.integers(0, grid, size=shape) + 1) / grid
 
 
-def _vertex_draws(g, seed, trials, extra=1):
+def _vertex_draws(g, seed, trials, extra=1, grid=GRID):
     rng = stream(seed, "test-engines")
     n = g.vertex_count
-    Y = _grid(rng, (trials, n))
+    Y = _grid(rng, (trials, n), grid)
     F = sample_choices_batch(g, rng, trials)
     return (Y, F) + tuple(rng.random((trials, n)) for _ in range(extra))
 
@@ -66,14 +69,22 @@ class _Reference:
         self.active[eid] += 1
         self.act_bin[eid, _bin(y)] += 1
 
-    def add_accepted(self, i, eid, y, proposer):
-        u, v = int(self.g.eu[eid]), int(self.g.ev[eid])
-        self.matched[i, u] = self.matched[i, v] = True
-        self.accepted[eid] += 1
-        self.acc_bin[eid, _bin(y)] += 1
-        self.acc_edge[i, eid] = True
-        self.prop_is_ev[i, eid] = proposer == v
-        self.sel_into[i, u + v - proposer] = True
+    def add_vertex_active(self, y, f, t_stop, exclude=None):
+        """One vertex-mode row: active when the later endpoint picked the earlier one."""
+        for v, w in enumerate(f):
+            w = int(w)
+            if w != NO_CHOICE and (y[w], w) < (y[v], v) and y[v] <= t_stop and exclude not in (v, w):
+                self.add_active(self.g.edge_id(w, v), y[v])
+
+    def add_accepted(self, i, accepted):
+        self.matched[i] = matched_flags(self.g, accepted)
+        for eid, y, proposer in accepted:
+            u, v = int(self.g.eu[eid]), int(self.g.ev[eid])
+            self.accepted[eid] += 1
+            self.acc_bin[eid, _bin(y)] += 1
+            self.acc_edge[i, eid] = True
+            self.prop_is_ev[i, eid] = proposer == v
+            self.sel_into[i, u + v - proposer] = True
 
     def check(self, res, fields):
         for name in FIELDS:
@@ -85,71 +96,78 @@ class _Reference:
             assert got.dtype == want.dtype and np.array_equal(got, want), name
 
 
-@pytest.mark.parametrize("t_stop", T_STOPS)
-@pytest.mark.parametrize("which,exclude", [("c5", None), ("c5", 2), ("k33", None), ("k33", 4)])
-def test_vertex_batch_rows_match_scalar(which, exclude, t_stop, c5, sel5, table_c5_small, k33, sel_inf, table_k33_small):
+VERTEX_CASES = [  # which, exclude, t_stop, grid
+    *(
+        pytest.param(which, exclude, t_stop, GRID, id=f"{which}-{exclude}-{t_stop}")
+        for which, exclude in (("c5", None), ("c5", 2), ("k33", None), ("k33", 4))
+        for t_stop in T_STOPS
+    ),
+    *(
+        pytest.param("c5", exclude, t_stop, None, id=f"continuous-c5-{exclude}-{t_stop}")
+        for exclude, t_stop in ((None, 1.0), (None, 0.6), (2, 1.0), (0, 0.45))
+    ),
+]
+
+
+@pytest.mark.parametrize("which,exclude,t_stop,grid", VERTEX_CASES)
+def test_vertex_batch_rows_match_scalar(which, exclude, t_stop, grid, c5, sel5, table_c5_small, k33, sel_inf, table_k33_small):
     g, sel, table = (c5, sel5, table_c5_small) if which == "c5" else (k33, sel_inf, table_k33_small)
     trials = 300
-    Y, F, U = _vertex_draws(g, 811, trials)
+    Y, F, U = _vertex_draws(g, 811, trials, grid=grid)
     res = run_vertex_batch(g, sel, table, Y, F, U, t_stop, exclude, BINS, True, True)
     ref = _Reference(g, trials)
     for i in range(trials):
-        s = ArrivalSample(mode="vertex", times=Y[i], choices=F[i])
-        for a in active_edges(g, s):
-            if a.arrival <= t_stop and exclude not in (g.eu[a.edge_id], g.ev[a.edge_id]):
-                ref.add_active(a.edge_id, a.arrival)
-        for eid, y, proposer in run_vertex(g, sel, table, s, U[i], t_stop=t_stop, exclude=exclude).accepted:
-            ref.add_accepted(i, eid, y, proposer)
+        ref.add_vertex_active(Y[i], F[i], t_stop, exclude)
+        ref.add_accepted(i, run_vertex(g, sel, table, Y[i], F[i], U[i], t_stop=t_stop, exclude=exclude))
     ref.check(res, FIELDS)
 
 
-@pytest.mark.parametrize("t_stop", T_STOPS)
-def test_edge_batch_rows_match_scalar(t_stop, k33):
+@pytest.mark.parametrize(
+    "t_stop,grid", [*(pytest.param(t_stop, GRID, id=str(t_stop)) for t_stop in T_STOPS), pytest.param(0.8, None, id="continuous-0.8")]
+)
+def test_edge_batch_rows_match_scalar(t_stop, grid, k33):
     g = k33
     sel = edge_selection("edge_general")
     table = fill_tables_edge(g, sel, T=6, delta=0.1, Q=200, seed=812)
     trials, m = 300, g.edge_count
     rng = stream(813, "test-engines")
     active = rng.random((trials, m)) < 2.0 * g.x[None, :]
-    Ye = _grid(rng, (trials, m))
+    Ye = _grid(rng, (trials, m), grid)
     U = rng.random((trials, m))
     res = run_edge_batch(g, sel, table, active, Ye, U, t_stop, BINS)
     ref = _Reference(g, trials)
     for i in range(trials):
         for e in np.nonzero(active[i] & (Ye[i] <= t_stop))[0]:
             ref.add_active(e, Ye[i, e])
-        s = ArrivalSample(mode="edge", active=active[i], edge_times=Ye[i])
-        for eid, y, proposer in run_edge(g, sel, table, s, U[i], t_stop=t_stop).accepted:
-            ref.add_accepted(i, eid, y, proposer)
+        ref.add_accepted(i, run_edge(g, sel, table, active[i], Ye[i], U[i], t_stop=t_stop))
     ref.check(res, ("matched", "accepted", "active", "acc_bin", "act_bin"))
 
 
 @pytest.mark.parametrize("t_stop", T_STOPS)
 @pytest.mark.parametrize(
     "maker,t",
-    [
-        (lambda: complete(5), 0.6),  # complete-graph phase-1 sums
-        (lambda: complete_bipartite(3), 0.6),  # bipartite phase-1 sums
-        (lambda: cycle(5, 0.5), 0.6),  # dense phase-1 sums, degree 2
-        (lambda: cycle_blowup(3, 2), 0.6),  # dense phase-1 sums, degree 4
+    [  # maker gives (graph, time grid); grid None draws continuous times
+        (lambda: (complete(5), GRID), 0.6),  # complete-graph phase-1 sums
+        (lambda: (complete_bipartite(3), GRID), 0.6),  # bipartite phase-1 sums
+        (lambda: (cycle(5, 0.5), GRID), 0.6),  # dense phase-1 sums, degree 2
+        (lambda: (cycle_blowup(3, 2), GRID), 0.6),  # dense phase-1 sums, degree 4
+        pytest.param(lambda: (cycle(5, 0.5), None), T0_FROZEN, id="continuous-cycle5-t0"),
+        pytest.param(lambda: (cycle(5, 0.5), None), 0.6, id="continuous-cycle5-0.6"),
+        pytest.param(lambda: (complete(5), None), 0.3, id="continuous-complete5-0.3"),
+        pytest.param(lambda: (complete_bipartite(3), None), 0.45, id="continuous-bipartite3-0.45"),
     ],
 )
 def test_two_phase_batch_rows_match_scalar(maker, t, t_stop):
-    g = maker()
+    g, grid = maker()
     trials = 300
-    Y, F, UA, UB = _vertex_draws(g, 814, trials, extra=2)
+    Y, F, UA, UB = _vertex_draws(g, 814, trials, extra=2, grid=grid)
     res = run_two_phase_batch(g, t, Y, F, UA, UB, t_stop, BINS, True)
     ref = _Reference(g, trials)
     for i in range(trials):
-        s = ArrivalSample(mode="vertex", times=Y[i], choices=F[i])
-        for a in active_edges(g, s):
-            if a.arrival <= t_stop:
-                ref.add_active(a.edge_id, a.arrival)
+        ref.add_vertex_active(Y[i], F[i], t_stop)
         # earlier decisions never look at later arrivals, so stopping at
         # t_stop keeps exactly the accepts of the full run made by then
-        for eid, y, proposer in run_two_phase(g, t, s, UA[i], UB[i]).accepted:
-            if y <= t_stop:
-                ref.add_accepted(i, eid, y, proposer)
+        ref.add_accepted(i, [a for a in run_two_phase(g, t, Y[i], F[i], UA[i], UB[i]) if a[1] <= t_stop])
     ref.check(res, ("matched", "accepted", "active", "acc_bin", "act_bin", "acc_edge", "prop_is_ev"))
 
 
@@ -302,9 +320,9 @@ def test_arrival_at_time_zero(c5, sel5, table_c5_small):
         F = np.array([[NO_CHOICE, 0, 1, 2, 3]])
         U = np.full((1, 5), 1e-9)
         res = run_vertex_batch(c5, sel5, table_c5_small, Y, F, U)
-        ref = run_vertex(c5, sel5, table_c5_small, ArrivalSample(mode="vertex", times=Y[0], choices=F[0]), U[0])
-        assert np.array_equal(res.matched[0], ref.matched)
-        assert sorted(e for e, _, _ in ref.accepted) == sorted(np.flatnonzero(res.accepted))
+        ref = run_vertex(c5, sel5, table_c5_small, Y[0], F[0], U[0])
+        assert np.array_equal(res.matched[0], matched_flags(c5, ref))
+        assert sorted(e for e, _, _ in ref) == sorted(np.flatnonzero(res.accepted))
         assert not res.matched[0, 0] and res.matched[0, 1:].all()
 
         sel = edge_selection("edge_general")
@@ -313,6 +331,6 @@ def test_arrival_at_time_zero(c5, sel5, table_c5_small):
         Ye = np.array([[0.0, 0.2, 0.4, 0.6, 0.8]])
         Ue = np.full((1, c5.edge_count), 1e-9)
         res = run_edge_batch(c5, sel, table, active, Ye, Ue)
-        ref = run_edge(c5, sel, table, ArrivalSample(mode="edge", active=active[0], edge_times=Ye[0]), Ue[0])
-        assert np.array_equal(res.matched[0], ref.matched)
-        assert res.accepted[0] == 0 and sorted(e for e, _, _ in ref.accepted) == sorted(np.flatnonzero(res.accepted))
+        ref = run_edge(c5, sel, table, active[0], Ye[0], Ue[0])
+        assert np.array_equal(res.matched[0], matched_flags(c5, ref))
+        assert res.accepted[0] == 0 and sorted(e for e, _, _ in ref) == sorted(np.flatnonzero(res.accepted))

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from crslab import hardness
-from crslab.hardness import DriftBucket, drift_report, hardness_trajectory, m_de
+from crslab.hardness import hardness_trajectory, m_de
 
+from .analysis import DriftBucket, drift_report
 from .oracles import hardness_rounds, ode_trajectory_reference
 
 

@@ -7,44 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import crslab.matching
-from crslab.graph import complete, cycle, path
-from crslab.matching import Matching, _ahead, _BatchTally, assert_valid_matching
+from crslab.graph import complete, path
+from crslab.matching import _ahead, _BatchTally
 
 from .oracles import greedy_resolve
-
-
-def test_matching_add_and_size():
-    g = cycle(5, 0.5)
-    m = Matching(5)
-    assert m.size == 0 and not m.matched.any()
-    m.add(g, g.edge_id(0, 1), 0.4, proposer=1)
-    assert m.size == 1
-    assert m.matched[0] and m.matched[1] and not m.matched[2]
-    assert m.accepted[0] == (g.edge_id(0, 1), 0.4, 1)
-
-
-def test_valid_matching_passes():
-    g = cycle(5, 0.5)
-    m = Matching(5)
-    m.add(g, g.edge_id(0, 1), 0.2, 1)
-    m.add(g, g.edge_id(2, 3), 0.5, 2)
-    assert_valid_matching(g, m)
-
-
-def test_overlapping_edges_fail_validation():
-    g = cycle(5, 0.5)
-    m = Matching(5)
-    m.add(g, g.edge_id(0, 1), 0.2, 1)
-    m.add(g, g.edge_id(1, 2), 0.5, 2)
-    with pytest.raises(AssertionError, match="covered twice"):
-        assert_valid_matching(g, m)
-
-
-def test_matched_flags_external_array():
-    flags = np.zeros(5, dtype=bool)
-    m = Matching(5, matched=flags)
-    m.add(cycle(5, 0.5), 0, 0.1, 1)
-    assert flags[0] and flags[1]
 
 
 @pytest.mark.parametrize("workers", [1, 2])

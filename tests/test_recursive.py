@@ -10,27 +10,21 @@ from hypothesis import strategies as st
 import crslab.matching
 import crslab.recursive
 import crslab.rng
-from crslab.arrivals import ArrivalSample, sample_choices_batch
 from crslab.graph import complete_bipartite, single_edge, star, weighted_star
-from crslab.matching import assert_valid_matching
 from crslab.numerics import adaptive_simpson
 from crslab.recursive import (
-    estimate_safety,
     fill_tables,
     fill_tables_edge,
     phase_of,
     required_samples,
-    run_edge,
-    run_edge_batch,
-    run_rank1_closed_form,
-    run_vertex,
-    run_vertex_batch,
     simulate_edge,
     simulate_rank1,
     simulate_vertex,
 )
 from crslab.rng import stream
 from crslab.selection import INFINITE, edge_selection, vertex_selection
+
+from .oracles import dir_index, run_rank1_closed_form
 
 
 def test_required_samples_frozen_example():
@@ -75,10 +69,10 @@ def test_phase_of_interval_property(y, T):
 def test_dir_index_layout(c5, table_c5_small):
     g = c5
     eid = g.edge_id(0, 1)
-    assert table_c5_small.dir_index(g, proposer=0, target=1) == 2 * eid + 1
-    assert table_c5_small.dir_index(g, proposer=1, target=0) == 2 * eid
+    assert dir_index(g, proposer=0, target=1) == 2 * eid + 1
+    assert dir_index(g, proposer=1, target=0) == 2 * eid
     with pytest.raises(KeyError):
-        table_c5_small.dir_index(g, 0, 2)
+        dir_index(g, 0, 2)
 
 
 def test_fill_tables_shape_and_clamp(c5, sel5, table_c5_small):
@@ -197,75 +191,6 @@ def test_fill_tables_edge_streams_created_on_calling_thread(monkeypatch):
     assert np.array_equal(values, _fill_k33().values)
 
 
-def test_estimate_safety_range(c5, sel5, table_c5_small):
-    val = estimate_safety(c5, sel5, table_c5_small, j=3, proposer=0, target=1, seed=77)
-    assert table_c5_small.floor_clamp <= val <= 1.0
-    with pytest.raises(ValueError):
-        estimate_safety(c5, sel5, table_c5_small, j=0, proposer=0, target=1, seed=77)
-
-
-def _vertex_draws(g, seed, trials):
-    rng = stream(seed, "test-batch")
-    Y = rng.random((trials, g.vertex_count))
-    F = sample_choices_batch(g, rng, trials)
-    U = rng.random((trials, g.vertex_count))
-    return Y, F, U
-
-
-@pytest.mark.parametrize("t_stop,exclude", [(1.0, None), (0.6, None), (1.0, 2), (0.45, 0)])
-def test_vertex_batch_matches_single_runs(c5, sel5, table_c5_small, t_stop, exclude):
-    g = c5
-    Y, F, U = _vertex_draws(g, 501, 300)
-    res = run_vertex_batch(g, sel5, table_c5_small, Y, F, U, t_stop=t_stop, exclude=exclude, track_edges=True)
-    accepted = np.zeros(g.edge_count, dtype=np.int64)
-    for i in range(300):
-        s = ArrivalSample(mode="vertex", times=Y[i], choices=F[i])
-        m = run_vertex(g, sel5, table_c5_small, s, U[i], t_stop=t_stop, exclude=exclude)
-        assert_valid_matching(g, m)
-        got = {eid for eid, _, _ in m.accepted}
-        assert got == set(np.nonzero(res.acc_edge[i])[0].tolist())
-        flags = np.zeros(g.vertex_count, dtype=bool)
-        for eid, _, _ in m.accepted:
-            flags[g.eu[eid]] = flags[g.ev[eid]] = True
-        assert np.array_equal(flags, res.matched[i])
-        for eid in got:
-            accepted[eid] += 1
-    assert np.array_equal(accepted, res.accepted)
-
-
-def test_edge_batch_matches_single_runs(k33):
-    g = k33
-    sel = edge_selection("edge_general")
-    table = fill_tables_edge(g, sel, T=5, delta=0.1, Q=300, seed=3303)
-    rng = stream(502, "test-batch")
-    trials = 300
-    active = rng.random((trials, 9)) < g.x[None, :]
-    Ye = rng.random((trials, 9))
-    U = rng.random((trials, 9))
-    res = run_edge_batch(g, sel, table, active, Ye, U, t_stop=0.8, bins=10)
-    accepted = np.zeros(9, dtype=np.int64)
-    for i in range(trials):
-        s = ArrivalSample(mode="edge", active=active[i], edge_times=Ye[i])
-        m = run_edge(g, sel, table, s, U[i], t_stop=0.8)
-        assert_valid_matching(g, m)
-        flags = np.zeros(g.vertex_count, dtype=bool)
-        for eid, _, _ in m.accepted:
-            accepted[eid] += 1
-            flags[g.eu[eid]] = flags[g.ev[eid]] = True
-        assert np.array_equal(flags, res.matched[i])
-    assert np.array_equal(accepted, res.accepted)
-    assert np.array_equal(res.acc_bin.sum(axis=1), res.accepted)
-    assert np.array_equal(res.act_bin.sum(axis=1), res.active)
-
-
-def test_run_vertex_mode_check(c5, sel5, table_c5_small):
-    s = ArrivalSample(mode="edge")
-    with pytest.raises(ValueError):
-        run_vertex(c5, sel5, table_c5_small, s, np.zeros(5))
-    with pytest.raises(ValueError):
-        run_edge(c5, edge_selection("edge_general"), table_c5_small, ArrivalSample(mode="vertex"), np.zeros(5))
-
-
 def test_single_edge_acceptance_matches_damped_integral():
     # one edge, x=1: the estimate table is exactly 1, so acceptance is
     # E[min(c(y), ...) * damping] with y = max(Y_u, Y_v) ~ density 2y
@@ -323,24 +248,16 @@ def test_simulate_chunking_invariant(c5, sel5, table_c5_small, monkeypatch):
 def test_rank1_requires_unit_mass():
     with pytest.raises(ValueError, match="summing to 1"):
         simulate_rank1(star(3, 0.25), trials=10, seed=1)
-    with pytest.raises(ValueError):
-        run_rank1_closed_form(star(3, 0.25), ArrivalSample(mode="edge"), np.zeros(3))
 
 
 def test_rank1_single_run_rule():
     g = weighted_star([0.5, 0.5])
-    s = ArrivalSample(mode="edge", active=np.array([True, True]), edge_times=np.array([0.8, 0.3]))
-    m = run_rank1_closed_form(g, s, np.array([0.99, 0.5]))
-    assert m.accepted == [(1, 0.3, 0)]
+    both = np.array([True, True])
+    assert run_rank1_closed_form(g, both, np.array([0.8, 0.3]), np.array([0.99, 0.5])) == [(1, 0.3, 0)]
     # first element fails its thinning bit, scan continues
-    s = ArrivalSample(mode="edge", active=np.array([True, True]), edge_times=np.array([0.2, 0.6]))
-    m = run_rank1_closed_form(g, s, np.array([0.999, 0.1]))
-    assert m.accepted == [(1, 0.6, 0)]
+    assert run_rank1_closed_form(g, both, np.array([0.2, 0.6]), np.array([0.999, 0.1])) == [(1, 0.6, 0)]
     # nothing active: empty matching
-    s = ArrivalSample(mode="edge", active=np.array([False, False]), edge_times=np.array([0.2, 0.6]))
-    assert run_rank1_closed_form(g, s, np.array([0.0, 0.0])).size == 0
-    with pytest.raises(ValueError, match="edge-mode"):
-        run_rank1_closed_form(g, ArrivalSample(mode="vertex"), np.zeros(2))
+    assert run_rank1_closed_form(g, ~both, np.array([0.2, 0.6]), np.array([0.0, 0.0])) == []
 
 
 def test_rank1_batch_matches_single_runs():
@@ -355,9 +272,7 @@ def test_rank1_batch_matches_single_runs():
     U = rng.random((trials, 3))
     accepted = np.zeros(3, dtype=np.int64)
     for i in range(trials):
-        s = ArrivalSample(mode="edge", active=active[i], edge_times=Ye[i])
-        m = run_rank1_closed_form(g, s, U[i])
-        for eid, _, _ in m.accepted:
+        for eid, _, _ in run_rank1_closed_form(g, active[i], Ye[i], U[i]):
             accepted[eid] += 1
     assert np.array_equal(accepted, res.accepted)
     assert np.array_equal(res.acc_bin.sum(axis=1), res.accepted)

@@ -9,10 +9,8 @@ from crslab.selection import (
     INFINITE,
     CertificateReport,
     alpha_closed_form,
-    alpha_numeric,
     c_edge,
     c_vertex,
-    custom_selection,
     edge_selection,
     gamma_upper_int,
     parse_girth,
@@ -21,6 +19,7 @@ from crslab.selection import (
     verify_selection_conditions,
 )
 
+from .analysis import alpha_numeric, custom_selection
 from .oracles import ALPHA_INF, ode_selection, trapezoid_alpha
 
 ODD_GIRTHS = st.integers(min_value=1, max_value=7).map(lambda k: 2 * k + 1)

@@ -6,29 +6,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crslab.arrivals import ArrivalSample, sample_choices_batch
-from crslab.graph import complete, complete_bipartite, cycle, single_edge, star
-from crslab.matching import assert_valid_matching
+from crslab.arrivals import sample_choices_batch
+from crslab.graph import complete, single_edge, star
 from crslab.numerics import bisect
 from crslab.rng import stream
 from crslab.two_phase import (
-    balanced_ocrs_batch,
-    check_two_values_inequality,
     find_t0,
-    guarantee_poly,
-    overall_recursion_bound,
-    pinned_phase1_frequency,
     prune_factor,
-    prune_greedy_batch,
-    recursion_bound,
-    run_two_phase,
     run_two_phase_batch,
     simulate_two_phase,
     survival_prob,
-    survival_prob_closed,
     t_root_poly,
 )
 
+from .analysis import (
+    check_two_values_inequality,
+    guarantee_poly,
+    overall_recursion_bound,
+    pinned_phase1_frequency,
+    recursion_bound,
+    survival_prob_closed,
+)
 from .oracles import GUARANTEE_AT_T0, GUARANTEE_MAX, T0_FROZEN
 
 
@@ -101,40 +99,20 @@ def _draws(g, seed, trials):
     return Y, F, UA, UB
 
 
-@pytest.mark.parametrize(
-    "maker,t",
-    [
-        (lambda: cycle(5, 0.5), 0.11982305274185451),  # dense phase-1 path
-        (lambda: cycle(5, 0.5), 0.6),
-        (lambda: complete(5), 0.3),  # complete-graph fast path
-        (lambda: complete_bipartite(3), 0.45),  # bipartite fast path
-    ],
-)
-def test_batch_matches_single_runs(maker, t):
-    g = maker()
-    trials = 250
-    Y, F, UA, UB = _draws(g, 701, trials)
-    res = run_two_phase_batch(g, t, Y, F, UA, UB, track_edges=True)
-    for i in range(trials):
-        s = ArrivalSample(mode="vertex", times=Y[i], choices=F[i])
-        m = run_two_phase(g, t, s, UA[i], UB[i])
-        assert_valid_matching(g, m)
-        got = {eid for eid, _, _ in m.accepted}
-        assert got == set(np.nonzero(res.acc_edge[i])[0].tolist())
-
-
 def test_t_zero_is_prune_greedy_bitwise(k33):
+    # t = 0 has no balancing phase: the balance bits are never read
     Y, F, UA, UB = _draws(k33, 702, 400)
     a = run_two_phase_batch(k33, 0.0, Y, F, UA, UB)
-    b = prune_greedy_batch(k33, Y, F, UA)
+    b = run_two_phase_batch(k33, 0.0, Y, F, UA, np.ones_like(UB))
     assert np.array_equal(a.matched, b.matched)
     assert np.array_equal(a.accepted, b.accepted)
 
 
 def test_t_one_is_balanced_scheme_bitwise(k33):
+    # t = 1 prunes nothing (a_1 = 1): the pruning bits are never decisive
     Y, F, UA, UB = _draws(k33, 703, 400)
-    a = run_two_phase_batch(k33, 1.0, Y, F, np.zeros_like(UA), UB)
-    b = balanced_ocrs_batch(k33, Y, F, UB)
+    a = run_two_phase_batch(k33, 1.0, Y, F, UA, UB)
+    b = run_two_phase_batch(k33, 1.0, Y, F, np.zeros_like(UA), UB)
     assert np.array_equal(a.matched, b.matched)
     assert np.array_equal(a.accepted, b.accepted)
 
@@ -150,25 +128,22 @@ def test_non_regular_instance_warns():
     g = star(3, 0.25)
     with pytest.warns(UserWarning, match="not 1-regular"):
         simulate_two_phase(g, 0.3, trials=50, seed=705)
-    rng = stream(706, "w")
-    s = ArrivalSample(mode="vertex", times=rng.random(4), choices=sample_choices_batch(g, rng, 1)[0])
-    with pytest.warns(UserWarning, match="not 1-regular"):
-        run_two_phase(g, 0.3, s, rng.random(4), rng.random(4))
+    # the engine itself never warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run_two_phase_batch(g, 0.3, *_draws(g, 706, 50))
 
 
 def test_phase_boundary_is_strict():
     # a proposal at exactly y = t skips the balancing bit
     g = single_edge(1.0)
     t = 0.5
-    choices = np.array([1, 0])
-    UA = np.array([0.0, 0.0])  # always survive pruning
-    UB = np.array([0.0, 0.99])  # would fail the balance bit if applied
-    at_t = ArrivalSample(mode="vertex", times=np.array([0.2, t]), choices=choices)
-    m = run_two_phase(g, t, at_t, UA, UB)
-    assert m.size == 1
-    below_t = ArrivalSample(mode="vertex", times=np.array([0.2, t - 1e-9]), choices=choices)
-    m = run_two_phase(g, t, below_t, UA, UB)
-    assert m.size == 0
+    F = np.array([[1, 0], [1, 0]])
+    UA = np.zeros((2, 2))  # always survive pruning
+    UB = np.array([[0.0, 0.99]] * 2)  # would fail the balance bit if applied
+    Y = np.array([[0.2, t], [0.2, t - 1e-9]])  # at t, then just below it
+    res = run_two_phase_batch(g, t, Y, F, UA, UB)
+    assert res.matched.tolist() == [[True, True], [False, False]]
 
 
 def test_simulate_two_phase_consistency(k33):
