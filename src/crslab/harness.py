@@ -23,13 +23,7 @@ from .diagnostics import correlation_gap
 from .graph import FAMILIES, Graph, generate
 from .hardness import hardness_trajectory, m_de
 from .numerics import wilson_interval
-from .recursive import (
-    fill_tables,
-    required_samples,
-    simulate_edge,
-    simulate_rank1,
-    simulate_vertex,
-)
+from .recursive import _table, fill_tables, simulate_edge, simulate_rank1, simulate_vertex
 from .selection import EDGE_KINDS, INFINITE, edge_selection, vertex_selection
 from .two_phase import find_t0, simulate_two_phase
 
@@ -80,6 +74,9 @@ class ExperimentConfig:
     params: dict = field(default_factory=dict)
     checks: list = field(default_factory=list)
 
+    def __post_init__(self) -> None:
+        validate_config(self)
+
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         if not isinstance(raw, dict):
@@ -102,7 +99,6 @@ class ExperimentConfig:
             )
         except TypeError as exc:
             raise ConfigError(str(exc)) from exc
-        validate_config(cfg)
         return cfg
 
     def echo(self) -> dict:
@@ -169,6 +165,7 @@ def _t_param(params: dict) -> float:
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
+    """Raise ConfigError naming the first invalid field; every ExperimentConfig runs it on construction."""
     if not cfg.name or not _NAME_RE.match(cfg.name):
         raise ConfigError("name: non-empty [A-Za-z0-9._-]+ required")
     if cfg.kind not in KINDS:
@@ -242,8 +239,17 @@ def validate_config(cfg: ExperimentConfig) -> None:
 
 
 def resolve_instance(spec: dict) -> Graph:
+    """The instance graph; a loaded file must be a fractional matching.
+
+    Generated families always are. A file may hold any loads (`crslab
+    validate` reports them), but no scheme can run on a vertex load above 1.
+    """
     if "path" in spec:
-        return Graph.load(spec["path"])
+        g = Graph.load(spec["path"])
+        report = g.validate_fractional_matching()
+        if not report.ok:
+            raise ConfigError(f"instance: {report}")
+        return g
     params = {k: v for k, v in spec.items() if k != "family"}
     family = spec.get("family")
     if family not in FAMILIES:
@@ -296,7 +302,6 @@ def _run_scheme(cfg: ExperimentConfig, g: Graph):
 
 def estimate_selectability(cfg: ExperimentConfig) -> ExperimentReport:
     """Per-edge acceptance frequencies with Wilson intervals."""
-    validate_config(cfg)
     g = resolve_instance(cfg.instance)
     sim, _ = _run_scheme(cfg, g)
     columns = [
@@ -360,7 +365,6 @@ def _profile_band(cfg: ExperimentConfig, meta: dict, mid: float, target: float) 
 
 def exact_selection_profile(cfg: ExperimentConfig) -> ExperimentReport:
     """Binned conditional acceptance versus the scheme's target curve."""
-    validate_config(cfg)
     if cfg.kind != "profile":
         raise ConfigError("kind: exact_selection_profile requires kind=profile")
     g = resolve_instance(cfg.instance)
@@ -415,8 +419,7 @@ def _run_gap(cfg: ExperimentConfig) -> ExperimentReport:
     g = resolve_instance(cfg.instance)
     p = cfg.params
     sel = vertex_selection(_girth_param(p))
-    Q = p.get("Q") or required_samples(sel.floor, float(p["delta"]), p["T"], g.vertex_count)
-    table = fill_tables(g, sel, p["T"], float(p["delta"]), Q, cfg.seed)
+    table = _table(fill_tables, g, sel, p["T"], float(p["delta"]), p.get("Q"), cfg.seed)
     rep = correlation_gap(g, sel, table, p["u"], p["v"], float(p["t_k"]), cfg.trials, cfg.seed)
     summary = {
         "u": rep.u,
@@ -463,7 +466,6 @@ def _run_hardness(cfg: ExperimentConfig) -> ExperimentReport:
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
-    validate_config(cfg)
     if cfg.kind == "selectability":
         return estimate_selectability(cfg)
     if cfg.kind == "profile":

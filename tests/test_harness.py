@@ -149,6 +149,13 @@ def test_from_dict_requires_object():
         ExperimentConfig.from_dict([])
 
 
+@pytest.mark.parametrize("over,msg", [(over, msg) for over, msg in BAD_CONFIGS if msg != "unknown field"])
+def test_direct_construction_validates(over, msg):
+    # the CLI builds its configs directly, without from_dict
+    with pytest.raises(ConfigError, match=msg):
+        ExperimentConfig(**{**BASE, **over})
+
+
 # -- instance resolution ------------------------------------------------------------
 
 
@@ -164,6 +171,32 @@ def test_resolve_instance_path_wins(tmp_path):
     assert g.edge_count == 5
     g2 = resolve_instance({"path": str(p), "family": "complete_bipartite"})
     assert g2.edge_count == 5
+
+
+def test_overloaded_graph_rejected(tmp_path, capsys):
+    # a file may hold any loads (`crslab validate` reads it), but no scheme runs on them
+    p = tmp_path / "over.json"
+    Graph(3, [(0, 1, 0.9), (0, 2, 0.9)]).save(p)
+    instance = {"path": str(p)}
+    configs = [
+        make(instance=instance),
+        make(instance=instance, scheme="recursive-edge", params={"selection": "edge_general", "T": 4, "delta": 0.1, "Q": 50}),
+        make(instance=instance, scheme="rank1-closed", params={}),
+        make(instance=instance, scheme="two-phase", params={"t": 0.5}),
+        make(instance=instance, kind="profile", scheme="rank1-closed", params={}),
+        make(instance=instance, kind="gap", params={**BASE["params"], "u": 0, "v": 1, "t_k": 0.5}),
+    ]
+    for cfg in configs:
+        with pytest.raises(ConfigError, match=r"instance: fractional matching violated .*v0: 1\.8"):
+            run_experiment(cfg)
+    for scheme in ("recursive-vertex", "recursive-edge", "rank1-closed", "two-phase"):
+        argv = ["simulate", "--instance", str(p), "--scheme", scheme, "--trials", "10", "--seed", "1"]
+        argv += ["--T", "4", "--delta", "0.1", "--selection", "edge_general", "--t", "0.5"]
+        assert main(argv) == 2
+        assert "config error: instance: fractional matching violated" in capsys.readouterr().err
+    assert main(["diag", "--what", "gap", "--instance", str(p), "--t-k", "0.5", "--trials", "10", "--seed", "1"]) == 2
+    assert "config error: instance:" in capsys.readouterr().err
+    assert main(["validate", str(p)]) == 1  # still loads, and reports the load
 
 
 def test_resolve_instance_errors():
