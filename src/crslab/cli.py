@@ -72,8 +72,7 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--T", type=int, help="phase count")
     p.add_argument("--delta", type=float, help="estimate accuracy target")
     p.add_argument("--Q", type=int, help="samples per estimate (defaults from delta)")
-    p.add_argument("--t", help="two-phase threshold in [0,1], or 't0'")
-    p.add_argument("--t0", action="store_true", help="use the root threshold t0 (same as --t t0)")
+    p.add_argument("--t", help="two-phase threshold in [0,1], or 't0' for the root threshold")
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--bins", type=int, default=20)
@@ -95,12 +94,9 @@ def _scheme_params(args) -> dict:
         if args.Q is not None:
             params["Q"] = args.Q
     if args.scheme == "two-phase":
-        if args.t0:
-            params["t"] = "t0"
-        elif args.t is None:
-            raise SystemExit("error: --t or --t0 required for scheme two-phase")
-        else:
-            params["t"] = args.t if args.t == "t0" else float(args.t)
+        if args.t is None:
+            raise SystemExit("error: --t (a value in [0,1] or 't0') required for scheme two-phase")
+        params["t"] = args.t if args.t == "t0" else float(args.t)
     return params
 
 

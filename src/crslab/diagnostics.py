@@ -46,11 +46,10 @@ def coupled_batch(
     F: np.ndarray,
     U: np.ndarray,
     t_k: float = 1.0,
-    track_targets: bool = False,
 ):
     """Vectorized coupled executions; returns (full, dropped) BatchResults."""
-    full = run_vertex_batch(g, sel, table, Y, F, U, t_stop=t_k, track_targets=track_targets)
-    dropped = run_vertex_batch(g, sel, table, Y, F, U, t_stop=t_k, exclude=v, track_targets=track_targets)
+    full = run_vertex_batch(g, sel, table, Y, F, U, t_stop=t_k)
+    dropped = run_vertex_batch(g, sel, table, Y, F, U, t_stop=t_k, exclude=v)
     return full, dropped
 
 

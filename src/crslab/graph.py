@@ -194,8 +194,20 @@ class Graph:
 
     @classmethod
     def from_json(cls, text: str) -> "Graph":
+        """The graph `to_json` wrote; a missing field or malformed edge raises ValueError naming it."""
         payload = json.loads(text)
-        return cls(vertex_count=int(payload["vertex_count"]), edges=[tuple(e) for e in payload["edges"]])
+        if not isinstance(payload, dict):
+            raise ValueError("instance: JSON object with 'vertex_count' and 'edges' required")
+        for key in ("vertex_count", "edges"):
+            if key not in payload:
+                raise ValueError(f"instance: missing field {key!r}")
+        edges = payload["edges"]
+        if not isinstance(edges, list):
+            raise ValueError("instance: 'edges' must be a list of [u, v, x]")
+        for i, e in enumerate(edges):
+            if not isinstance(e, list) or len(e) != 3:
+                raise ValueError(f"instance: edges[{i}] must be [u, v, x], got {json.dumps(e)}")
+        return cls(vertex_count=int(payload["vertex_count"]), edges=[tuple(e) for e in edges])
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:

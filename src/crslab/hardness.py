@@ -2,8 +2,8 @@
 
 The 2n vertices arrive one at a time in uniform random order; an arriving
 vertex picks one uniform partner on the opposite side (the x = 1/n choice
-distribution) and the algorithm may accept that pair if the partner has
-already arrived and both are unmatched. The matched fraction M(t)/n tracks
+distribution) and greedy accepts that pair if the partner has already
+arrived and both are unmatched. The matched fraction M(t)/n tracks
 the solution m(s) = (e^{-s} + s - 1)/2 of m' = s/2 - m, and the balance
 event Q_t controls how far the two sides' unarrived counts may drift apart.
 
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -32,9 +31,6 @@ __all__ = [
     "hardness_trajectory",
 ]
 
-AcceptRule = Callable[[int, int], float]  # (round index, n) -> accept probability
-
-
 def m_de(s: float) -> float:
     """Matched-fraction fluid limit (e^{-s} + s - 1)/2."""
     return (math.exp(-s) + s - 1.0) / 2.0
@@ -44,7 +40,6 @@ def m_de(s: float) -> float:
 class TrajectoryReport:
     n: int
     trials: int
-    algorithm: str
     matched: np.ndarray  # (trials, 2n+1) M(t) after t rounds
     balance: np.ndarray  # (trials, 2n+1) Q_t indicator
 
@@ -89,25 +84,12 @@ class TrajectoryReport:
         return float(self.balance[:, : t_max + 1].all(axis=1).mean())
 
 
-def hardness_trajectory(
-    n: int,
-    trials: int,
-    seed: int,
-    algorithm: str | AcceptRule = "greedy",
-) -> TrajectoryReport:
-    """Simulate the round process on K_{n,n} with x = 1/n choices.
-
-    `algorithm` is "greedy" (accept every feasible pair) or a callable
-    (round, n) -> probability thinning feasible pairs, which models
-    time-dependent selection rules in round time; it is called once per
-    round, in round order.
-    """
+def hardness_trajectory(n: int, trials: int, seed: int) -> TrajectoryReport:
+    """Simulate the greedy round process on K_{n,n} with x = 1/n choices."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if algorithm != "greedy" and not callable(algorithm):
-        raise ValueError("algorithm must be 'greedy' or a callable")
     N = 2 * n
     # vertex ids, rounds and the balance bounds (within [-n, 3n]) fit in `small`
     small = np.int16 if N < 2**14 else np.int32
@@ -127,11 +109,6 @@ def hardness_trajectory(
     partner_round = np.take_along_axis(arrival, partner, axis=1)
     del arrival, partner
     feasible = partner_round < rounds
-    if algorithm != "greedy":
-        accept_u = rng.random((trials, N))
-        p = np.fromiter((algorithm(t, n) for t in range(N)), dtype=np.float64, count=N)
-        feasible &= accept_u <= p
-        del accept_u
     picks, partner_at, width = _slots(feasible, partner_round)
     del feasible, partner_round
 
@@ -153,8 +130,7 @@ def hardness_trajectory(
     del picks, taken
     matched = np.zeros((trials, N + 1), dtype=np.int64)
     matched[:, 1:] = np.cumsum(accepted, axis=1, dtype=small)  # at most n
-    name = algorithm if isinstance(algorithm, str) else getattr(algorithm, "__name__", "custom")
-    return TrajectoryReport(n, trials, name, matched, balance)
+    return TrajectoryReport(n, trials, matched, balance)
 
 
 def _balance(n: int, is_left: np.ndarray, small) -> np.ndarray:

@@ -313,6 +313,7 @@ def estimate_selectability(cfg: ExperimentConfig) -> ExperimentReport:
     max_ra = max_rx = -math.inf
     argmin_ra = argmin_rx = -1
     insufficient = 0
+    ratio_active, ratio_x = sim.ratio_active(), sim.ratio_x(g)
     for eid in range(g.edge_count):
         act = int(sim.active[eid])
         acc = int(sim.accepted[eid])
@@ -323,10 +324,9 @@ def estimate_selectability(cfg: ExperimentConfig) -> ExperimentReport:
             rows.append([eid, int(g.eu[eid]), int(g.ev[eid]), x, act, acc,
                          "", "", "", "", "", "", True])
             continue
-        ra = acc / act
+        ra, rx = float(ratio_active[eid]), float(ratio_x[eid])
         ra_lo, ra_hi = wilson_interval(acc, act)
         px_lo, px_hi = wilson_interval(acc, cfg.trials)
-        rx = acc / (cfg.trials * x)
         rx_lo, rx_hi = px_lo / x, px_hi / x
         rows.append([eid, int(g.eu[eid]), int(g.ev[eid]), x, act, acc,
                      ra, ra_lo, ra_hi, rx, rx_lo, rx_hi, False])
@@ -418,9 +418,17 @@ def exact_selection_profile(cfg: ExperimentConfig) -> ExperimentReport:
 def _run_gap(cfg: ExperimentConfig) -> ExperimentReport:
     g = resolve_instance(cfg.instance)
     p = cfg.params
+    u, v = int(p["u"]), int(p["v"])
+    for fld, w in (("u", u), ("v", v)):
+        if w >= g.vertex_count:
+            raise ConfigError(f"params.{fld}: vertex {w} outside 0..{g.vertex_count - 1}")
+    try:
+        g.edge_id(u, v)
+    except KeyError:
+        raise ConfigError(f"params.v: ({u},{v}) is not an edge of the instance") from None
     sel = vertex_selection(_girth_param(p))
     table = _table(fill_tables, g, sel, p["T"], float(p["delta"]), p.get("Q"), cfg.seed)
-    rep = correlation_gap(g, sel, table, p["u"], p["v"], float(p["t_k"]), cfg.trials, cfg.seed)
+    rep = correlation_gap(g, sel, table, u, v, float(p["t_k"]), cfg.trials, cfg.seed)
     summary = {
         "u": rep.u,
         "v": rep.v,
@@ -444,7 +452,7 @@ def _run_gap(cfg: ExperimentConfig) -> ExperimentReport:
 
 def _run_hardness(cfg: ExperimentConfig) -> ExperimentReport:
     n = int(cfg.instance["n"])
-    rep = hardness_trajectory(n, cfg.trials, cfg.seed, algorithm="greedy")
+    rep = hardness_trajectory(n, cfg.trials, cfg.seed)
     t_max = int(cfg.params.get("t_max", math.floor(1.9 * n)))
     mean = rep.mean_trajectory
     ref = rep.reference

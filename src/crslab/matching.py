@@ -25,14 +25,10 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .graph import Graph
-
-if TYPE_CHECKING:
-    from .recursive import EstimateTable
 
 __all__ = ["BatchResult", "SimResult"]
 
@@ -56,9 +52,6 @@ class BatchResult:
     active: np.ndarray  # (m,) active-proposal count per edge
     acc_bin: np.ndarray | None = None  # (m, bins)
     act_bin: np.ndarray | None = None  # (m, bins)
-    acc_edge: np.ndarray | None = None  # (trials, m) accepted indicator
-    prop_is_ev: np.ndarray | None = None  # (trials, m) proposer side of accepted edge
-    sel_into: np.ndarray | None = None  # (trials, n) vertex was accepted as target
 
 
 @dataclass
@@ -71,15 +64,12 @@ class SimResult:
     active: np.ndarray  # (m,)
     acc_bin: np.ndarray  # (m, bins) accepted by arrival bin
     act_bin: np.ndarray  # (m, bins) active by arrival bin
-    table: EstimateTable | None = None  # the recursive schemes' estimate tables
-    safe_bin: np.ndarray | None = None  # (m, bins) rank-1: trials where nothing was taken before Y_e
-    all_bin: np.ndarray | None = None  # (m, bins) rank-1: trials by Y_e bin
 
     @classmethod
-    def zeros(cls, g: Graph, trials: int, bins: int, **fields) -> SimResult:
-        """All four counters zero; `fields` sets the optional ones."""
+    def zeros(cls, g: Graph, trials: int, bins: int) -> SimResult:
+        """All four counters zero."""
         m = g.edge_count
-        return cls(trials, bins, np.zeros(m, np.int64), np.zeros(m, np.int64), np.zeros((m, bins), np.int64), np.zeros((m, bins), np.int64), **fields)
+        return cls(trials, bins, np.zeros(m, np.int64), np.zeros(m, np.int64), np.zeros((m, bins), np.int64), np.zeros((m, bins), np.int64))
 
     def add(self, batch: BatchResult) -> None:
         """Add one batch's four counters."""
@@ -198,18 +188,14 @@ class _BatchTally:
     under `lock`, which also serializes the engine's selection calls.
     """
 
-    def __init__(self, g: Graph, trials: int, bins: int | None = None, track_edges: bool = False, track_targets: bool = False):
+    def __init__(self, g: Graph, trials: int, bins: int | None = None):
         n, m = g.vertex_count, g.edge_count
-        self.g = g
         self.bins = bins
         self.matched = np.zeros((trials, n), dtype=bool)
         self.accepted = np.zeros(m, dtype=np.int64)
         self.active = np.zeros(m, dtype=np.int64)
         self.acc_bin = np.zeros(m * bins, dtype=np.int64) if bins else None
         self.act_bin = np.zeros(m * bins, dtype=np.int64) if bins else None
-        self.acc_edge = np.zeros((trials, m), dtype=bool) if track_edges else None
-        self.prop_is_ev = np.zeros((trials, m), dtype=bool) if track_edges else None
-        self.sel_into = np.zeros((trials, n), dtype=bool) if track_targets else None
         self.lock = threading.Lock()
 
     def _add(self, total: np.ndarray, ids: np.ndarray) -> None:
@@ -224,8 +210,9 @@ class _BatchTally:
         if self.bins:
             self._add(self.act_bin, edge * self.bins + _bin_of(y, self.bins))
 
-    def resolve(self, lo: int, hi: int, row, y, target, proposer, edge) -> None:
-        """Accept one block's proposals by the greedy rule and record them.
+    def resolve(self, lo: int, hi: int, row, y, target, proposer, edge) -> np.ndarray:
+        """Accept one block's proposals by the greedy rule, count them, and
+        return the mask of the accepted ones.
 
         Rows lo..hi-1 must be untouched; `row` is block-local. A proposal is
         accepted iff both endpoints are still unmatched when it arrives, in
@@ -269,18 +256,14 @@ class _BatchTally:
             flat[b[w]] = True
             keep = np.flatnonzero(~(flat[a] | flat[b]))
             live, a, b, t = live[keep], a[keep], b[keep], t[keep]
-        rows, ea = row[acc] + lo, edge[acc]
+        ea = edge[acc]
         self._add(self.accepted, ea)
         if self.bins:
             self._add(self.acc_bin, ea * self.bins + _bin_of(y[acc], self.bins))
-        if self.acc_edge is not None:
-            self.acc_edge[rows, ea] = True
-            self.prop_is_ev[rows, ea] = proposer[acc] == self.g.ev[ea]
-        if self.sel_into is not None:
-            self.sel_into[rows, target[acc]] = True
+        return acc
 
     def result(self) -> BatchResult:
         m = self.accepted.size
         acc_bin = self.acc_bin.reshape(m, self.bins) if self.bins else None
         act_bin = self.act_bin.reshape(m, self.bins) if self.bins else None
-        return BatchResult(self.matched, self.accepted, self.active, acc_bin, act_bin, self.acc_edge, self.prop_is_ev, self.sel_into)
+        return BatchResult(self.matched, self.accepted, self.active, acc_bin, act_bin)

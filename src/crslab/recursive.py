@@ -106,8 +106,6 @@ def run_vertex_batch(
     t_stop: float = 1.0,
     exclude: int | None = None,
     bins: int | None = None,
-    track_edges: bool = False,
-    track_targets: bool = False,
 ) -> BatchResult:
     """Vectorized vertex-mode runs over the trial axis.
 
@@ -116,7 +114,7 @@ def run_vertex_batch(
     values realizes coupled executions on G and G minus a vertex.
     """
     trials, n = Y.shape
-    tally = _BatchTally(g, trials, bins, track_edges, track_targets)
+    tally = _BatchTally(g, trials, bins)
 
     def block(lo, hi):
         c = _active_choices(g, Y[lo:hi], F[lo:hi], t_stop, exclude)
@@ -256,10 +254,8 @@ def fill_tables_edge(g: Graph, sel: SelectionFunction, T: int, delta: float, Q: 
 TRIAL_CHUNK = 100_000
 
 
-def _table(fill, g: Graph, sel: SelectionFunction, T: int, delta: float, Q: int | None, seed: int, table: EstimateTable | None = None) -> EstimateTable:
-    """`table` if given, else fill(...) with Q samples per phase (by default the required number)."""
-    if table is not None:
-        return table
+def _table(fill, g: Graph, sel: SelectionFunction, T: int, delta: float, Q: int | None, seed: int) -> EstimateTable:
+    """fill(...) with Q samples per phase (by default the required number)."""
     if Q is None:
         if delta == 0.0:
             raise ValueError("delta=0 (idealized mode) needs an explicit Q")
@@ -276,11 +272,10 @@ def simulate_vertex(
     seed: int,
     Q: int | None = None,
     bins: int = 20,
-    table: EstimateTable | None = None,
 ) -> SimResult:
     """Fill tables once, then measure acceptance over independent trials."""
-    table = _table(fill_tables, g, sel, T, delta, Q, seed, table)
-    out = SimResult.zeros(g, trials, bins, table=table)
+    table = _table(fill_tables, g, sel, T, delta, Q, seed)
+    out = SimResult.zeros(g, trials, bins)
     for rng, _, count in chunks(seed, trials, TRIAL_CHUNK, "trials-vertex"):
         Y = rng.random((count, g.vertex_count))
         F = sample_choices_batch(g, rng, count)
@@ -298,11 +293,10 @@ def simulate_edge(
     seed: int,
     Q: int | None = None,
     bins: int = 20,
-    table: EstimateTable | None = None,
 ) -> SimResult:
-    table = _table(fill_tables_edge, g, sel, T, delta, Q, seed, table)
+    table = _table(fill_tables_edge, g, sel, T, delta, Q, seed)
     m = g.edge_count
-    out = SimResult.zeros(g, trials, bins, table=table)
+    out = SimResult.zeros(g, trials, bins)
     for rng, _, count in chunks(seed, trials, TRIAL_CHUNK, "trials-edge"):
         active = rng.random((count, m)) < g.x[None, :]
         Ye = rng.random((count, m))
@@ -312,7 +306,7 @@ def simulate_edge(
 
 
 def simulate_rank1(g: Graph, trials: int, seed: int, bins: int = 20) -> SimResult:
-    """Vectorized closed-form rank-1 runs with safety tracking.
+    """Vectorized closed-form rank-1 runs.
 
     The first active element passing its thinning bit is the unique accept,
     so a run reduces to an argmin over eligible arrival times.
@@ -320,25 +314,16 @@ def simulate_rank1(g: Graph, trials: int, seed: int, bins: int = 20) -> SimResul
     if abs(float(np.sum(g.x)) - 1.0) > 1e-9:
         raise ValueError("rank-1 closed form needs element values summing to 1")
     m = g.edge_count
-    out = SimResult.zeros(g, trials, bins, safe_bin=np.zeros((m, bins), np.int64), all_bin=np.zeros((m, bins), np.int64))
+    out = SimResult.zeros(g, trials, bins)
     for rng, _, count in chunks(seed, trials, TRIAL_CHUNK, "trials-rank1"):
         active = rng.random((count, m)) < g.x[None, :]
         Ye = rng.random((count, m))
         U = rng.random((count, m))
         eligible = active & (U <= np.exp(-Ye * g.x[None, :]))
-        elig_y = np.where(eligible, Ye, np.inf)
+        winner = np.argmin(np.where(eligible, Ye, np.inf), axis=1)
         rows = np.arange(count)
-        winner = np.argmin(elig_y, axis=1)
         has = eligible[rows, winner]
-        # Safety of e asks whether anything other than e was taken before
-        # Y_e: the earliest eligible time over the other elements, which is
-        # the second minimum where e is the winner and the minimum elsewhere.
-        first = elig_y[rows, winner]
-        elig_y[rows, winner] = np.inf
-        second = np.min(elig_y, axis=1)
-        safe = first[:, None] > Ye
-        safe[rows, winner] = second > Ye[rows, winner]
-        del U, eligible, elig_y  # keeps the (count, m) cells below within the draws' memory
+        del U, eligible  # keeps the (count, m) cells below within the draws' memory
         # Flat (edge, arrival bin) cells, one bincount per counter.
         cell = _bin_of(Ye, bins)
         cell += np.arange(m) * bins
@@ -348,6 +333,4 @@ def simulate_rank1(g: Graph, trials: int, seed: int, bins: int = 20) -> SimResul
         out.active += act_bin.sum(axis=1)
         out.acc_bin += acc_bin
         out.accepted += acc_bin.sum(axis=1)
-        out.all_bin += np.bincount(cell.reshape(-1), minlength=m * bins).reshape(m, bins)
-        out.safe_bin += np.bincount(cell[safe], minlength=m * bins).reshape(m, bins)
     return out

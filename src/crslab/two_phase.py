@@ -143,7 +143,6 @@ def run_two_phase_batch(
     UB: np.ndarray,
     t_stop: float = 1.0,
     bins: int | None = None,
-    track_edges: bool = False,
 ) -> BatchResult:
     """Vectorized two-phase runs; Y/F/UA/UB are (trials, n) per-vertex arrays."""
     if not (0.0 <= t <= 1.0):
@@ -152,7 +151,7 @@ def run_two_phase_batch(
     avals = prune_factor(g.x, t)
     fvals = survival_prob(g.x, t)
     mode, side = _phase1_mode(g)
-    tally = _BatchTally(g, trials, bins, track_edges)
+    tally = _BatchTally(g, trials, bins)
 
     def block(lo, hi):
         yb = np.ascontiguousarray(Y[lo:hi])

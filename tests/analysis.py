@@ -3,8 +3,8 @@
 These compute the paper's closed forms and bounds next to what the library
 simulates: the numeric guarantee integral and piecewise-linear selection
 tables, the two-phase guarantee polynomial, the two-point survival
-inequality, the L/U recursion bound, the pinned phase-1 probe, and the
-one-step drift audit of the hardness trajectory.
+inequality, the L/U recursion bound, the pinned phase-1 probe, the rank-1
+safety tally, and the one-step drift audit of the hardness trajectory.
 """
 
 from __future__ import annotations
@@ -15,10 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from crslab import two_phase
+from crslab import recursive, two_phase
 from crslab.arrivals import sample_choices_batch
 from crslab.graph import Graph
 from crslab.hardness import TrajectoryReport
+from crslab.matching import _bin_of
 from crslab.numerics import adaptive_simpson
 from crslab.rng import chunks
 from crslab.selection import SelectionFunction, c_vertex
@@ -138,11 +139,41 @@ def pinned_phase1_frequency(
         F = sample_choices_batch(g, rng, count)
         UA = rng.random((count, n))
         UB = rng.random((count, n))
-        res = run_two_phase_batch(g, t, Y, F, UA, UB, t_stop=y0, track_edges=True)
-        hits += int(res.acc_edge[:, eid].sum())
+        res = run_two_phase_batch(g, t, Y, F, UA, UB, t_stop=y0)
+        hits += int(res.accepted[eid])  # at most once per trial: it matches both ends
     freq = hits / trials
     sigma = math.sqrt(max(freq * (1.0 - freq), 1e-12) / trials)
     return freq, sigma
+
+
+def rank1_safety(g: Graph, trials: int, seed: int, bins: int = 20) -> tuple[np.ndarray, np.ndarray]:
+    """(safe_bin, all_bin) over the runs of `simulate_rank1(g, trials, seed, bins)`.
+
+    Replays its "trials-rank1" chunks, the chunk size read from
+    `recursive.TRIAL_CHUNK` at each call. all_bin[e, b] counts the trials
+    with Y_e in bin b, and safe_bin[e, b] those in which nothing other than
+    e was taken before Y_e: the earliest eligible time over the other
+    elements, which is the second minimum where e is the winner and the
+    minimum elsewhere, comes after Y_e.
+    """
+    m = g.edge_count
+    safe_bin = np.zeros((m, bins), dtype=np.int64)
+    all_bin = np.zeros((m, bins), dtype=np.int64)
+    for rng, _, count in chunks(seed, trials, recursive.TRIAL_CHUNK, "trials-rank1"):
+        active = rng.random((count, m)) < g.x[None, :]
+        Ye = rng.random((count, m))
+        U = rng.random((count, m))
+        elig_y = np.where(active & (U <= np.exp(-Ye * g.x[None, :])), Ye, np.inf)
+        rows = np.arange(count)
+        winner = np.argmin(elig_y, axis=1)
+        first = elig_y[rows, winner]
+        elig_y[rows, winner] = np.inf
+        safe = first[:, None] > Ye
+        safe[rows, winner] = elig_y.min(axis=1) > Ye[rows, winner]
+        cell = _bin_of(Ye, bins) + np.arange(m) * bins
+        all_bin += np.bincount(cell.reshape(-1), minlength=m * bins).reshape(m, bins)
+        safe_bin += np.bincount(cell[safe], minlength=m * bins).reshape(m, bins)
+    return safe_bin, all_bin
 
 
 # -- L/U recursion bound -------------------------------------------------------------

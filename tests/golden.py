@@ -8,17 +8,18 @@ direct entry points, and hashes what they produce:
 - the estimate tables of both recursive fillers;
 - `pinned_phase1_frequency` (from `tests/analysis.py`) with tied pinned times;
 - every `BatchResult` field of the three batch engines on tie-heavy inputs
-  (arrival times on a coarse grid), with `exclude`, `track_edges`,
-  `track_targets` and `bins`;
+  (arrival times on a coarse grid), with `exclude` and `bins`, plus the
+  per-trial record of accepted proposals that `tests.oracles.recorded`
+  keeps (`acc_edge`, `prop_is_ev`, `sel_into`);
 - every chunked loop (the six trial loops and the edge fill) over several
-  chunks with a partial last one;
+  chunks with a partial last one, with the rank-1 safety tally replayed by
+  `tests.analysis.rank1_safety`;
 - every `BatchResult` field after `_BatchTally.resolve` alone on fixed
   blocks: rows past the first block, edge-like proposals, times on a
-  4-point grid, and every tracked field on;
+  4-point grid, and one block recorded by `RecordingTally`;
 - the choice sampler's picks on degrees 1 to 60, on zero and tiny loads and
   on leftover mass, for batches of one row, a few rows and many rows;
-- `hardness_trajectory`'s `matched` and `balance` at several n, greedy and
-  with a constant and a round-dependent acceptance rule;
+- `hardness_trajectory`'s `matched` and `balance` at several n;
 - every `detect_potential_paths_batch` field on C5, C7 (with leftover mass),
   K_{3,3} and K_6;
 - `c_vertex` on a dense grid of y for several finite girths.
@@ -30,12 +31,15 @@ random-stream layout; such a change regenerates them with
 
     PYTHONPATH=src python -m tests.golden --print > tests/golden_digests.json
 
-and lists every changed digest in CHANGES.md.
+and lists every changed digest in CHANGES.md. Run without `--print`, it
+lists the pinned keys it no longer computes, the keys it computes that are
+not pinned, and the keys whose values changed, each apart.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -56,7 +60,8 @@ from crslab.rng import stream
 from crslab.selection import INFINITE, c_vertex, edge_selection, vertex_selection
 from crslab.two_phase import run_two_phase_batch
 
-from .analysis import pinned_phase1_frequency
+from .analysis import pinned_phase1_frequency, rank1_safety
+from .oracles import RecordingTally, recorded
 
 PINNED = Path(__file__).with_name("golden_digests.json")
 
@@ -166,10 +171,11 @@ def _array_bytes(a: np.ndarray) -> bytes:
 
 
 def batch_digest(res: BatchResult) -> str:
-    """sha256 over every BatchResult field (None fields hash as a marker)."""
+    """sha256 over every BatchResult field and recorded field (None or
+    missing fields hash as a marker)."""
     h = hashlib.sha256()
     for name in ("matched", "accepted", "active", "acc_bin", "act_bin", "acc_edge", "prop_is_ev", "sel_into"):
-        value = getattr(res, name)
+        value = getattr(res, name, None)
         h.update(name.encode() + b"=")
         h.update(b"none" if value is None else _array_bytes(value))
     return h.hexdigest()
@@ -188,6 +194,11 @@ def _with_const(module, name: str, value, fn, *args, **kwargs):
         return fn(*args, **kwargs)
     finally:
         setattr(module, name, saved)
+
+
+def _drop(res, *names):
+    """`res` with the recorded fields `names` set to None (not part of its digest)."""
+    return dataclasses.replace(res, **dict.fromkeys(names))
 
 
 def engine_digests() -> dict[str, str]:
@@ -211,10 +222,10 @@ def engine_digests() -> dict[str, str]:
         U = rng.random((rows, g.vertex_count))
         for t_stop in (0.5, 0.6, 1.0):
             for ex in (None, excl):
-                res = run_vertex_batch(g, sel, tab, Y, F, U, t_stop, ex, 4, True, True)
+                res = recorded(run_vertex_batch, g, sel, tab, Y, F, U, t_stop, ex, 4)
                 out[f"vertex-{name}-t{t_stop}-x{ex}"] = batch_digest(res)
-        full, dropped = coupled_batch(g, sel, tab, excl, Y, F, U, t_k=0.75, track_targets=True)
-        out[f"coupled-{name}"] = batch_digest(full) + batch_digest(dropped)
+        full, dropped = recorded(coupled_batch, g, sel, tab, excl, Y, F, U, t_k=0.75)
+        out[f"coupled-{name}"] = batch_digest(_drop(full, "acc_edge", "prop_is_ev")) + batch_digest(_drop(dropped, "acc_edge", "prop_is_ev"))
 
     tree, sel_e = random_tree(9, seed=5), edge_selection("edge_tree")
     tab_e = fill_tables_edge(tree, sel_e, T=6, delta=0.0, Q=150, seed=604)
@@ -245,16 +256,16 @@ def engine_digests() -> dict[str, str]:
         UA = rng.random((rows, n))
         UB = rng.random((rows, n))
         for t_stop in (0.5, 0.6, 1.0):
-            res = run_two_phase_batch(g, 0.6, Y, F, UA, UB, t_stop, 4, True)
-            out[f"two-phase-{name}-t{t_stop}"] = batch_digest(res)
+            res = recorded(run_two_phase_batch, g, 0.6, Y, F, UA, UB, t_stop, 4)
+            out[f"two-phase-{name}-t{t_stop}"] = batch_digest(_drop(res, "sel_into"))
     return out
 
 
-def sim_digest(res, extra=()) -> str:
-    """sha256 over a simulation result's counters and the `extra` fields."""
+def sim_digest(res, extra: dict | None = None) -> str:
+    """sha256 over a simulation result's counters, then the `extra` arrays by name."""
     h = hashlib.sha256()
-    for name in ("trials", "bins", "accepted", "active", "acc_bin", "act_bin", *extra):
-        value = getattr(res, name)
+    fields = {name: getattr(res, name) for name in ("trials", "bins", "accepted", "active", "acc_bin", "act_bin")}
+    for name, value in {**fields, **(extra or {})}.items():
         h.update(name.encode() + b"=")
         h.update(_array_bytes(np.asarray(value)))
     return h.hexdigest()
@@ -273,12 +284,14 @@ def chunk_digests() -> dict[str, str]:
     tree, sel_e = random_tree(9, seed=3), edge_selection("edge_tree")
     star = weighted_star([1.0 / 6.0] * 6)
     out = {}
+    # a simulation fills its table with the simulation's own seed
     res = _with_const(recursive, "TRIAL_CHUNK", 1000, recursive.simulate_vertex, g5, sel5, 4, 0.1, trials, 1201, Q=100, bins=5)
-    out["simulate-vertex-c5"] = sim_digest(res) + _sha(_array_bytes(res.table.values))
+    out["simulate-vertex-c5"] = sim_digest(res) + _sha(_array_bytes(fill_tables(g5, sel5, 4, 0.1, 100, 1201).values))
     res = _with_const(recursive, "TRIAL_CHUNK", 1000, recursive.simulate_edge, tree, sel_e, 6, 0.0, trials, 1202, Q=150, bins=4)
-    out["simulate-edge-tree9"] = sim_digest(res) + _sha(_array_bytes(res.table.values))
+    out["simulate-edge-tree9"] = sim_digest(res) + _sha(_array_bytes(fill_tables_edge(tree, sel_e, 6, 0.0, 150, 1202).values))
     res = _with_const(recursive, "TRIAL_CHUNK", 1000, recursive.simulate_rank1, star, trials, 1203, bins=5)
-    out["simulate-rank1-star6"] = sim_digest(res, ("safe_bin", "all_bin"))
+    safe_bin, all_bin = _with_const(recursive, "TRIAL_CHUNK", 1000, rank1_safety, star, trials, 1203, bins=5)
+    out["simulate-rank1-star6"] = sim_digest(res, extra={"safe_bin": safe_bin, "all_bin": all_bin})
     res = _with_const(two_phase, "TRIAL_CHUNK", 1000, two_phase.simulate_two_phase, complete(7), 0.5, trials, 1204, bins=4)
     out["simulate-two-phase-complete7"] = sim_digest(res)
     got = _with_const(two_phase, "TRIAL_CHUNK", 1000, pinned_phase1_frequency, g5, 0.6, 0, 1, 0.25, {2: 0.25, 3: 0.1, 4: 0.1}, trials, 1205)
@@ -313,7 +326,7 @@ def kernel_digests() -> dict[str, str]:
     out = {}
     for name, g, trials, blocks, grid, flip, bins, tracked in cases:
         rng = stream(1101, "golden-kernel", name)
-        tally = _BatchTally(g, trials, bins, tracked, tracked)
+        tally = (RecordingTally if tracked else _BatchTally)(g, trials, bins)
         for lo, hi in blocks:
             tally.resolve(lo, hi, *_kernel_block(g, rng, hi - lo, grid, flip))
         out[name] = batch_digest(tally.result())
@@ -353,24 +366,12 @@ def selection_digests() -> dict[str, str]:
     return out
 
 
-def _half_rule(t: int, n: int) -> float:
-    return 0.5
-
-
-def _ramp_rule(t: int, n: int) -> float:
-    """Round-dependent: accepts less as the rounds go on, never at the end."""
-    return 1.0 - t / (2 * n)
-
-
 def hardness_digests() -> dict[str, str]:
-    """`hardness_trajectory` bytes, greedy and under two acceptance rules."""
-    cases = [("greedy", n, trials, "greedy") for n, trials in ((1, 5), (2, 9), (7, 13), (60, 40))]
-    cases += [(name, n, trials, rule) for name, rule in (("half", _half_rule), ("ramp", _ramp_rule))
-              for n, trials in ((7, 13), (60, 40))]
+    """`hardness_trajectory` bytes at several n."""
     out = {}
-    for name, n, trials, rule in cases:
-        rep = hardness_trajectory(n, trials, 1000 + n, rule)
-        out[f"{name}-n{n}"] = _sha(_array_bytes(rep.matched) + _array_bytes(rep.balance))
+    for n, trials in ((1, 5), (2, 9), (7, 13), (60, 40)):
+        rep = hardness_trajectory(n, trials, 1000 + n)
+        out[f"greedy-n{n}"] = _sha(_array_bytes(rep.matched) + _array_bytes(rep.balance))
     return out
 
 
@@ -434,11 +435,14 @@ def main(argv=None) -> int:
         sys.stdout.write(json.dumps(digests, sort_keys=True, indent=2) + "\n")
         return 0
     pinned = load_pinned()
-    changed = sorted(k for k in set(pinned) | set(digests) if pinned.get(k) != digests.get(k))
-    for key in changed:
-        print(f"changed: {key}")
-    print(f"{len(digests) - len(changed)} of {len(digests)} digests match the pinned values")
-    return 1 if changed else 0
+    removed = sorted(set(pinned) - set(digests))
+    new = sorted(set(digests) - set(pinned))
+    changed = sorted(k for k in set(pinned) & set(digests) if pinned[k] != digests[k])
+    for label, keys in (("removed", removed), ("new", new), ("changed", changed)):
+        for key in keys:
+            print(f"{label}: {key}")
+    print(f"{len(pinned) - len(removed) - len(changed)} of {len(pinned)} pinned digests match")
+    return 1 if removed or new or changed else 0
 
 
 if __name__ == "__main__":

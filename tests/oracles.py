@@ -7,20 +7,25 @@ reference solves its linear ODE the same way. Frozen constants were computed
 once from these oracles and are asserted against the library's closed forms.
 `hardness_rounds` replays the K_{n,n} round process one round at a time, the
 reference for the library's pass over feasible picks. `greedy_resolve` takes
-a row block's proposals one at a time, the reference for the engines' kernel.
+a row block's proposals one at a time, the reference for the engines' kernel;
+`RecordingTally` (swapped in by `recorded`) keeps the per-trial record of what
+that kernel accepted, which the library itself never needs.
 The scalar event loops (`run_vertex`, `run_edge`, `run_two_phase`,
 `run_rank1_closed_form`) replay one sample at a time, the references for the
 batch engines, and `detect_potential_path` walks one choice vector, the
 reference for the batch potential-path scan.
 """
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from crslab import recursive, two_phase
 from crslab.arrivals import NO_CHOICE, sample_choices_batch
 from crslab.diagnostics import flip_indicators
+from crslab.matching import BatchResult, _BatchTally
 from crslab.rng import stream
 from crslab.two_phase import prune_factor, survival_prob
 
@@ -96,22 +101,17 @@ def trapezoid_alpha(ts: np.ndarray, cs: np.ndarray) -> float:
     return float(np.trapezoid(2.0 * cs * ts, ts))
 
 
-def hardness_rounds(n: int, trials: int, seed: int, algorithm="greedy"):
+def hardness_rounds(n: int, trials: int, seed: int):
     """Round-by-round reference for `hardness_trajectory`: (matched, balance).
 
     Draws exactly what the library draws from the same stream, then plays
     every round 0..2n-1 on all trials: the arriving vertex's pick is taken
-    when its partner has arrived and is unmatched (and, under a callable
-    rule, the round's uniform passes `rule(t, n)`).
+    when its partner has arrived and is unmatched.
     """
     N = 2 * n
     rng = stream(seed, "hardness", n)
     order = rng.permuted(np.tile(np.arange(N), (trials, 1)), axis=1)
     choice = rng.integers(0, n, size=(trials, N))
-    rule = None
-    if algorithm != "greedy":
-        rule = algorithm
-        accept_u = rng.random((trials, N))
     rows = np.arange(trials)
     arrived = np.zeros((trials, N), dtype=bool)
     matched_v = np.zeros((trials, N), dtype=bool)
@@ -130,8 +130,6 @@ def hardness_rounds(n: int, trials: int, seed: int, algorithm="greedy"):
         left_arrived += is_left
         right_arrived += ~is_left
         ok = arrived[rows, partner] & ~matched_v[rows, partner]
-        if rule is not None:
-            ok &= accept_u[:, t] <= rule(t, n)
         matched_v[rows, w] |= ok
         matched_v[rows, partner] |= ok
         count += ok
@@ -173,6 +171,58 @@ def greedy_resolve(g, trials: int, lo: int, row, y, target, proposer, edge, bins
             out["prop_is_ev"][lo + r, e] = b == g.ev[e]
             out["sel_into"][lo + r, a] = True
     return out
+
+
+@dataclass
+class RecordedResult(BatchResult):
+    """A BatchResult plus the per-trial record of the accepted proposals."""
+
+    acc_edge: np.ndarray | None = None  # (trials, m) edge accepted
+    prop_is_ev: np.ndarray | None = None  # (trials, m) its proposer was the edge's ev end
+    sel_into: np.ndarray | None = None  # (trials, n) vertex accepted as a target
+
+
+class RecordingTally(_BatchTally):
+    """`_BatchTally` that also records each row's accepted proposals.
+
+    It reads only the accepted mask `resolve` returns; each block writes its
+    own rows, so blocks may run on several threads.
+    """
+
+    def __init__(self, g, trials: int, bins: int | None = None):
+        super().__init__(g, trials, bins)
+        self.ev = g.ev
+        self.acc_edge = np.zeros((trials, g.edge_count), dtype=bool)
+        self.prop_is_ev = np.zeros((trials, g.edge_count), dtype=bool)
+        self.sel_into = np.zeros((trials, g.vertex_count), dtype=bool)
+
+    def resolve(self, lo, hi, row, y, target, proposer, edge):
+        acc = super().resolve(lo, hi, row, y, target, proposer, edge)
+        rows, ea = row[acc] + lo, edge[acc]
+        self.acc_edge[rows, ea] = True
+        self.prop_is_ev[rows, ea] = proposer[acc] == self.ev[ea]
+        self.sel_into[rows, target[acc]] = True
+        return acc
+
+    def result(self) -> RecordedResult:
+        res = super().result()
+        fields = {f.name: getattr(res, f.name) for f in dataclasses.fields(res)}
+        return RecordedResult(**fields, acc_edge=self.acc_edge, prop_is_ev=self.prop_is_ev, sel_into=self.sel_into)
+
+
+def recorded(fn, *args, **kwargs):
+    """fn(*args, **kwargs) with every engine batch tallied by `RecordingTally`.
+
+    The vertex, edge and two-phase engines (and `coupled_batch` through the
+    vertex engine) then return RecordedResults; their other fields are
+    unchanged.
+    """
+    saved = recursive._BatchTally, two_phase._BatchTally
+    recursive._BatchTally = two_phase._BatchTally = RecordingTally
+    try:
+        return fn(*args, **kwargs)
+    finally:
+        recursive._BatchTally, two_phase._BatchTally = saved
 
 
 # -- scalar event loops ------------------------------------------------------------

@@ -39,7 +39,7 @@ from crslab.selection import (
 )
 from crslab.two_phase import find_t0, prune_factor, simulate_two_phase, t_root_poly
 
-from .analysis import alpha_numeric, drift_report, guarantee_poly, pinned_phase1_frequency
+from .analysis import alpha_numeric, drift_report, guarantee_poly, pinned_phase1_frequency, rank1_safety
 
 # per-criterion wall-clock budgets in seconds, accumulated across a
 # criterion's tests and asserted inside every timed section
@@ -111,9 +111,10 @@ def test_criterion3_rank1_star():
         rate = r.acc_bin / np.maximum(r.act_bin, 1)
         sig = np.sqrt(target * (1.0 - target) / np.maximum(r.act_bin, 1))
         assert float(np.max(np.abs(rate - target[None, :]) / sig)) <= 3.0
-        srate = r.safe_bin / np.maximum(r.all_bin, 1)
+        safe_bin, all_bin = rank1_safety(g, 1_000_000, 103, bins=20)
+        srate = safe_bin / np.maximum(all_bin, 1)
         starget = np.exp(-mids[None, :] * (1.0 - g.x[:, None]))
-        ssig = np.sqrt(starget * (1.0 - starget) / np.maximum(r.all_bin, 1))
+        ssig = np.sqrt(starget * (1.0 - starget) / np.maximum(all_bin, 1))
         assert float(np.max(np.abs(srate - starget) / ssig)) <= 3.0
 
 

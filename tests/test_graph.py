@@ -170,6 +170,22 @@ def test_json_round_trip(tmp_path):
     assert Graph.from_json(h.to_json()).x.tolist() == g.x.tolist()
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("{}", "missing field 'vertex_count'"),
+        ('{"vertex_count": 3}', "missing field 'edges'"),
+        ("[3]", "JSON object"),
+        ('{"vertex_count": 3, "edges": {"0": [0, 1, 0.5]}}', "'edges' must be a list"),
+        ('{"vertex_count": 3, "edges": [[0, 1, 0.5], [1, 2]]}', r"edges\[1\] must be \[u, v, x\], got \[1, 2\]"),
+        ('{"vertex_count": 3, "edges": [7]}', r"edges\[0\] must be \[u, v, x\], got 7"),
+    ],
+)
+def test_from_json_names_what_is_malformed(text, message):
+    with pytest.raises(ValueError, match=message):
+        Graph.from_json(text)
+
+
 @given(st.integers(min_value=3, max_value=30))
 def test_odd_girth_of_odd_cycles(n):
     expected = float(n) if n % 2 == 1 else INFINITE_GIRTH

@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from crslab import hardness
 from crslab.hardness import hardness_trajectory, m_de
 
 from .analysis import DriftBucket, drift_report
@@ -32,7 +31,7 @@ def test_fluid_limit_monotone():
 
 def test_trajectory_shapes_and_counters():
     rep = hardness_trajectory(20, 50, 77)
-    assert rep.n == 20 and rep.trials == 50 and rep.algorithm == "greedy"
+    assert rep.n == 20 and rep.trials == 50
     assert rep.matched.shape == (50, 41)
     assert rep.balance.shape == (50, 41)
     assert (rep.rounds == np.arange(41)).all()
@@ -51,18 +50,6 @@ def test_trajectory_validation():
         hardness_trajectory(0, 10, 1)
     with pytest.raises(ValueError, match="trials must be"):
         hardness_trajectory(5, 0, 1)
-    with pytest.raises(ValueError, match="callable"):
-        hardness_trajectory(5, 10, 1, algorithm=7)
-
-
-def test_invalid_algorithm_rejected_before_drawing(monkeypatch):
-    def no_stream(*args):
-        raise AssertionError("drew before validating")
-
-    monkeypatch.setattr(hardness, "stream", no_stream)
-    for bad in (7, "eager", None):
-        with pytest.raises(ValueError, match="algorithm must be 'greedy' or a callable"):
-            hardness_trajectory(5, 10, 1, algorithm=bad)
 
 
 def test_trajectory_deterministic():
@@ -107,82 +94,15 @@ def test_drift_bucket_edges_partition_rounds():
         assert prev.t_hi <= nxt.t_lo
 
 
-def zero_rule(t, n):
-    return 0.0
-
-
-def full_rule(t, n):
-    return 1.0
-
-
-def test_acceptance_rule_zero_blocks_everything():
-    rep = hardness_trajectory(25, 30, 82, algorithm=zero_rule)
-    assert rep.algorithm == "zero_rule"
-    assert rep.matched.max() == 0
-    assert rep.mean_final == 0.0
-
-
-def test_acceptance_rule_one_matches_greedy_in_distribution():
-    # the callable path draws one extra uniform per round, so agreement with
-    # greedy is distributional rather than bitwise
-    greedy = hardness_trajectory(100, 300, 83)
-    ruled = hardness_trajectory(100, 300, 84, algorithm=full_rule)
-    assert ruled.algorithm == "full_rule"
-    se = math.sqrt(
-        greedy.finals.var(ddof=1) / greedy.trials + ruled.finals.var(ddof=1) / ruled.trials
-    )
-    assert abs(greedy.mean_final - ruled.mean_final) < max(4.0 * se, 0.02)
-
-
-def test_intermediate_rule_sits_between_zero_and_greedy():
-    half = hardness_trajectory(100, 300, 85, algorithm=lambda t, n: 0.5)
-    greedy = hardness_trajectory(100, 300, 83)
-    assert 0.0 < half.mean_final < greedy.mean_final
-
-
-def half_rule(t, n):
-    return 0.5
-
-
-def ramp_rule(t, n):
-    return 1.0 - t / (2 * n)
-
-
-class RecordingRule:
-    """Wraps a rule and records every (round, n) it is called with."""
-
-    def __init__(self, rule):
-        self.rule = rule
-        self.calls = []
-
-    def __call__(self, t, n):
-        self.calls.append((t, n))
-        return self.rule(t, n)
-
-
-RULES = ("greedy", zero_rule, full_rule, half_rule, ramp_rule)
-
-
-def _sweep_cases():
-    """n = 1..60 with trials and rule spread over 1..50 and RULES, plus every
-    rule at a few (n, trials) corners."""
-    cases = [(n, 1 + (17 * n) % 50, RULES[n % len(RULES)]) for n in range(1, 61)]
-    cases += [(n, trials, rule) for n in (1, 2, 7, 33) for trials in (1, 50) for rule in RULES]
-    return cases
-
-
 def test_trajectory_matches_round_reference():
-    for n, trials, rule in _sweep_cases():
+    """n = 1..60 with trials spread over 1..50, plus a few (n, trials) corners."""
+    cases = [(n, 1 + (17 * n) % 50) for n in range(1, 61)]
+    cases += [(n, trials) for n in (1, 2, 7, 33) for trials in (1, 50)]
+    for n, trials in cases:
         seed = 3000 + 7 * n + trials
-        if rule == "greedy":
-            got = hardness_trajectory(n, trials, seed)
-            want = hardness_rounds(n, trials, seed)
-        else:
-            got_rule, want_rule = RecordingRule(rule), RecordingRule(rule)
-            got = hardness_trajectory(n, trials, seed, algorithm=got_rule)
-            want = hardness_rounds(n, trials, seed, algorithm=want_rule)
-            assert got_rule.calls == want_rule.calls == [(t, n) for t in range(2 * n)]
-        case = (n, trials, getattr(rule, "__name__", rule))
+        got = hardness_trajectory(n, trials, seed)
+        want = hardness_rounds(n, trials, seed)
+        case = (n, trials)
         assert got.matched.dtype == want[0].dtype and got.balance.dtype == want[1].dtype, case
         assert np.array_equal(got.matched, want[0]), case
         assert np.array_equal(got.balance, want[1]), case

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+import crslab.harness
 import crslab.matching
 from crslab.cli import main
 from crslab.graph import Graph, cycle
@@ -332,6 +333,21 @@ def test_gap_experiment_summary():
     assert rep.summary["count_inner"] <= rep.summary["count_outer"]
 
 
+@pytest.mark.parametrize(
+    "u,v,message",
+    [(0, 2, r"params.v: \(0,2\) is not an edge"), (7, 1, "params.u: vertex 7 outside 0..4"),
+     (0, 5, "params.v: vertex 5 outside 0..4"), (1, 1, r"params.v: \(1,1\) is not an edge")],
+)
+def test_gap_vertices_checked_before_fill(monkeypatch, u, v, message):
+    def no_fill(*args):
+        raise AssertionError("filled the table before checking the vertices")
+
+    monkeypatch.setattr(crslab.harness, "fill_tables", no_fill)
+    cfg = make(kind="gap", params={"g": 5, "T": 4, "delta": 0.1, "Q": 50, "u": u, "v": v, "t_k": 0.5})
+    with pytest.raises(ConfigError, match=message):
+        run_experiment(cfg)
+
+
 def test_hardness_experiment_summary():
     cfg = make(
         kind="hardness",
@@ -588,6 +604,20 @@ def test_cli_validate(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "missing.json")]) == 2
 
 
+@pytest.mark.parametrize(
+    "payload,field",
+    [({}, "missing field 'vertex_count'"), ({"vertex_count": 3, "edges": [[0, 1]]}, "edges[0] must be [u, v, x]")],
+)
+def test_cli_malformed_instance_file(tmp_path, capsys, payload, field):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(payload))
+    simulate = ["simulate", "--instance", str(p), "--scheme", "rank1-closed", "--trials", "10", "--seed", "1"]
+    for argv in (["validate", str(p)], simulate):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert field in err and err.count("\n") == 1, argv
+
+
 def test_cli_selection(capsys, tmp_path):
     assert main(["selection", "--g", "5,infinite", "--certify", "--grid", "200"]) == 0
     out = capsys.readouterr().out
@@ -624,7 +654,7 @@ def test_cli_simulate_two_phase(capsys):
     code = main(
         [
             "simulate", "--family", "cycle", "--param", "n=5", "--param", "x=0.5",
-            "--scheme", "two-phase", "--t0", "--trials", "150", "--seed", "4",
+            "--scheme", "two-phase", "--t", "t0", "--trials", "150", "--seed", "4",
         ]
     )
     assert code == 0
@@ -651,7 +681,7 @@ def test_cli_missing_recursive_flags():
                 "--scheme", "recursive-vertex", "--trials", "10", "--seed", "1",
             ]
         )
-    with pytest.raises(SystemExit, match="--t or --t0"):
+    with pytest.raises(SystemExit, match=r"--t \(a value in \[0,1\] or 't0'\) required"):
         main(
             [
                 "simulate", "--family", "cycle", "--param", "n=5",
@@ -702,6 +732,22 @@ def test_cli_diag_gap(capsys):
     )
     assert code == 0
     assert "within_bound=" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "what,uv,message",
+    [("gap", ("0", "2"), "params.v: (0,2) is not an edge"), ("flipping", ("7", "1"), "params.u: vertex 7 outside")],
+)
+def test_cli_diag_bad_vertices(capsys, what, uv, message):
+    code = main(
+        [
+            "diag", "--what", what, "--family", "cycle", "--param", "n=5", "--param", "x=0.5",
+            "--g", "5", "--T", "4", "--delta", "0.1", "--Q", "50", "--u", uv[0], "--v", uv[1],
+            "--t-k", "0.5", "--trials", "100", "--seed", "5",
+        ]
+    )
+    assert code == 2
+    assert f"config error: {message}" in capsys.readouterr().err
 
 
 def test_cli_diag_gap_requires_t_k():

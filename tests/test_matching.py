@@ -1,3 +1,4 @@
+import dataclasses
 import threading
 import time
 
@@ -7,10 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import crslab.matching
-from crslab.graph import complete, path
-from crslab.matching import _ahead, _BatchTally
+from crslab.arrivals import sample_choices_batch
+from crslab.graph import complete, complete_bipartite, cycle, path
+from crslab.matching import BatchResult, _ahead
+from crslab.recursive import fill_tables, fill_tables_edge, run_edge_batch, run_vertex_batch
+from crslab.rng import stream
+from crslab.selection import edge_selection, vertex_selection
+from crslab.two_phase import run_two_phase_batch
 
-from .oracles import greedy_resolve
+from .oracles import RecordedResult, RecordingTally, greedy_resolve, recorded
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -25,13 +31,16 @@ def test_ahead_yields_in_order_and_close_joins_helper(monkeypatch, workers):
 
 
 def _resolve_vs_oracle(g, trials, lo, hi, block, bins=None):
-    """Run one block through a fresh tally's resolve and compare with greedy_resolve."""
-    tally = _BatchTally(g, trials, bins, track_edges=True, track_targets=True)
-    tally.resolve(lo, hi, *block)
+    """Run one block through a fresh recording tally and compare every array,
+    the recorded ones included, with greedy_resolve."""
+    tally = RecordingTally(g, trials, bins)
+    acc = tally.resolve(lo, hi, *block)
     got = tally.result()
     want = greedy_resolve(g, trials, lo, *block, bins=bins)
     for name, value in want.items():
         assert np.array_equal(getattr(got, name), value), name  # None equals only None
+    assert acc.dtype == bool and acc.shape == block[0].shape
+    assert acc.sum() == want["accepted"].sum()
     return got
 
 
@@ -72,3 +81,36 @@ def test_resolve_path_with_increasing_times():
     block = (np.zeros(length, dtype=np.int64), (e + 1.0) / length, g.eu[e], g.ev[e], e)
     got = _resolve_vs_oracle(g, 2, 1, 2, block)
     assert np.array_equal(got.accepted, e % 2 == 0)
+
+
+def _engine_calls():
+    """One run of each batch engine to t_stop < 1 with bins, on 300 rows."""
+    rows = 300
+    c5, sel5 = cycle(5, 0.5), vertex_selection(5)
+    tab5 = fill_tables(c5, sel5, T=4, delta=0.1, Q=50, seed=1301)
+    rng = stream(1302, "test-matching")
+    Y, F, U = rng.random((rows, 5)), sample_choices_batch(c5, rng, rows), rng.random((rows, 5))
+    k33, sel_e = complete_bipartite(3), edge_selection("edge_general")
+    tab_e = fill_tables_edge(k33, sel_e, T=4, delta=0.1, Q=50, seed=1303)
+    active, Ye, Ue = rng.random((rows, 9)) < 2.0 * k33.x, rng.random((rows, 9)), rng.random((rows, 9))
+    UB = rng.random((rows, 5))
+    return (
+        (run_vertex_batch, (c5, sel5, tab5, Y, F, U, 0.7, None, 4)),
+        (run_edge_batch, (k33, sel_e, tab_e, active, Ye, Ue, 0.7, 4)),
+        (run_two_phase_batch, (c5, 0.6, Y, F, U, UB, 0.7, 4)),
+    )
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_recording_leaves_engine_results_unchanged(monkeypatch, workers):
+    """Recording reads the accepted mask only: every BatchResult field of a
+    recorded run equals the plain run's, on one and on two engine threads."""
+    monkeypatch.setattr(crslab.matching, "WORKERS", workers)
+    monkeypatch.setattr(crslab.matching, "ROW_BLOCK_ELEMS", 64)  # many blocks
+    for engine, args in _engine_calls():
+        plain = engine(*args)
+        rec = recorded(engine, *args)
+        assert type(plain) is BatchResult and type(rec) is RecordedResult
+        assert rec.acc_edge.any()
+        for f in dataclasses.fields(BatchResult):
+            assert np.array_equal(getattr(plain, f.name), getattr(rec, f.name)), (engine.__name__, f.name)

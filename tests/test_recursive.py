@@ -24,6 +24,7 @@ from crslab.recursive import (
 from crslab.rng import stream
 from crslab.selection import INFINITE, edge_selection, vertex_selection
 
+from .analysis import rank1_safety
 from .oracles import dir_index, run_rank1_closed_form
 
 
@@ -198,7 +199,7 @@ def test_single_edge_acceptance_matches_damped_integral():
     sel = vertex_selection(INFINITE)
     T, delta = 10, 0.05
     res = simulate_vertex(g, sel, T, delta, trials=200_000, seed=606, Q=200)
-    assert np.all(res.table.values == 1.0)
+    assert np.all(fill_tables(g, sel, T, delta, 200, 606).values == 1.0)  # the table it ran on
     C = sel.floor
     def integrand(y):
         if y == 0.0:
@@ -212,9 +213,8 @@ def test_single_edge_acceptance_matches_damped_integral():
     assert res.active[0] == res.trials  # x=1: the edge is always active
 
 
-def test_simulate_vertex_consistency(c5, sel5, table_c5_small):
-    res = simulate_vertex(c5, sel5, T=6, delta=0.1, trials=5_000, seed=607, table=table_c5_small)
-    assert res.table is table_c5_small
+def test_simulate_vertex_consistency(c5, sel5):
+    res = simulate_vertex(c5, sel5, T=6, delta=0.1, trials=5_000, seed=607, Q=400)
     assert np.array_equal(res.acc_bin.sum(axis=1), res.accepted)
     assert np.array_equal(res.act_bin.sum(axis=1), res.active)
     assert np.all(res.accepted <= res.active)
@@ -224,21 +224,26 @@ def test_simulate_vertex_consistency(c5, sel5, table_c5_small):
     assert np.all(np.abs(rx - ra) < 0.2)  # both estimate the same quantity
 
 
-def test_simulate_requires_q_when_idealized(c5, sel5, k33):
+def test_simulate_requires_q_when_idealized(c5, sel5, k33, monkeypatch):
     with pytest.raises(ValueError, match="explicit Q"):
         simulate_vertex(c5, sel5, T=4, delta=0.0, trials=10, seed=1)
     with pytest.raises(ValueError, match="explicit Q"):
         simulate_edge(k33, edge_selection("edge_general"), T=4, delta=0.0, trials=10, seed=1)
-    res = simulate_vertex(c5, sel5, T=3, delta=0.0, trials=100, seed=1, Q=50)
-    assert res.table.delta == 0.0 and res.table.Q == 50
+    tables = []
+
+    def recording_fill(*args):
+        tables.append(fill_tables(*args))
+        return tables[-1]
+
+    monkeypatch.setattr(crslab.recursive, "fill_tables", recording_fill)
+    simulate_vertex(c5, sel5, T=3, delta=0.0, trials=100, seed=1, Q=50)
+    assert tables[0].delta == 0.0 and tables[0].Q == 50
 
 
-def test_simulate_chunking_invariant(c5, sel5, table_c5_small, monkeypatch):
-    import crslab.recursive as rec
-
-    a = simulate_vertex(c5, sel5, T=6, delta=0.1, trials=2_500, seed=611, table=table_c5_small)
-    monkeypatch.setattr(rec, "TRIAL_CHUNK", 1_000)
-    b = simulate_vertex(c5, sel5, T=6, delta=0.1, trials=2_500, seed=611, table=table_c5_small)
+def test_simulate_chunking_invariant(c5, sel5, monkeypatch):
+    a = simulate_vertex(c5, sel5, T=6, delta=0.1, trials=2_500, seed=611, Q=400)
+    monkeypatch.setattr(crslab.recursive, "TRIAL_CHUNK", 1_000)
+    b = simulate_vertex(c5, sel5, T=6, delta=0.1, trials=2_500, seed=611, Q=400)
     # chunk boundaries change the stream layout, so totals differ; shapes and
     # scale must not
     assert a.trials == b.trials
@@ -277,7 +282,9 @@ def test_rank1_batch_matches_single_runs():
     assert np.array_equal(accepted, res.accepted)
     assert np.array_equal(res.acc_bin.sum(axis=1), res.accepted)
     assert np.array_equal(res.act_bin.sum(axis=1), res.active)
-    assert np.all(res.safe_bin <= res.all_bin)
+    safe_bin, all_bin = rank1_safety(g, trials, 608, bins=10)
+    assert np.all(safe_bin <= all_bin)
+    assert np.array_equal(all_bin.sum(axis=1), np.full(3, trials))
 
 
 def test_estimate_tables_reflect_contention():
