@@ -197,7 +197,7 @@ def _with_const(module, name: str, value, fn, *args, **kwargs):
 
 
 def _drop(res, *names):
-    """`res` with the recorded fields `names` set to None (not part of its digest)."""
+    """`res` with the recorded fields `names` set to None, as the digest pinned them."""
     return dataclasses.replace(res, **dict.fromkeys(names))
 
 
@@ -225,7 +225,8 @@ def engine_digests() -> dict[str, str]:
                 res = recorded(run_vertex_batch, g, sel, tab, Y, F, U, t_stop, ex, 4)
                 out[f"vertex-{name}-t{t_stop}-x{ex}"] = batch_digest(res)
         full, dropped = recorded(coupled_batch, g, sel, tab, excl, Y, F, U, t_k=0.75)
-        out[f"coupled-{name}"] = batch_digest(_drop(full, "acc_edge", "prop_is_ev")) + batch_digest(_drop(dropped, "acc_edge", "prop_is_ev"))
+        # pinned when this call recorded the targets only
+        out[f"coupled-{name}"] = "".join(batch_digest(_drop(r, "acc_edge", "prop_is_ev")) for r in (full, dropped))
 
     tree, sel_e = random_tree(9, seed=5), edge_selection("edge_tree")
     tab_e = fill_tables_edge(tree, sel_e, T=6, delta=0.0, Q=150, seed=604)
@@ -257,6 +258,7 @@ def engine_digests() -> dict[str, str]:
         UB = rng.random((rows, n))
         for t_stop in (0.5, 0.6, 1.0):
             res = recorded(run_two_phase_batch, g, 0.6, Y, F, UA, UB, t_stop, 4)
+            # pinned when this call recorded the edges only
             out[f"two-phase-{name}-t{t_stop}"] = batch_digest(_drop(res, "sel_into"))
     return out
 
