@@ -22,7 +22,9 @@ direct entry points, and hashes what they produce:
 - `hardness_trajectory`'s `matched` and `balance` at several n;
 - every `detect_potential_paths_batch` field on C5, C7 (with leftover mass),
   K_{3,3} and K_6;
-- `c_vertex` on a dense grid of y for several finite girths.
+- `c_vertex` on a dense grid of y for several finite girths;
+- every file `crslab simulate | profile | diag | generate --out` writes
+  from its flags, for each scheme, `--t` form and diagnostic.
 
 `tests/test_golden.py` compares the digests with the pinned values in
 `tests/golden_digests.json`, so any change in output bytes across commits
@@ -39,8 +41,10 @@ not pinned, and the keys whose values changed, each apart.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import sys
 import tempfile
@@ -50,6 +54,7 @@ import numpy as np
 
 from crslab.arrivals import sample_choices_batch
 from crslab import diagnostics, recursive, two_phase
+from crslab.cli import main as crslab_main
 from crslab.diagnostics import correlation_gap, coupled_batch, detect_potential_paths_batch
 from crslab.graph import complete, complete_bipartite, cycle, cycle_blowup, double_star, random_tree, weighted_star
 from crslab.hardness import hardness_trajectory
@@ -403,6 +408,62 @@ def pinned_digest() -> str:
     return _sha(repr(got).encode())
 
 
+CLI_CASES = {
+    "sim-vertex-k33": [
+        "simulate", "--family", "complete_bipartite", "--param", "n=3", "--scheme", "recursive-vertex",
+        "--T", "4", "--delta", "0.1", "--Q", "100", "--trials", "3000", "--seed", "1301",
+    ],
+    "sim-vertex-c5": [
+        "simulate", "--family", "cycle", "--param", "n=5", "--param", "x=0.5", "--scheme", "recursive-vertex",
+        "--g", "5", "--T", "4", "--delta", "0.1", "--Q", "100", "--trials", "3000", "--seed", "1302",
+    ],
+    "sim-edge-tree": [
+        "simulate", "--family", "random_tree", "--param", "n=8", "--param", "seed=3", "--scheme", "recursive-edge",
+        "--selection", "edge_tree", "--T", "6", "--delta", "0", "--Q", "100", "--trials", "3000", "--seed", "1303",
+    ],
+    "two-phase-t0.5": [
+        "simulate", "--family", "complete", "--param", "n=7", "--scheme", "two-phase", "--t", "0.5",
+        "--trials", "3000", "--seed", "1304",
+    ],
+    "two-phase-t1": [
+        "simulate", "--family", "complete", "--param", "n=7", "--scheme", "two-phase", "--t", "1",
+        "--trials", "3000", "--seed", "1305",
+    ],
+    "two-phase-t0": [
+        "simulate", "--family", "cycle", "--param", "n=5", "--param", "x=0.5", "--scheme", "two-phase",
+        "--t", "t0", "--trials", "3000", "--seed", "1306",
+    ],
+    "profile-rank1": [
+        "profile", "--family", "star", "--param", "k=4", "--param", "x=0.25", "--scheme", "rank1-closed",
+        "--trials", "3000", "--seed", "1307", "--bins", "5",
+    ],
+    "diag-gap": [
+        "diag", "--what", "gap", "--family", "cycle", "--param", "n=5", "--param", "x=0.5", "--g", "5",
+        "--T", "4", "--Q", "100", "--u", "0", "--v", "1", "--t-k", "0.5", "--trials", "2000", "--seed", "1308",
+    ],
+    "diag-flipping": [
+        "diag", "--what", "flipping", "--family", "cycle", "--param", "n=5", "--param", "x=0.5", "--g", "5",
+        "--T", "4", "--delta", "0.2", "--Q", "100", "--trials", "2000", "--seed", "1309",
+    ],
+    "diag-hardness": ["diag", "--what", "hardness", "--n", "20", "--t-max", "30", "--trials", "20", "--seed", "1310"],
+    "generate": ["generate", "--family", "cycle_blowup", "--param", "g=5", "--param", "b=2"],
+}
+
+
+def cli_digests() -> dict[str, str]:
+    """Each file `crslab ... --out` writes (not the `.timing.json` sidecars)."""
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        for case, argv in CLI_CASES.items():
+            target = Path(tmp) / case
+            if crslab_main(argv + ["--out", str(target)]) != 0:
+                raise RuntimeError(f"crslab {' '.join(argv)} failed")
+            for path in sorted(target.iterdir()) if target.is_dir() else [target]:
+                if not path.name.endswith(".timing.json"):
+                    out[f"{case}/{path.name}"] = _sha(path.read_bytes())
+    return out
+
+
 def compute_digests() -> dict[str, str]:
     """Every golden digest, keyed by report file or engine case."""
     out = {}
@@ -421,6 +482,7 @@ def compute_digests() -> dict[str, str]:
     out.update({f"hardness/{k}": v for k, v in hardness_digests().items()})
     out.update({f"paths/{k}": v for k, v in paths_digests().items()})
     out["pinned-phase1"] = pinned_digest()
+    out.update({f"cli/{k}": v for k, v in cli_digests().items()})
     return out
 
 
