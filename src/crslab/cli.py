@@ -9,10 +9,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .graph import FAMILIES, Graph, generate
+from .graph import FAMILIES, Graph
 from .harness import (
+    _PARAM_KEYS,
+    SCHEMES,
     ConfigError,
     ExperimentConfig,
+    resolve_instance,
     run_experiment,
     run_suite,
     write_report,
@@ -43,11 +46,15 @@ def _parse_value(text: str):
 def _param_dict(pairs: list[str] | None) -> dict:
     out = {}
     for pair in pairs or []:
-        if "=" not in pair:
-            raise SystemExit(f"error: --param expects key=value, got {pair!r}")
-        key, _, value = pair.partition("=")
+        key, sep, value = pair.partition("=")
+        if not sep:
+            raise ConfigError(f"--param: key=value expected, got {pair!r}")
         out[key] = _parse_value(value)
     return out
+
+
+def threshold(text: str):
+    return text if text == "t0" else float(text)
 
 
 def _add_instance_flags(p: argparse.ArgumentParser) -> None:
@@ -61,18 +68,17 @@ def _instance_spec(args) -> dict:
         return {"path": args.instance}
     if args.family:
         return {"family": args.family, **_param_dict(args.param)}
-    raise SystemExit("error: --instance or --family required")
+    return {}
 
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--scheme", required=True,
-                   choices=("recursive-vertex", "recursive-edge", "rank1-closed", "two-phase"))
+    p.add_argument("--scheme", required=True, choices=[s for s in SCHEMES if s != "greedy"])
     p.add_argument("--g", default="infinite", help="odd girth parameter or 'infinite'")
     p.add_argument("--selection", choices=EDGE_KINDS, help="edge-mode selection kind")
     p.add_argument("--T", type=int, help="phase count")
     p.add_argument("--delta", type=float, help="estimate accuracy target")
     p.add_argument("--Q", type=int, help="samples per estimate (defaults from delta)")
-    p.add_argument("--t", help="two-phase threshold in [0,1], or 't0' for the root threshold")
+    p.add_argument("--t", type=threshold, help="two-phase threshold in [0,1], or 't0' for the root threshold")
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--bins", type=int, default=20)
@@ -80,24 +86,9 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", metavar="DIR", help="write CSV/JSON reports here")
 
 
-def _scheme_params(args) -> dict:
-    params = {}
-    if args.scheme == "recursive-vertex":
-        params["g"] = args.g
-    if args.scheme == "recursive-edge" and args.selection:
-        params["selection"] = args.selection
-    if args.scheme in ("recursive-vertex", "recursive-edge"):
-        if args.T is None or args.delta is None:
-            raise SystemExit("error: --T and --delta required for recursive schemes")
-        params["T"] = args.T
-        params["delta"] = args.delta
-        if args.Q is not None:
-            params["Q"] = args.Q
-    if args.scheme == "two-phase":
-        if args.t is None:
-            raise SystemExit("error: --t (a value in [0,1] or 't0') required for scheme two-phase")
-        params["t"] = args.t if args.t == "t0" else float(args.t)
-    return params
+def _given(args, keys) -> dict:
+    """The flags named `keys` that were given, as config params."""
+    return {k: getattr(args, k) for k in sorted(keys) if getattr(args, k) is not None}
 
 
 def _emit(cfg: ExperimentConfig, out_dir: str | None) -> dict:
@@ -114,9 +105,7 @@ def _cmd_generate(args) -> int:
         for name in sorted(FAMILIES):
             print(name)
         return 0
-    if not args.family:
-        raise SystemExit("error: --family required (or --list)")
-    g = generate(args.family, **_param_dict(args.param))
+    g = resolve_instance({"family": args.family, **_param_dict(args.param)})
     if args.out:
         g.save(args.out)
     else:
@@ -155,7 +144,7 @@ def _cmd_selection(args) -> int:
             )
     if args.out:
         if len(girths) != 1:
-            raise SystemExit("error: --out expects exactly one --g value")
+            raise ConfigError("--out: exactly one --g value expected")
         gv = girths[0]
         sel = edge_selection(args.edge) if args.edge else vertex_selection(gv)
         ys = np.linspace(0.0, 1.0, args.grid + 1)
@@ -176,7 +165,7 @@ def _cmd_simulate(args, kind: str) -> int:
         trials=args.trials,
         seed=args.seed,
         bins=args.bins,
-        params=_scheme_params(args),
+        params=_given(args, _PARAM_KEYS[args.scheme]),
     )
     summary = _emit(cfg, args.out)
     keys = (
@@ -197,7 +186,7 @@ def _cmd_diag(args) -> int:
             scheme="greedy",
             trials=args.trials,
             seed=args.seed,
-            params={"t_max": args.t_max} if args.t_max is not None else {},
+            params=_given(args, ("t_max",)),
         )
         summary = _emit(cfg, args.out)
         print(
@@ -205,9 +194,9 @@ def _cmd_diag(args) -> int:
             f"sup_distance={summary['sup_distance']!r}  q_min={summary['q_min_frequency']!r}"
         )
         return 0
-    t_k = 1.0 if args.what == "flipping" else args.t_k
-    if t_k is None:
-        raise SystemExit("error: --t-k required for --what gap")
+    params = _given(args, ("g", "T", "delta", "Q", "u", "v", "t_k"))
+    if args.what == "flipping":
+        params["t_k"] = 1.0
     cfg = ExperimentConfig(
         name=args.name,
         kind="gap",
@@ -215,15 +204,7 @@ def _cmd_diag(args) -> int:
         scheme="recursive-vertex",
         trials=args.trials,
         seed=args.seed,
-        params={
-            "g": args.g,
-            "T": args.T,
-            "delta": args.delta,
-            **({"Q": args.Q} if args.Q is not None else {}),
-            "u": args.u,
-            "v": args.v,
-            "t_k": t_k,
-        },
+        params=params,
     )
     summary = _emit(cfg, args.out)
     if args.what == "flipping":

@@ -9,23 +9,20 @@ estimate tables can be indexed in O(1).
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .rng import stream
+from .selection import INFINITE
 
 __all__ = [
     "Graph",
     "ValidationReport",
-    "INFINITE_GIRTH",
     "LOAD_TOL",
     "generate",
     "FAMILIES",
 ]
-
-INFINITE_GIRTH = math.inf
 
 # Absolute tolerance for vertex-load checks; generator arithmetic is simple
 # enough that a tight bound suffices.
@@ -44,6 +41,15 @@ class ValidationReport:
         return f"fractional matching violated at {len(self.violations)} vertices ({rows})"
 
 
+def _integral(value) -> int | None:
+    """`value` as an int, or None for a bool or a non-integral value."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    return None
+
+
 @dataclass
 class Graph:
     vertex_count: int
@@ -58,13 +64,19 @@ class Graph:
     adj_cumx: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        n = self.vertex_count
+        n = _integral(self.vertex_count)
+        if n is None:
+            raise ValueError(f"vertex_count: integer required, got {self.vertex_count!r}")
+        self.vertex_count = n
         if n < 0:
             raise ValueError("vertex_count must be nonnegative")
         canon = []
         seen = set()
-        for u, v, x in self.edges:
-            u, v, x = int(u), int(v), float(x)
+        for i, (u, v, x) in enumerate(self.edges):
+            iu, iv = _integral(u), _integral(v)
+            if iu is None or iv is None:
+                raise ValueError(f"edges[{i}]: integer vertex ids required, got {u!r}, {v!r}")
+            u, v, x = iu, iv, float(x)
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
@@ -146,7 +158,7 @@ class Graph:
     # -- odd girth ---------------------------------------------------------
 
     def odd_girth(self) -> float:
-        """Shortest odd cycle length of the x>0 support; INFINITE_GIRTH if bipartite.
+        """Shortest odd cycle length of the x>0 support; INFINITE if bipartite.
 
         BFS on the bipartite double cover from every vertex: the distance
         from (s, even) to (s, odd) is the shortest odd closed walk through s,
@@ -159,7 +171,7 @@ class Graph:
                 u, v = int(self.eu[eid]), int(self.ev[eid])
                 support[u].append(v)
                 support[v].append(u)
-        best = INFINITE_GIRTH
+        best = INFINITE
         dist = np.empty(2 * n, dtype=np.int64)
         for s in range(n):
             dist.fill(-1)
@@ -207,7 +219,7 @@ class Graph:
         for i, e in enumerate(edges):
             if not isinstance(e, list) or len(e) != 3:
                 raise ValueError(f"instance: edges[{i}] must be [u, v, x], got {json.dumps(e)}")
-        return cls(vertex_count=int(payload["vertex_count"]), edges=[tuple(e) for e in edges])
+        return cls(vertex_count=payload["vertex_count"], edges=[tuple(e) for e in edges])
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:

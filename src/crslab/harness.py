@@ -20,11 +20,11 @@ import numpy as np
 
 from . import matching
 from .diagnostics import correlation_gap
-from .graph import FAMILIES, Graph, generate
+from .graph import FAMILIES, Graph, _integral, generate
 from .hardness import hardness_trajectory, m_de
 from .numerics import wilson_interval
 from .recursive import _table, fill_tables, simulate_edge, simulate_rank1, simulate_vertex
-from .selection import EDGE_KINDS, INFINITE, edge_selection, vertex_selection
+from .selection import EDGE_KINDS, edge_selection, parse_girth, vertex_selection
 from .two_phase import find_t0, simulate_two_phase
 
 __all__ = [
@@ -117,11 +117,9 @@ class ExperimentConfig:
 
 
 def _as_int(value, fld: str, lo: int | None = None, hi: int | None = None) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    value = _integral(value)
+    if value is None:
         raise ConfigError(f"{fld}: integer required")
-    if isinstance(value, float) and not value.is_integer():
-        raise ConfigError(f"{fld}: integer required")
-    value = int(value)
     if lo is not None and value < lo:
         raise ConfigError(f"{fld}: must be >= {lo}")
     if hi is not None and value > hi:
@@ -139,20 +137,10 @@ def _as_float(value, fld: str, lo: float, hi: float) -> float:
 
 
 def _girth_param(params: dict):
-    g = params.get("g", "infinite")
-    if isinstance(g, str):
-        if g.lower() in ("inf", "infinite", "infinity"):
-            return INFINITE
-        try:
-            g = int(g)
-        except ValueError as exc:
-            raise ConfigError("params.g: odd integer >= 3 or 'infinite'") from exc
-    if g == INFINITE:
-        return INFINITE
-    g = _as_int(g, "params.g", lo=3)
-    if g % 2 == 0:
-        raise ConfigError("params.g: odd integer >= 3 or 'infinite'")
-    return g
+    try:
+        return parse_girth(params.get("g", "infinite"))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError("params.g: odd integer >= 3 or 'infinite'") from exc
 
 
 def _t_param(params: dict) -> float:
@@ -193,8 +181,11 @@ def validate_config(cfg: ExperimentConfig) -> None:
         if key not in allowed:
             raise ConfigError(f"params.{key}: not a parameter of scheme {cfg.scheme}")
     if cfg.scheme in ("recursive-vertex", "recursive-edge"):
-        _as_int(cfg.params.get("T", 0), "params.T", lo=1)
-        delta = _as_float(cfg.params.get("delta", -1.0), "params.delta", 0.0, 1.0)
+        for fld in ("T", "delta"):
+            if fld not in cfg.params:
+                raise ConfigError(f"params.{fld}: required for scheme {cfg.scheme}")
+        _as_int(cfg.params["T"], "params.T", lo=1)
+        delta = _as_float(cfg.params["delta"], "params.delta", 0.0, 1.0)
         if delta >= 1.0:
             raise ConfigError("params.delta: must lie in [0, 1)")
         if "Q" in cfg.params:
@@ -210,12 +201,12 @@ def validate_config(cfg: ExperimentConfig) -> None:
     if cfg.scheme == "two-phase":
         _t_param(cfg.params)
     if cfg.kind == "gap":
-        for fld in ("u", "v"):
+        for fld in ("u", "v", "t_k"):
             if fld not in cfg.params:
                 raise ConfigError(f"params.{fld}: required for kind=gap")
-            _as_int(cfg.params[fld], f"params.{fld}", lo=0)
-        _as_float(cfg.params.get("t_k", -1.0), "params.t_k", 0.0, 1.0)
-        if cfg.params.get("t_k", 0.0) <= 0.0:
+        _as_int(cfg.params["u"], "params.u", lo=0)
+        _as_int(cfg.params["v"], "params.v", lo=0)
+        if _as_float(cfg.params["t_k"], "params.t_k", 0.0, 1.0) <= 0.0:
             raise ConfigError("params.t_k: must lie in (0, 1]")
     if cfg.kind == "hardness":
         if cfg.instance.get("family") != "complete_bipartite" or "n" not in cfg.instance:

@@ -12,13 +12,18 @@ __all__ = [
     "QuadratureError",
 ]
 
+# Halvings per panel before adaptive_simpson gives up.
+SIMPSON_MAX_DEPTH = 48
+# Halvings before bisect returns its bracket's midpoint.
+BISECT_MAX_ITER = 200
+
 
 def _simpson(f, a, fa, b, fb, m, fm):
     return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
 
 
 class QuadratureError(RuntimeError):
-    """Raised when adaptive refinement hits max depth before the tolerance."""
+    """Raised when adaptive refinement hits SIMPSON_MAX_DEPTH before the tolerance."""
 
 
 def _adaptive(f, a, fa, b, fb, m, fm, whole, tol, depth):
@@ -40,7 +45,7 @@ def _adaptive(f, a, fa, b, fb, m, fm, whole, tol, depth):
     )
 
 
-def adaptive_simpson(f, a: float, b: float, tol: float = 1e-10, max_depth: int = 48) -> float:
+def adaptive_simpson(f, a: float, b: float, tol: float = 1e-10) -> float:
     """Integrate f over [a, b] to absolute tolerance tol."""
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -50,7 +55,7 @@ def adaptive_simpson(f, a: float, b: float, tol: float = 1e-10, max_depth: int =
     m = 0.5 * (a + b)
     fm = f(m)
     whole = _simpson(f, a, fa, b, fb, m, fm)
-    return _adaptive(f, a, fa, b, fb, m, fm, whole, tol, max_depth)
+    return _adaptive(f, a, fa, b, fb, m, fm, whole, tol, SIMPSON_MAX_DEPTH)
 
 
 def integrate_grid(f, knots, tol: float = 1e-10) -> list[float]:
@@ -75,7 +80,7 @@ def integrate_grid(f, knots, tol: float = 1e-10) -> list[float]:
     return out
 
 
-def bisect(f, lo: float, hi: float, xtol: float = 1e-14, max_iter: int = 200) -> float:
+def bisect(f, lo: float, hi: float, xtol: float = 1e-14) -> float:
     """Root of f on [lo, hi]; requires a sign change."""
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
@@ -84,7 +89,7 @@ def bisect(f, lo: float, hi: float, xtol: float = 1e-14, max_iter: int = 200) ->
         return hi
     if (flo > 0) == (fhi > 0):
         raise ValueError(f"no sign change on [{lo}, {hi}]")
-    for _ in range(max_iter):
+    for _ in range(BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
         fmid = f(mid)
         if fmid == 0.0:

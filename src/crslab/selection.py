@@ -43,6 +43,9 @@ EDGE_KINDS = ("rank1", "edge_general", "edge_tree")
 # Below this the linear series expansion is exact to double precision.
 _TINY_Y = 1e-12
 
+# Absolute tolerance of the certificate's cumulative integral.
+CERTIFICATE_QUAD_TOL = 1e-10
+
 
 def _check_girth(g) -> bool:
     """Validate g (odd int >= 3 or INFINITE); return True when infinite."""
@@ -56,13 +59,16 @@ def _check_girth(g) -> bool:
     return False
 
 
-def parse_girth(text: str):
-    """CLI-facing parser: 'inf'/'infinite' or an odd integer >= 3."""
-    if text.lower() in ("inf", "infinite", "infinity"):
+def parse_girth(value):
+    """INFINITE or an odd int >= 3, from text ('inf'/'infinite'/'infinity' in
+    any case, or an integer) or a number; raises ValueError or TypeError."""
+    if isinstance(value, str):
+        if value.lower() in ("inf", "infinite", "infinity"):
+            return INFINITE
+        value = int(value)
+    if _check_girth(value):
         return INFINITE
-    g = int(text)
-    _check_girth(g)
-    return g
+    return int(value)
 
 
 def phi(y, g):
@@ -223,7 +229,7 @@ class CertificateReport:
         return self.monotone_ok and self.floor_ok and self.inequality_ok
 
 
-def verify_selection_conditions(sel: SelectionFunction, g, grid_size: int, quad_tol: float = 1e-10) -> CertificateReport:
+def verify_selection_conditions(sel: SelectionFunction, g, grid_size: int) -> CertificateReport:
     """Certify sel against the vertex-model conditions on a uniform grid.
 
     Checks monotone non-increase, the floor, and the defining inequality with
@@ -233,7 +239,7 @@ def verify_selection_conditions(sel: SelectionFunction, g, grid_size: int, quad_
         raise ValueError("grid_size must be >= 2")
     _check_girth(g)
     ts = np.linspace(0.0, 1.0, grid_size + 1)
-    cumulative = integrate_grid(lambda y: 2.0 * (float(sel(y)) * y + phi(y, g)), ts, quad_tol)
+    cumulative = integrate_grid(lambda y: 2.0 * (float(sel(y)) * y + phi(y, g)), ts, CERTIFICATE_QUAD_TOL)
     cs = np.array([float(sel(t)) for t in ts])
     monotone_ok = bool(np.all(np.diff(cs) <= 1e-12))
     floor_ok = bool(np.all(cs >= sel.floor - 1e-12))

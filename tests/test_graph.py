@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from crslab.graph import (
     FAMILIES,
-    INFINITE_GIRTH,
     Graph,
     complete,
     complete_bipartite,
@@ -21,6 +20,7 @@ from crslab.graph import (
     star,
     weighted_star,
 )
+from crslab.selection import INFINITE
 
 
 def test_construction_canonicalizes_edges():
@@ -75,16 +75,16 @@ def test_one_regular_detection():
 def test_odd_girth_basic_cases():
     assert cycle(5, 0.5).odd_girth() == 5.0
     assert cycle(3, 0.5).odd_girth() == 3.0
-    assert cycle(6, 0.5).odd_girth() == INFINITE_GIRTH
-    assert complete_bipartite(4).odd_girth() == INFINITE_GIRTH
+    assert cycle(6, 0.5).odd_girth() == INFINITE
+    assert complete_bipartite(4).odd_girth() == INFINITE
     assert complete(4).odd_girth() == 3.0
-    assert single_edge().odd_girth() == INFINITE_GIRTH
+    assert single_edge().odd_girth() == INFINITE
 
 
 def test_odd_girth_ignores_zero_weight_edges():
     # odd cycle broken by an x=0 edge is bipartite in support
     g = Graph(3, [(0, 1, 0.5), (1, 2, 0.5), (0, 2, 0.0)])
-    assert g.odd_girth() == INFINITE_GIRTH
+    assert g.odd_girth() == INFINITE
 
 
 @given(st.integers(min_value=1, max_value=6))
@@ -110,7 +110,7 @@ def test_generator_shapes():
     t = random_tree(16, 3)
     assert t.vertex_count == 16 and t.edge_count == 15
     assert t.validate_fractional_matching().ok
-    assert t.odd_girth() == INFINITE_GIRTH
+    assert t.odd_girth() == INFINITE
 
 
 def test_generator_validation_errors():
@@ -179,6 +179,11 @@ def test_json_round_trip(tmp_path):
         ('{"vertex_count": 3, "edges": {"0": [0, 1, 0.5]}}', "'edges' must be a list"),
         ('{"vertex_count": 3, "edges": [[0, 1, 0.5], [1, 2]]}', r"edges\[1\] must be \[u, v, x\], got \[1, 2\]"),
         ('{"vertex_count": 3, "edges": [7]}', r"edges\[0\] must be \[u, v, x\], got 7"),
+        ('{"vertex_count": 3, "edges": [[0.5, 1, 0.5]]}', r"edges\[0\]: integer vertex ids required, got 0\.5, 1"),
+        ('{"vertex_count": 3, "edges": [[true, 1, 0.5]]}', r"edges\[0\]: integer vertex ids required, got True, 1"),
+        ('{"vertex_count": 3, "edges": [[0, "1", 0.5]]}', r"edges\[0\]: integer vertex ids required, got 0, '1'"),
+        ('{"vertex_count": 2.7, "edges": [[0, 1, 0.5]]}', r"vertex_count: integer required, got 2\.7"),
+        ('{"vertex_count": false, "edges": []}', r"vertex_count: integer required, got False"),
     ],
 )
 def test_from_json_names_what_is_malformed(text, message):
@@ -186,9 +191,17 @@ def test_from_json_names_what_is_malformed(text, message):
         Graph.from_json(text)
 
 
+def test_integral_vertex_ids_accepted():
+    g = Graph.from_json('{"vertex_count": 3.0, "edges": [[2.0, 0, 0.5], [1, 2, 0.25]]}')
+    assert g.vertex_count == 3 and type(g.vertex_count) is int
+    assert g.edges == [(0, 2, 0.5), (1, 2, 0.25)]
+    h = Graph(np.int64(3), [(np.int32(2), np.int64(0), 0.5), (np.uint8(1), 2, 0.25)])
+    assert h.edges == g.edges and all(type(w) is int for e in h.edges for w in e[:2])
+
+
 @given(st.integers(min_value=3, max_value=30))
 def test_odd_girth_of_odd_cycles(n):
-    expected = float(n) if n % 2 == 1 else INFINITE_GIRTH
+    expected = float(n) if n % 2 == 1 else INFINITE
     assert cycle(n, 0.5).odd_girth() == expected
 
 

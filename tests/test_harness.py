@@ -58,14 +58,14 @@ BAD_CONFIGS = [
     ({"kind": "hardness"}, "kind=hardness requires scheme greedy"),
     ({"scheme": "greedy", "params": {}}, "greedy is only valid"),
     ({"params": {**BASE["params"], "bogus": 1}}, "params.bogus: not a parameter"),
-    ({"params": {"g": 5, "delta": 0.1, "Q": 50}}, "params.T: must be >= 1"),
-    ({"params": {"g": 5, "T": 4, "Q": 50}}, "params.delta: must lie in"),
+    ({"params": {"g": 5, "T": 0, "delta": 0.1, "Q": 50}}, "params.T: must be >= 1"),
+    ({"params": {"g": 5, "T": 4, "delta": -0.5, "Q": 50}}, "params.delta: must lie in"),
     ({"params": {"g": 5, "T": 4, "delta": 1.0, "Q": 50}}, "params.delta: must lie in"),
     ({"params": {"g": 5, "T": 4, "delta": 0.0}}, "params.Q: required when delta is 0"),
     ({"params": {"g": 5, "T": 4, "delta": 0.1, "Q": 0}}, "params.Q: must be >= 1"),
     ({"params": {"g": 4, "T": 4, "delta": 0.1, "Q": 50}}, "params.g: odd integer"),
     ({"params": {"g": "nope", "T": 4, "delta": 0.1, "Q": 50}}, "params.g: odd integer"),
-    ({"params": {"g": 1, "T": 4, "delta": 0.1, "Q": 50}}, "params.g: must be >= 3"),
+    ({"params": {"g": 1, "T": 4, "delta": 0.1, "Q": 50}}, "params.g: odd integer"),
     (
         {"scheme": "recursive-edge", "params": {"selection": "nope", "T": 4, "delta": 0.1, "Q": 50}},
         "params.selection: must be one of",
@@ -86,7 +86,7 @@ BAD_CONFIGS = [
         "params.t_k",
     ),
     (
-        {"kind": "gap", "params": {"g": 5, "T": 4, "delta": 0.1, "Q": 50, "u": 0, "v": 1}},
+        {"kind": "gap", "params": {"g": 5, "T": 4, "delta": 0.1, "Q": 50, "u": 0, "v": 1, "t_k": 1.5}},
         "params.t_k",
     ),
     ({"kind": "hardness", "scheme": "greedy", "params": {}}, "complete_bipartite"),
@@ -114,6 +114,14 @@ BAD_CONFIGS = [
     ({"checks": [{"metric": "", "op": ">=", "value": 1}]}, "metric: non-empty"),
     ({"checks": [{"metric": "a", "op": "~", "value": 1}]}, "op: must be"),
     ({"checks": [{"metric": "a", "op": ">=", "value": "x"}]}, "value: number or boolean"),
+    ({"params": {"g": 5, "delta": 0.1, "Q": 50}}, "params.T: required for scheme recursive-vertex"),
+    ({"params": {"g": 5, "T": 4, "Q": 50}}, "params.delta: required for scheme recursive-vertex"),
+    ({"params": {"g": True, "T": 4, "delta": 0.1, "Q": 50}}, "params.g: odd integer"),
+    ({"params": {"g": None, "T": 4, "delta": 0.1, "Q": 50}}, "params.g: odd integer"),
+    (
+        {"kind": "gap", "params": {"g": 5, "T": 4, "delta": 0.1, "Q": 50, "u": 0, "v": 1}},
+        "params.t_k: required for kind=gap",
+    ),
 ]
 
 
@@ -585,14 +593,6 @@ def test_cli_generate_to_file(tmp_path):
     assert Graph.load(out).vertex_count == 7
 
 
-def test_cli_generate_errors(tmp_path):
-    with pytest.raises(SystemExit):
-        main(["generate"])
-    with pytest.raises(SystemExit, match="key=value"):
-        main(["generate", "--family", "cycle", "--param", "n5"])
-    assert main(["generate", "--family", "cycle", "--param", "n=2"]) == 2
-
-
 def test_cli_validate(tmp_path, capsys):
     p = tmp_path / "c5.json"
     cycle(5, 0.5).save(p)
@@ -606,7 +606,13 @@ def test_cli_validate(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "payload,field",
-    [({}, "missing field 'vertex_count'"), ({"vertex_count": 3, "edges": [[0, 1]]}, "edges[0] must be [u, v, x]")],
+    [
+        ({}, "missing field 'vertex_count'"),
+        ({"vertex_count": 3, "edges": [[0, 1]]}, "edges[0] must be [u, v, x]"),
+        ({"vertex_count": 3, "edges": [[0.5, 1, 0.5]]}, "edges[0]: integer vertex ids required, got 0.5, 1"),
+        ({"vertex_count": 3, "edges": [[True, 1, 0.5]]}, "edges[0]: integer vertex ids required, got True, 1"),
+        ({"vertex_count": 2.7, "edges": [[0, 1, 0.5]]}, "vertex_count: integer required, got 2.7"),
+    ],
 )
 def test_cli_malformed_instance_file(tmp_path, capsys, payload, field):
     p = tmp_path / "bad.json"
@@ -673,23 +679,46 @@ def test_cli_profile(capsys):
     assert "all_pass=" in capsys.readouterr().out
 
 
-def test_cli_missing_recursive_flags():
-    with pytest.raises(SystemExit, match="--T and --delta"):
-        main(
-            [
-                "simulate", "--family", "cycle", "--param", "n=5",
-                "--scheme", "recursive-vertex", "--trials", "10", "--seed", "1",
-            ]
-        )
-    with pytest.raises(SystemExit, match=r"--t \(a value in \[0,1\] or 't0'\) required"):
-        main(
-            [
-                "simulate", "--family", "cycle", "--param", "n=5",
-                "--scheme", "two-phase", "--trials", "10", "--seed", "1",
-            ]
-        )
-    with pytest.raises(SystemExit, match="--instance or --family"):
-        main(["simulate", "--scheme", "rank1-closed", "--trials", "10", "--seed", "1"])
+RUN = ["--trials", "10", "--seed", "1"]
+C5 = ["--family", "cycle", "--param", "n=5", "--param", "x=0.5"]
+
+# Every usage or configuration error: (argv, the one stderr line's text).
+CLI_ERRORS = [
+    (["simulate", *C5, "--scheme", "recursive-vertex", "--delta", "0.1", *RUN],
+     "config error: params.T: required for scheme recursive-vertex"),
+    (["simulate", *C5, "--scheme", "recursive-edge", "--selection", "edge_tree", "--T", "4", *RUN],
+     "config error: params.delta: required for scheme recursive-edge"),
+    (["simulate", *C5, "--scheme", "two-phase", *RUN], "config error: params.t: required for scheme two-phase"),
+    (["simulate", *C5, "--scheme", "two-phase", "--t", "abc", *RUN],
+     "crslab simulate: error: argument --t: invalid threshold value: 'abc'"),
+    (["diag", "--what", "gap", *C5, *RUN], "config error: params.t_k: required for kind=gap"),
+    (["simulate", "--scheme", "rank1-closed", *RUN], "config error: instance: object with 'family'"),
+    (["simulate", "--family", "cycle", "--param", "n5", "--scheme", "rank1-closed", *RUN],
+     "config error: --param: key=value expected, got 'n5'"),
+    (["selection", "--g", "3,5", "--out", "unwritten.csv"], "config error: --out: exactly one --g value expected"),
+    (["generate"], "config error: instance.family: must be one of"),
+    (["generate", "--family", "cycle", "--param", "n5"], "config error: --param: key=value expected, got 'n5'"),
+    (["generate", "--family", "cycle", "--param", "n=2"], "config error: instance: cycle needs n >= 3"),
+    (["generate", "--family", "cycle", "--param", "n=abc"], "config error: instance: '<' not supported"),
+    (["generate", "--family", "cycle", "--param", "m=3"], "config error: instance: cycle() got an unexpected keyword"),
+    (["generate", "--family", "star", "--param", "k=3"], "config error: instance: star() missing 1 required"),
+]
+
+
+@pytest.mark.parametrize("argv,message", CLI_ERRORS)
+def test_cli_error_exits_2(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's own errors
+        code = exc.code
+    lines = capsys.readouterr().err.splitlines()
+    assert code == 2
+    if "argument --" in message:  # argparse prints its usage before its own errors
+        assert lines[0].startswith("usage: ")
+        lines = lines[-1:]
+    assert len(lines) == 1 and lines[0].startswith(message)
+    assert not list(tmp_path.iterdir())
 
 
 def test_cli_config_error_exit_code(capsys):
@@ -748,16 +777,6 @@ def test_cli_diag_bad_vertices(capsys, what, uv, message):
     )
     assert code == 2
     assert f"config error: {message}" in capsys.readouterr().err
-
-
-def test_cli_diag_gap_requires_t_k():
-    with pytest.raises(SystemExit, match="--t-k required"):
-        main(
-            [
-                "diag", "--what", "gap", "--family", "cycle", "--param", "n=5",
-                "--trials", "10", "--seed", "1",
-            ]
-        )
 
 
 def test_cli_suite(tmp_path, capsys):

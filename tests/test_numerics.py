@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from crslab import numerics
 from crslab.numerics import (
     QuadratureError,
     adaptive_simpson,
@@ -26,10 +27,11 @@ def test_simpson_degenerate_and_bad_tol():
         adaptive_simpson(math.exp, 0.0, 1.0, tol=0.0)
 
 
-def test_simpson_depth_exhaustion():
+def test_simpson_depth_exhaustion(monkeypatch):
     # |x|^0.1 has an unbounded derivative at 0; depth 1 cannot reach 1e-14
+    monkeypatch.setattr(numerics, "SIMPSON_MAX_DEPTH", 1)
     with pytest.raises(QuadratureError):
-        adaptive_simpson(lambda y: abs(y) ** 0.1, -1.0, 1.0, tol=1e-14, max_depth=1)
+        adaptive_simpson(lambda y: abs(y) ** 0.1, -1.0, 1.0, tol=1e-14)
 
 
 @given(

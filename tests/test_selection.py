@@ -44,10 +44,22 @@ def test_parse_girth():
     assert parse_girth("inf") == INFINITE
     assert parse_girth("INFINITE") == INFINITE
     assert parse_girth("7") == 7
+    assert parse_girth(str(INFINITE)) == INFINITE  # "inf"
     with pytest.raises(ValueError):
         parse_girth("4")
     with pytest.raises(ValueError):
         parse_girth("three")
+    with pytest.raises(ValueError):
+        parse_girth("5.0")
+    # numbers as a JSON config holds them
+    assert parse_girth(INFINITE) == INFINITE
+    assert parse_girth(5) == 5 and type(parse_girth(5.0)) is int
+    for bad in (4, 1, 5.5, -INFINITE, True):
+        with pytest.raises(ValueError):
+            parse_girth(bad)
+    for bad in (None, [5]):
+        with pytest.raises(TypeError):
+            parse_girth(bad)
 
 
 def test_gamma_upper_int_identities():
