@@ -76,7 +76,10 @@ class Graph:
             iu, iv = _integral(u), _integral(v)
             if iu is None or iv is None:
                 raise ValueError(f"edges[{i}]: integer vertex ids required, got {u!r}, {v!r}")
-            u, v, x = iu, iv, float(x)
+            try:
+                u, v, x = iu, iv, float(x)
+            except (TypeError, ValueError):
+                raise ValueError(f"edges[{i}]: number x required, got {x!r}") from None
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):

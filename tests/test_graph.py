@@ -184,6 +184,8 @@ def test_json_round_trip(tmp_path):
         ('{"vertex_count": 3, "edges": [[0, "1", 0.5]]}', r"edges\[0\]: integer vertex ids required, got 0, '1'"),
         ('{"vertex_count": 2.7, "edges": [[0, 1, 0.5]]}', r"vertex_count: integer required, got 2\.7"),
         ('{"vertex_count": false, "edges": []}', r"vertex_count: integer required, got False"),
+        ('{"vertex_count": 2, "edges": [[0, 1, null]]}', r"edges\[0\]: number x required, got None"),
+        ('{"vertex_count": 2, "edges": [[0, 1, "abc"]]}', r"edges\[0\]: number x required, got 'abc'"),
     ],
 )
 def test_from_json_names_what_is_malformed(text, message):

@@ -612,6 +612,7 @@ def test_cli_validate(tmp_path, capsys):
         ({"vertex_count": 3, "edges": [[0.5, 1, 0.5]]}, "edges[0]: integer vertex ids required, got 0.5, 1"),
         ({"vertex_count": 3, "edges": [[True, 1, 0.5]]}, "edges[0]: integer vertex ids required, got True, 1"),
         ({"vertex_count": 2.7, "edges": [[0, 1, 0.5]]}, "vertex_count: integer required, got 2.7"),
+        ({"vertex_count": 2, "edges": [[0, 1, None]]}, "edges[0]: number x required, got None"),
     ],
 )
 def test_cli_malformed_instance_file(tmp_path, capsys, payload, field):
