@@ -11,10 +11,10 @@ import numpy as np
 
 from .graph import FAMILIES, Graph
 from .harness import (
-    _PARAM_KEYS,
     SCHEMES,
     ConfigError,
     ExperimentConfig,
+    param_table,
     resolve_instance,
     run_experiment,
     run_suite,
@@ -43,12 +43,15 @@ def _parse_value(text: str):
     return text
 
 
-def _param_dict(pairs: list[str] | None) -> dict:
-    out = {}
-    for pair in pairs or []:
+def _family_spec(args) -> dict:
+    """The instance spec of --family and its --param pairs."""
+    out = {"family": args.family}
+    for pair in args.param or []:
         key, sep, value = pair.partition("=")
         if not sep:
             raise ConfigError(f"--param: key=value expected, got {pair!r}")
+        if key in ("family", "path"):
+            raise ConfigError(f"--param: {key} is not a generator parameter")
         out[key] = _parse_value(value)
     return out
 
@@ -67,7 +70,7 @@ def _instance_spec(args) -> dict:
     if args.instance:
         return {"path": args.instance}
     if args.family:
-        return {"family": args.family, **_param_dict(args.param)}
+        return _family_spec(args)
     return {}
 
 
@@ -86,9 +89,9 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", metavar="DIR", help="write CSV/JSON reports here")
 
 
-def _given(args, keys) -> dict:
-    """The flags named `keys` that were given, as config params."""
-    return {k: getattr(args, k) for k in sorted(keys) if getattr(args, k) is not None}
+def _given(args, scheme: str, kind: str) -> dict:
+    """The flags that were given and name a run parameter of `scheme` and `kind`, as config params."""
+    return {k: getattr(args, k) for k in sorted(param_table(scheme, kind)) if getattr(args, k) is not None}
 
 
 def _emit(cfg: ExperimentConfig, out_dir: str | None) -> dict:
@@ -105,7 +108,7 @@ def _cmd_generate(args) -> int:
         for name in sorted(FAMILIES):
             print(name)
         return 0
-    g = resolve_instance({"family": args.family, **_param_dict(args.param)})
+    g = resolve_instance(_family_spec(args))
     if args.out:
         g.save(args.out)
     else:
@@ -165,7 +168,7 @@ def _cmd_simulate(args, kind: str) -> int:
         trials=args.trials,
         seed=args.seed,
         bins=args.bins,
-        params=_given(args, _PARAM_KEYS[args.scheme]),
+        params=_given(args, args.scheme, kind),
     )
     summary = _emit(cfg, args.out)
     keys = (
@@ -186,7 +189,7 @@ def _cmd_diag(args) -> int:
             scheme="greedy",
             trials=args.trials,
             seed=args.seed,
-            params=_given(args, ("t_max",)),
+            params=_given(args, "greedy", "hardness"),
         )
         summary = _emit(cfg, args.out)
         print(
@@ -194,7 +197,7 @@ def _cmd_diag(args) -> int:
             f"sup_distance={summary['sup_distance']!r}  q_min={summary['q_min_frequency']!r}"
         )
         return 0
-    params = _given(args, ("g", "T", "delta", "Q", "u", "v", "t_k"))
+    params = _given(args, "recursive-vertex", "gap")
     if args.what == "flipping":
         params["t_k"] = 1.0
     cfg = ExperimentConfig(

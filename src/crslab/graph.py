@@ -76,10 +76,9 @@ class Graph:
             iu, iv = _integral(u), _integral(v)
             if iu is None or iv is None:
                 raise ValueError(f"edges[{i}]: integer vertex ids required, got {u!r}, {v!r}")
-            try:
-                u, v, x = iu, iv, float(x)
-            except (TypeError, ValueError):
-                raise ValueError(f"edges[{i}]: number x required, got {x!r}") from None
+            if isinstance(x, bool) or not isinstance(x, (int, float, np.integer, np.floating)):
+                raise ValueError(f"edges[{i}]: number x required, got {x!r}")
+            u, v, x = iu, iv, float(x)
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):

@@ -9,11 +9,14 @@ files can be compared across runs and machines.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
+import operator
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +27,7 @@ from .graph import FAMILIES, Graph, _integral, generate
 from .hardness import hardness_trajectory, m_de
 from .numerics import wilson_interval
 from .recursive import _table, fill_tables, simulate_edge, simulate_rank1, simulate_vertex
-from .selection import EDGE_KINDS, edge_selection, parse_girth, vertex_selection
+from .selection import EDGE_KINDS, INFINITE, edge_selection, parse_girth, vertex_selection
 from .two_phase import find_t0, simulate_two_phase
 
 __all__ = [
@@ -46,16 +49,10 @@ KINDS = ("selectability", "profile", "gap", "hardness")
 SCHEMES = ("recursive-vertex", "recursive-edge", "rank1-closed", "two-phase", "greedy")
 PROFILE_SCHEMES = ("recursive-vertex", "recursive-edge", "rank1-closed")
 UNDERPOWERED_COUNT = 100
-CHECK_OPS = (">=", "<=", ">", "<", "==", "!=")
-_NAME_RE = re.compile(r"^[A-Za-z0-9._-]+$")
-
-_PARAM_KEYS = {
-    "recursive-vertex": {"g", "T", "delta", "Q"},
-    "recursive-edge": {"selection", "T", "delta", "Q"},
-    "rank1-closed": set(),
-    "two-phase": {"t"},
-    "greedy": {"t_max"},
+CHECK_OPS = {
+    ">=": operator.ge, "<=": operator.le, ">": operator.gt, "<": operator.lt, "==": operator.eq, "!=": operator.ne,
 }
+_NAME_RE = re.compile(r"[A-Za-z0-9._-]+")
 
 
 class ConfigError(ValueError):
@@ -73,6 +70,8 @@ class ExperimentConfig:
     bins: int = 20
     params: dict = field(default_factory=dict)
     checks: list = field(default_factory=list)
+    # The run parameters as validate_config parsed them, defaults filled in.
+    parsed: dict = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         validate_config(self)
@@ -81,39 +80,18 @@ class ExperimentConfig:
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         if not isinstance(raw, dict):
             raise ConfigError("experiment: must be an object")
-        known = {"name", "kind", "instance", "scheme", "trials", "seed", "bins", "params", "checks"}
+        known = {f.name: f for f in fields(cls) if f.init}
         for key in raw:
             if key not in known:
                 raise ConfigError(f"{key}: unknown field")
-        try:
-            cfg = cls(
-                name=raw.get("name", ""),
-                kind=raw.get("kind", ""),
-                instance=raw.get("instance", {}),
-                scheme=raw.get("scheme", ""),
-                trials=raw.get("trials", 0),
-                seed=raw.get("seed", -1),
-                bins=raw.get("bins", 20),
-                params=raw.get("params", {}),
-                checks=raw.get("checks", []),
-            )
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from exc
-        return cfg
+        for name, f in known.items():
+            if name not in raw and f.default is MISSING and f.default_factory is MISSING:
+                raise ConfigError(f"{name}: required")
+        return cls(**raw)
 
     def echo(self) -> dict:
         """Config as a plain JSON-ready dict (normalized field order)."""
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "instance": dict(self.instance),
-            "scheme": self.scheme,
-            "trials": int(self.trials),
-            "seed": int(self.seed),
-            "bins": int(self.bins),
-            "params": dict(self.params),
-            "checks": [dict(c) for c in self.checks],
-        }
+        return {f.name: copy.deepcopy(getattr(self, f.name)) for f in fields(self) if f.init}
 
 
 def _as_int(value, fld: str, lo: int | None = None, hi: int | None = None) -> int:
@@ -127,40 +105,74 @@ def _as_int(value, fld: str, lo: int | None = None, hi: int | None = None) -> in
     return value
 
 
-def _as_float(value, fld: str, lo: float, hi: float) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{fld}: number required")
-    value = float(value)
-    if not (lo <= value <= hi):
-        raise ConfigError(f"{fld}: must lie in [{lo}, {hi}]")
+def _unit(interval: str):
+    """Parser for a number in `interval`, written like "[0, 1)": a parenthesis excludes that end."""
+
+    def parse(value, fld: str) -> float:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"{fld}: number required")
+        if not (0 <= value <= 1) or (value == 0 and interval[0] == "(") or (value == 1 and interval[-1] == ")"):
+            raise ConfigError(f"{fld}: must lie in {interval}")
+        return float(value)
+
+    return parse
+
+
+def _girth(value, fld: str):
+    try:
+        return parse_girth(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{fld}: odd integer >= 3 or 'infinite'") from exc
+
+
+def _selection(value, fld: str = "params.selection") -> str:
+    if value not in EDGE_KINDS:
+        raise ConfigError(f"{fld}: must be one of {EDGE_KINDS}")
     return value
 
 
-def _girth_param(params: dict):
-    try:
-        return parse_girth(params.get("g", "infinite"))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("params.g: odd integer >= 3 or 'infinite'") from exc
+def _threshold(value, fld: str) -> float:
+    return find_t0() if value == "t0" else _unit("[0, 1]")(value, fld)
 
 
-def _t_param(params: dict) -> float:
-    t = params.get("t")
-    if t is None:
-        raise ConfigError("params.t: required for scheme two-phase")
-    if t == "t0":
-        return find_t0()
-    return _as_float(t, "params.t", 0.0, 1.0)
+_positive = partial(_as_int, lo=1)
+_nonnegative = partial(_as_int, lo=0)
+REQUIRED = object()  # the default of a parameter that must be given
+
+# Run parameters: name -> (parser, parsed value when absent). A callable
+# default is applied to the values parsed before it.
+_RECURSIVE = {"T": (_positive, REQUIRED), "delta": (_unit("[0, 1)"), REQUIRED), "Q": (_positive, None)}
+SCHEME_PARAMS = {
+    "recursive-vertex": {"g": (_girth, INFINITE), **_RECURSIVE},
+    # an absent selection gets the error of an unknown one, which lists the kinds
+    "recursive-edge": {"selection": (_selection, lambda parsed: _selection(None)), **_RECURSIVE},
+    "rank1-closed": {},
+    "two-phase": {"t": (_threshold, REQUIRED)},
+    "greedy": {"t_max": (_nonnegative, lambda parsed: math.floor(1.9 * parsed["n"]))},
+}
+GAP_PARAMS = {"u": (_nonnegative, REQUIRED), "v": (_nonnegative, REQUIRED), "t_k": (_unit("(0, 1]"), REQUIRED)}
+
+
+def param_table(scheme: str, kind: str) -> dict:
+    """The run parameters a config of this scheme and kind takes."""
+    return {**SCHEME_PARAMS[scheme], **(GAP_PARAMS if kind == "gap" else {})}
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
-    """Raise ConfigError naming the first invalid field; every ExperimentConfig runs it on construction."""
-    if not cfg.name or not _NAME_RE.match(cfg.name):
+    """Raise ConfigError naming the first invalid field, else keep the parsed values.
+
+    Every ExperimentConfig runs it on construction. `trials`, `seed` and
+    `bins` become ints; `cfg.parsed` gets the run parameters (and `n` for
+    kind=hardness) with their defaults, and the runners read nothing else.
+    `cfg.params` stays as given, so the report echoes it.
+    """
+    if not isinstance(cfg.name, str) or not _NAME_RE.fullmatch(cfg.name):
         raise ConfigError("name: non-empty [A-Za-z0-9._-]+ required")
     if cfg.kind not in KINDS:
         raise ConfigError(f"kind: must be one of {KINDS}")
-    _as_int(cfg.trials, "trials", lo=1)
-    _as_int(cfg.bins, "bins", lo=1)
-    _as_int(cfg.seed, "seed", lo=0, hi=2**64 - 1)
+    cfg.trials = _positive(cfg.trials, "trials")
+    cfg.bins = _positive(cfg.bins, "bins")
+    cfg.seed = _as_int(cfg.seed, "seed", lo=0, hi=2**64 - 1)
     if cfg.scheme not in SCHEMES:
         raise ConfigError(f"scheme: must be one of {SCHEMES}")
     if cfg.kind == "profile" and cfg.scheme not in PROFILE_SCHEMES:
@@ -172,50 +184,30 @@ def validate_config(cfg: ExperimentConfig) -> None:
             raise ConfigError("scheme: kind=hardness requires scheme greedy")
     elif cfg.scheme == "greedy":
         raise ConfigError("scheme: greedy is only valid for kind=hardness")
-    if not isinstance(cfg.params, dict):
-        raise ConfigError("params: must be an object")
-    allowed = set(_PARAM_KEYS[cfg.scheme])
-    if cfg.kind == "gap":
-        allowed |= {"u", "v", "t_k"}
-    for key in cfg.params:
-        if key not in allowed:
-            raise ConfigError(f"params.{key}: not a parameter of scheme {cfg.scheme}")
-    if cfg.scheme in ("recursive-vertex", "recursive-edge"):
-        for fld in ("T", "delta"):
-            if fld not in cfg.params:
-                raise ConfigError(f"params.{fld}: required for scheme {cfg.scheme}")
-        _as_int(cfg.params["T"], "params.T", lo=1)
-        delta = _as_float(cfg.params["delta"], "params.delta", 0.0, 1.0)
-        if delta >= 1.0:
-            raise ConfigError("params.delta: must lie in [0, 1)")
-        if "Q" in cfg.params:
-            _as_int(cfg.params["Q"], "params.Q", lo=1)
-        elif delta == 0.0:
-            raise ConfigError("params.Q: required when delta is 0")
-    if cfg.scheme == "recursive-vertex":
-        _girth_param(cfg.params)
-    if cfg.scheme == "recursive-edge":
-        kind = cfg.params.get("selection")
-        if kind not in EDGE_KINDS:
-            raise ConfigError(f"params.selection: must be one of {EDGE_KINDS}")
-    if cfg.scheme == "two-phase":
-        _t_param(cfg.params)
-    if cfg.kind == "gap":
-        for fld in ("u", "v", "t_k"):
-            if fld not in cfg.params:
-                raise ConfigError(f"params.{fld}: required for kind=gap")
-        _as_int(cfg.params["u"], "params.u", lo=0)
-        _as_int(cfg.params["v"], "params.v", lo=0)
-        if _as_float(cfg.params["t_k"], "params.t_k", 0.0, 1.0) <= 0.0:
-            raise ConfigError("params.t_k: must lie in (0, 1]")
+    parsed = {}
     if cfg.kind == "hardness":
-        if cfg.instance.get("family") != "complete_bipartite" or "n" not in cfg.instance:
+        instance = cfg.instance if isinstance(cfg.instance, dict) else {}
+        if instance.get("family") != "complete_bipartite" or "n" not in instance:
             raise ConfigError("instance: kind=hardness requires {family: complete_bipartite, n: ...}")
-        _as_int(cfg.instance["n"], "instance.n", lo=1)
-        if "t_max" in cfg.params:
-            _as_int(cfg.params["t_max"], "params.t_max", lo=0)
+        parsed["n"] = _positive(instance["n"], "instance.n")
     elif not isinstance(cfg.instance, dict) or not ("path" in cfg.instance or "family" in cfg.instance):
         raise ConfigError("instance: object with 'family' (plus parameters) or 'path' required")
+    if not isinstance(cfg.params, dict):
+        raise ConfigError("params: must be an object")
+    table = param_table(cfg.scheme, cfg.kind)
+    for key in cfg.params:
+        if key not in table:
+            raise ConfigError(f"params.{key}: not a parameter of scheme {cfg.scheme}")
+    for key, (parse, default) in table.items():
+        if key in cfg.params:
+            parsed[key] = parse(cfg.params[key], f"params.{key}")
+        elif default is REQUIRED:
+            where = "kind=gap" if key in GAP_PARAMS else f"scheme {cfg.scheme}"
+            raise ConfigError(f"params.{key}: required for {where}")
+        else:
+            parsed[key] = default(parsed) if callable(default) else default
+    if parsed.get("delta") == 0.0 and parsed["Q"] is None:
+        raise ConfigError("params.Q: required when delta is 0")
     if not isinstance(cfg.checks, list):
         raise ConfigError("checks: must be a list")
     for i, chk in enumerate(cfg.checks):
@@ -223,10 +215,11 @@ def validate_config(cfg: ExperimentConfig) -> None:
             raise ConfigError(f"checks[{i}]: object with metric/op/value required")
         if not isinstance(chk["metric"], str) or not chk["metric"]:
             raise ConfigError(f"checks[{i}].metric: non-empty string required")
-        if chk["op"] not in CHECK_OPS:
-            raise ConfigError(f"checks[{i}].op: must be one of {CHECK_OPS}")
+        if not isinstance(chk["op"], str) or chk["op"] not in CHECK_OPS:
+            raise ConfigError(f"checks[{i}].op: must be one of {tuple(CHECK_OPS)}")
         if isinstance(chk["value"], (str, list, dict)) or chk["value"] is None:
             raise ConfigError(f"checks[{i}].value: number or boolean required")
+    cfg.parsed = parsed
 
 
 def resolve_instance(spec: dict) -> Graph:
@@ -274,20 +267,18 @@ def _py(value):
 
 
 def _run_scheme(cfg: ExperimentConfig, g: Graph):
-    """Dispatch a selectability/profile simulation; returns (sim, meta)."""
-    p = cfg.params
+    """Dispatch a selectability/profile simulation; returns (sim, sel), sel None without tables."""
+    p = cfg.parsed
     if cfg.scheme == "recursive-vertex":
-        sel = vertex_selection(_girth_param(p))
-        sim = simulate_vertex(g, sel, p["T"], float(p["delta"]), cfg.trials, cfg.seed, Q=p.get("Q"), bins=cfg.bins)
-        return sim, {"sel": sel, "T": p["T"], "delta": float(p["delta"])}
+        sel = vertex_selection(p["g"])
+        return simulate_vertex(g, sel, p["T"], p["delta"], cfg.trials, cfg.seed, Q=p["Q"], bins=cfg.bins), sel
     if cfg.scheme == "recursive-edge":
         sel = edge_selection(p["selection"])
-        sim = simulate_edge(g, sel, p["T"], float(p["delta"]), cfg.trials, cfg.seed, Q=p.get("Q"), bins=cfg.bins)
-        return sim, {"sel": sel, "T": p["T"], "delta": float(p["delta"])}
+        return simulate_edge(g, sel, p["T"], p["delta"], cfg.trials, cfg.seed, Q=p["Q"], bins=cfg.bins), sel
     if cfg.scheme == "rank1-closed":
-        return simulate_rank1(g, cfg.trials, cfg.seed, bins=cfg.bins), {}
+        return simulate_rank1(g, cfg.trials, cfg.seed, bins=cfg.bins), None
     if cfg.scheme == "two-phase":
-        return simulate_two_phase(g, _t_param(p), cfg.trials, cfg.seed, bins=cfg.bins), {}
+        return simulate_two_phase(g, p["t"], cfg.trials, cfg.seed, bins=cfg.bins), None
     raise ConfigError(f"scheme: {cfg.scheme} has no simulation runner")
 
 
@@ -341,12 +332,11 @@ def estimate_selectability(cfg: ExperimentConfig) -> ExperimentReport:
     return ExperimentReport("selectability", summary, columns, rows)
 
 
-def _profile_band(cfg: ExperimentConfig, meta: dict, mid: float, target: float) -> tuple[float, float, bool]:
+def _profile_band(cfg: ExperimentConfig, sel, mid: float, target: float) -> tuple[float, float, bool]:
     """(band_lo, band_hi, plain) for one bin; plain adds the undiscounted check."""
     if cfg.scheme == "rank1-closed":
         return target, target, True
-    sel = meta["sel"]
-    T, delta = meta["T"], meta["delta"]
+    T, delta = cfg.parsed["T"], cfg.parsed["delta"]
     discount = (1.0 - delta) / (1.0 + delta) * (1.0 - 4.0 / (sel.floor * T * mid))
     # the engine's own 1/(1 + 1/(CTy)) thinning dominates small-y bins; the
     # plain +/- 3 sigma match is only meaningful where it is negligible
@@ -359,14 +349,14 @@ def exact_selection_profile(cfg: ExperimentConfig) -> ExperimentReport:
     if cfg.kind != "profile":
         raise ConfigError("kind: exact_selection_profile requires kind=profile")
     g = resolve_instance(cfg.instance)
-    sim, meta = _run_scheme(cfg, g)
+    sim, sel = _run_scheme(cfg, g)
     bins = cfg.bins
     act_b = sim.act_bin.sum(axis=0)
     acc_b = sim.acc_bin.sum(axis=0)
     if cfg.scheme == "rank1-closed":
         target_fn = lambda y: math.exp(-y)  # noqa: E731
     else:
-        target_fn = meta["sel"]
+        target_fn = sel
     columns = ["bin", "lo", "hi", "mid", "active", "accepted", "rate", "sigma",
                "target", "band_lo", "band_hi", "status"]
     rows = []
@@ -377,7 +367,7 @@ def exact_selection_profile(cfg: ExperimentConfig) -> ExperimentReport:
         mid = (lo + hi) / 2.0
         act, acc = int(act_b[b]), int(acc_b[b])
         target = float(target_fn(mid))
-        band_lo, band_hi, plain = _profile_band(cfg, meta, mid, target)
+        band_lo, band_hi, plain = _profile_band(cfg, sel, mid, target)
         if act < UNDERPOWERED_COUNT:
             underpowered += 1
             rate = acc / act if act else ""
@@ -408,8 +398,8 @@ def exact_selection_profile(cfg: ExperimentConfig) -> ExperimentReport:
 
 def _run_gap(cfg: ExperimentConfig) -> ExperimentReport:
     g = resolve_instance(cfg.instance)
-    p = cfg.params
-    u, v = int(p["u"]), int(p["v"])
+    p = cfg.parsed
+    u, v = p["u"], p["v"]
     for fld, w in (("u", u), ("v", v)):
         if w >= g.vertex_count:
             raise ConfigError(f"params.{fld}: vertex {w} outside 0..{g.vertex_count - 1}")
@@ -417,9 +407,9 @@ def _run_gap(cfg: ExperimentConfig) -> ExperimentReport:
         g.edge_id(u, v)
     except KeyError:
         raise ConfigError(f"params.v: ({u},{v}) is not an edge of the instance") from None
-    sel = vertex_selection(_girth_param(p))
-    table = _table(fill_tables, g, sel, p["T"], float(p["delta"]), p.get("Q"), cfg.seed)
-    rep = correlation_gap(g, sel, table, u, v, float(p["t_k"]), cfg.trials, cfg.seed)
+    sel = vertex_selection(p["g"])
+    table = _table(fill_tables, g, sel, p["T"], p["delta"], p["Q"], cfg.seed)
+    rep = correlation_gap(g, sel, table, u, v, p["t_k"], cfg.trials, cfg.seed)
     summary = {
         "u": rep.u,
         "v": rep.v,
@@ -442,9 +432,8 @@ def _run_gap(cfg: ExperimentConfig) -> ExperimentReport:
 
 
 def _run_hardness(cfg: ExperimentConfig) -> ExperimentReport:
-    n = int(cfg.instance["n"])
+    n, t_max = cfg.parsed["n"], cfg.parsed["t_max"]
     rep = hardness_trajectory(n, cfg.trials, cfg.seed)
-    t_max = int(cfg.params.get("t_max", math.floor(1.9 * n)))
     mean = rep.mean_trajectory
     ref = rep.reference
     q_freq = rep.q_frequency
@@ -504,27 +493,10 @@ def write_report(out_dir: str | Path, name: str, cfg: ExperimentConfig, report: 
 # -- suite -----------------------------------------------------------------------
 
 
-def get_metric(summary: dict, path: str):
-    node = summary
-    for part in path.split("."):
-        if not isinstance(node, dict) or part not in node:
-            raise ConfigError(f"checks.metric: unknown metric {path!r}")
-        node = node[part]
-    return node
-
-
-def apply_check(op: str, actual, value) -> bool:
-    if op == ">=":
-        return actual >= value
-    if op == "<=":
-        return actual <= value
-    if op == ">":
-        return actual > value
-    if op == "<":
-        return actual < value
-    if op == "==":
-        return actual == value
-    return actual != value
+def get_metric(summary: dict, name: str):
+    if name not in summary:
+        raise ConfigError(f"checks.metric: unknown metric {name!r}")
+    return summary[name]
 
 
 @dataclass
@@ -583,7 +555,7 @@ def run_suite(path: str | Path, out_dir: str | Path | None = None) -> SuiteResul
         checks = []
         for chk in cfg.checks:
             actual = _py(get_metric(report.summary, chk["metric"]))
-            ok = apply_check(chk["op"], actual, chk["value"])
+            ok = CHECK_OPS[chk["op"]](actual, chk["value"])
             checks.append({
                 "metric": chk["metric"],
                 "op": chk["op"],

@@ -74,11 +74,8 @@ def phase_of(y, T: int):
 
 @dataclass
 class EstimateTable:
-    mode: str  # "vertex" | "edge"
     T: int
     delta: float
-    Q: int
-    floor_clamp: float
     values: np.ndarray  # (T, 2m) vertex / (T, m) edge; row 0 is all ones
 
 
@@ -138,7 +135,7 @@ def fill_tables(g: Graph, sel: SelectionFunction, T: int, delta: float, Q: int, 
     n = g.vertex_count
     floor_clamp = sel.floor / 2.0
     values = np.ones((T, 2 * m), dtype=np.float64)
-    table = EstimateTable("vertex", T, delta, Q, floor_clamp, values)
+    table = EstimateTable(T, delta, values)
     targets = np.empty(2 * m, dtype=np.int64)
     proposers = np.empty(2 * m, dtype=np.int64)
     for eid in range(m):
@@ -212,7 +209,7 @@ def fill_tables_edge(g: Graph, sel: SelectionFunction, T: int, delta: float, Q: 
     n = g.vertex_count
     floor_clamp = sel.floor / 2.0
     values = np.ones((T, m), dtype=np.float64)
-    table = EstimateTable("edge", T, delta, Q, floor_clamp, values)
+    table = EstimateTable(T, delta, values)
     eu, ev = g.eu, g.ev
     rows_total = m * Q
     # Two buffer sets when drawing ahead (one being drawn, one being run).

@@ -30,7 +30,7 @@ NO = NO_CHOICE
 
 def ones_table(g, T=6, delta=0.1):
     # all survival estimates pinned at 1 so proposal bits depend only on c and damping
-    return EstimateTable("vertex", T, delta, 0, 0.5, np.ones((T, 2 * g.edge_count)))
+    return EstimateTable(T, delta, np.ones((T, 2 * g.edge_count)))
 
 
 # -- potential-path detection ----------------------------------------------------

@@ -186,6 +186,9 @@ def test_json_round_trip(tmp_path):
         ('{"vertex_count": false, "edges": []}', r"vertex_count: integer required, got False"),
         ('{"vertex_count": 2, "edges": [[0, 1, null]]}', r"edges\[0\]: number x required, got None"),
         ('{"vertex_count": 2, "edges": [[0, 1, "abc"]]}', r"edges\[0\]: number x required, got 'abc'"),
+        ('{"vertex_count": 2, "edges": [[0, 1, "0.5"]]}', r"edges\[0\]: number x required, got '0\.5'"),
+        ('{"vertex_count": 2, "edges": [[0, 1, true]]}', r"edges\[0\]: number x required, got True"),
+        ('{"vertex_count": 2, "edges": [[0, 1, [0.5]]]}', r"edges\[0\]: number x required, got \[0\.5\]"),
     ],
 )
 def test_from_json_names_what_is_malformed(text, message):
@@ -199,6 +202,13 @@ def test_integral_vertex_ids_accepted():
     assert g.edges == [(0, 2, 0.5), (1, 2, 0.25)]
     h = Graph(np.int64(3), [(np.int32(2), np.int64(0), 0.5), (np.uint8(1), 2, 0.25)])
     assert h.edges == g.edges and all(type(w) is int for e in h.edges for w in e[:2])
+
+
+def test_numeric_x_accepted():
+    g = Graph(4, [(0, 1, 1), (1, 2, np.float32(0.5)), (2, 3, np.int64(0))])
+    assert g.x.tolist() == [1.0, 0.5, 0.0] and all(type(e[2]) is float for e in g.edges)
+    with pytest.raises(ValueError, match="number x required"):
+        Graph(2, [(0, 1, np.bool_(True))])
 
 
 @given(st.integers(min_value=3, max_value=30))

@@ -4,15 +4,17 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import crslab.harness
 import crslab.matching
 from crslab.cli import main
 from crslab.graph import Graph, cycle
 from crslab.harness import (
+    CHECK_OPS,
     ConfigError,
     ExperimentConfig,
-    apply_check,
     estimate_selectability,
     exact_selection_profile,
     get_metric,
@@ -22,6 +24,7 @@ from crslab.harness import (
     run_suite,
     write_report,
 )
+from crslab.selection import INFINITE
 
 BASE = {
     "name": "demo",
@@ -163,6 +166,94 @@ def test_direct_construction_validates(over, msg):
     # the CLI builds its configs directly, without from_dict
     with pytest.raises(ConfigError, match=msg):
         ExperimentConfig(**{**BASE, **over})
+
+
+# One valid config per scheme and kind; the property test below spoils one field at a time.
+RECURSIVE = {"T": 4, "delta": 0.1, "Q": 50}
+VALID_BASES = [
+    {**BASE, "kind": kind, "scheme": scheme, "params": params}
+    for kind in ("selectability", "profile")
+    for scheme, params in (
+        ("recursive-vertex", {"g": 5, **RECURSIVE}),
+        ("recursive-edge", {"selection": "edge_general", **RECURSIVE}),
+        ("rank1-closed", {}),
+        ("two-phase", {"t": 0.5}),
+    )
+    if kind == "selectability" or scheme != "two-phase"
+] + [
+    {**BASE, "kind": "gap", "params": {"g": 5, **RECURSIVE, "u": 0, "v": 1, "t_k": 0.5}},
+    {**BASE, "kind": "hardness", "scheme": "greedy", "instance": {"family": "complete_bipartite", "n": 4},
+     "params": {"t_max": 6}},
+]
+ABSENT = object()
+JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-5, 10**6).map(float),
+    st.floats(),
+    st.sampled_from(["", "t0", "inf", "5", "edge_tree", "complete_bipartite", "a.b"]),
+    st.text(max_size=4),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+    st.just(ABSENT),
+)
+INT_PARAMS = ("T", "u", "v", "t_max", "n")
+FLOAT_PARAMS = ("delta", "t_k", "t")
+
+
+def _spoil(raw: dict, path: tuple, value) -> dict:
+    raw = json.loads(json.dumps(raw))
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    if value is ABSENT:
+        node.pop(path[-1], None)
+    else:
+        node[path[-1]] = value
+    return raw
+
+
+@settings(max_examples=600, derandomize=True, deadline=None)
+@given(st.data())
+def test_any_json_value_builds_or_is_a_config_error(data):
+    base = data.draw(st.sampled_from(VALID_BASES))
+    paths = [(f,) for f in (*BASE, "bins", "checks")]
+    paths += [("params", k) for k in (*base["params"], "Q", "g")]
+    paths += [("instance", k) for k in base["instance"]]
+    paths += [("checks", 0, k) for k in ("metric", "op", "value")]
+    path = data.draw(st.sampled_from(paths))
+    raw = {**base, "checks": [{"metric": "edges", "op": ">=", "value": 1}]}
+    raw = _spoil(raw, path, data.draw(JSON_VALUES))
+    try:
+        cfg = ExperimentConfig.from_dict(raw)
+    except ConfigError:
+        return
+    assert all(type(getattr(cfg, f)) is int for f in ("trials", "seed", "bins"))
+    p = cfg.parsed
+    assert all(type(p[k]) is int for k in INT_PARAMS if k in p)
+    assert all(type(p[k]) is float for k in FLOAT_PARAMS if k in p)
+    assert p.get("Q") is None or type(p["Q"]) is int
+    assert "g" not in p or p["g"] == INFINITE or type(p["g"]) is int
+    assert cfg.echo()["params"] == raw["params"]
+
+
+@pytest.mark.parametrize("instance", [[], "x", None, 5])
+def test_hardness_instance_not_an_object(instance):
+    with pytest.raises(ConfigError, match="instance: kind=hardness requires"):
+        make(kind="hardness", scheme="greedy", instance=instance, params={})
+
+
+def test_integral_floats_read_as_integers(tmp_path):
+    payload = {"experiments": [{**BASE, "bins": 4, "checks": [{"metric": "edges", "op": "==", "value": 5}]}]}
+    as_ints = run_suite(write_suite(tmp_path, payload, "ints.json"), out_dir=tmp_path / "ints")
+    exp = payload["experiments"][0]
+    exp.update(trials=100.0, seed=5.0, bins=4.0, params={**exp["params"], "T": 4.0, "Q": 50.0})
+    as_floats = run_suite(write_suite(tmp_path, payload, "floats.json"), out_dir=tmp_path / "floats")
+    assert as_ints.exit_code == as_floats.exit_code == 0
+    assert (as_ints.out_dir / "demo.csv").read_bytes() == (as_floats.out_dir / "demo.csv").read_bytes()
+    cfg = make(trials=1e5, seed=7.0, bins=10.0)
+    assert (cfg.trials, cfg.seed, cfg.bins) == (100000, 7, 10) and type(cfg.trials) is int
 
 
 # -- instance resolution ------------------------------------------------------------
@@ -432,22 +523,22 @@ def test_report_json_layout(tmp_path):
 
 
 def test_get_metric_paths():
+    # report summaries are flat: a metric is one summary key, never a dotted path
     summary = {"a": {"b": 2.0}, "flat": 1}
     assert get_metric(summary, "flat") == 1
-    assert get_metric(summary, "a.b") == 2.0
     with pytest.raises(ConfigError, match="unknown metric"):
-        get_metric(summary, "a.zzz")
+        get_metric(summary, "a.b")
     with pytest.raises(ConfigError, match="unknown metric"):
-        get_metric(summary, "flat.deeper")
+        get_metric(summary, "zzz")
 
 
 def test_apply_check_ops():
-    assert apply_check(">=", 2, 2)
-    assert not apply_check(">", 2, 2)
-    assert apply_check("<=", 1, 2)
-    assert not apply_check("<", 3, 2)
-    assert apply_check("==", True, True)
-    assert apply_check("!=", 1, 2)
+    assert CHECK_OPS[">="](2, 2)
+    assert not CHECK_OPS[">"](2, 2)
+    assert CHECK_OPS["<="](1, 2)
+    assert not CHECK_OPS["<"](3, 2)
+    assert CHECK_OPS["=="](True, True)
+    assert CHECK_OPS["!="](1, 2)
 
 
 # -- suites ----------------------------------------------------------------------------
@@ -613,6 +704,8 @@ def test_cli_validate(tmp_path, capsys):
         ({"vertex_count": 3, "edges": [[True, 1, 0.5]]}, "edges[0]: integer vertex ids required, got True, 1"),
         ({"vertex_count": 2.7, "edges": [[0, 1, 0.5]]}, "vertex_count: integer required, got 2.7"),
         ({"vertex_count": 2, "edges": [[0, 1, None]]}, "edges[0]: number x required, got None"),
+        ({"vertex_count": 2, "edges": [[0, 1, "0.5"]]}, "edges[0]: number x required, got '0.5'"),
+        ({"vertex_count": 2, "edges": [[0, 1, True]]}, "edges[0]: number x required, got True"),
     ],
 )
 def test_cli_malformed_instance_file(tmp_path, capsys, payload, field):
@@ -703,6 +796,11 @@ CLI_ERRORS = [
     (["generate", "--family", "cycle", "--param", "n=abc"], "config error: instance: '<' not supported"),
     (["generate", "--family", "cycle", "--param", "m=3"], "config error: instance: cycle() got an unexpected keyword"),
     (["generate", "--family", "star", "--param", "k=3"], "config error: instance: star() missing 1 required"),
+    (["generate", "--family", "cycle", "--param", "family=star", "--param", "k=2", "--param", "x=0.5"],
+     "config error: --param: family is not a generator parameter"),
+    (["generate", "--family", "cycle", "--param", "path=f.json"], "config error: --param: path is not a generator parameter"),
+    (["simulate", "--family", "cycle", "--param", "family=star", "--param", "k=2", "--scheme", "rank1-closed", *RUN],
+     "config error: --param: family is not a generator parameter"),
 ]
 
 
@@ -798,3 +896,7 @@ def test_cli_suite_config_error(tmp_path, capsys):
     bad.write_text("{nope")
     assert main(["suite", str(bad)]) == 2
     assert "config error:" in capsys.readouterr().err
+    hardness = {"name": "h", "kind": "hardness", "instance": [], "scheme": "greedy", "trials": 10, "seed": 1}
+    assert main(["suite", str(write_suite(tmp_path, {"experiments": [hardness]}))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: experiments[0].instance: kind=hardness requires") and err.count("\n") == 1
