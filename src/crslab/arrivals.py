@@ -73,7 +73,7 @@ def sample_choices_batch(g: Graph, rng: np.random.Generator, trials: int) -> np.
     power-of-two cell widths, not on how the generator makes its numbers.
     """
     n = g.vertex_count
-    out = np.full((n, trials), NO_CHOICE, dtype=np.int64)
+    out = np.full((n, trials), NO_CHOICE, dtype=np.int32)
     for v in range(n):
         lo, hi = g.indptr[v], g.indptr[v + 1]
         if hi == lo:
@@ -97,8 +97,8 @@ def _choice_edges(g: Graph, F: np.ndarray) -> np.ndarray:
     output is vertex-major, like `sample_choices_batch`.
     """
     n = g.vertex_count
-    out = np.empty((n, F.shape[0]), dtype=np.int64)
-    lut = np.full(n + 1, -1, dtype=np.int64)
+    out = np.empty((n, F.shape[0]), dtype=np.int32)
+    lut = np.full(n + 1, -1, dtype=np.int32)
     for v in range(n):
         lo, hi = g.indptr[v], g.indptr[v + 1]
         nb = g.adj_v[lo:hi]

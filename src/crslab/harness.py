@@ -514,6 +514,12 @@ class SuiteResult:
 
 
 def load_suite_config(path: str | Path) -> tuple[list[ExperimentConfig], str]:
+    """The suite's configs and out_dir, every entry checked before any runs.
+
+    Each non-hardness instance is resolved here too, so a bad generator
+    parameter or instance file names its `experiments[i]` and stops the
+    suite before a report is written.
+    """
     try:
         raw = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
@@ -531,6 +537,8 @@ def load_suite_config(path: str | Path) -> tuple[list[ExperimentConfig], str]:
     for i, entry in enumerate(experiments):
         try:
             cfg = ExperimentConfig.from_dict(entry)
+            if cfg.kind != "hardness":  # a hardness instance is never built
+                resolve_instance(cfg.instance)
         except ConfigError as exc:
             raise ConfigError(f"experiments[{i}].{exc}") from exc
         if cfg.name in seen:

@@ -8,10 +8,12 @@ proposals themselves.
 
 Row blocks share no state but the tally's counters, so `_for_blocks` runs
 them on up to `WORKERS` threads (numpy releases the interpreter lock in its
-kernels). The memory budget of one serial block is split across the
-workers, the counters are integer sums taken under one lock, and the
-selection function is called under that lock too, so the result is the
-same for every worker count and block budget.
+kernels and in its draws). A trial loop or vertex fill passes its uniforms
+as `crslab.rng.rows`, so each block draws its own rows there. The memory
+budget of one serial block is split across the workers, the counters are
+integer sums taken under one lock, and the selection function is called
+under that lock too, so the result is the same for every worker count and
+block budget.
 
 `_ahead` overlaps the making of a batch's inputs with the run of the
 previous batch: with WORKERS > 1 the next item is made on one helper
@@ -33,9 +35,10 @@ from .graph import Graph
 __all__ = ["BatchResult", "SimResult"]
 
 # Element budget (rows x width) of the row blocks in flight in a batch
-# engine, split evenly across its workers; a block's candidate and kernel
-# arrays stay within a small multiple of its share. Blocks touch no random
-# stream, so results do not depend on the budget.
+# engine, split evenly across its workers; a block's uniforms, candidate and
+# kernel arrays stay within a small multiple of its share. A block draws its
+# own uniforms at their fixed offsets in the chunk's stream
+# (`crslab.rng.rows`), so results do not depend on the budget.
 ROW_BLOCK_ELEMS = 1 << 17
 
 # Engine threads: the CPUs this process may run on (`taskset -c 0` gives a

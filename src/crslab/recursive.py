@@ -24,6 +24,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +33,7 @@ from .arrivals import _active_choices, _flat, sample_choices_batch
 from .graph import Graph
 from . import matching
 from .matching import BatchResult, SimResult, _ahead, _BatchTally, _bin_of, _for_blocks
-from .rng import chunks
+from .rng import chunks, rows
 from .selection import SelectionFunction
 
 __all__ = [
@@ -107,8 +108,10 @@ def run_vertex_batch(
     """Vectorized vertex-mode runs over the trial axis.
 
     Y, F, U are (trials, n): arrival times, neighbor choices and per-vertex
-    decision uniforms. Passing the same arrays with different `exclude`
-    values realizes coupled executions on G and G minus a vertex.
+    decision uniforms. Y and U may be `crslab.rng.Rows`, as every array
+    input of the engines may: only their shape and row slices are read.
+    Passing the same arrays with different `exclude` values realizes
+    coupled executions on G and G minus a vertex.
     """
     trials, n = Y.shape
     tally = _BatchTally(g, trials, bins)
@@ -146,18 +149,21 @@ def fill_tables(g: Graph, sel: SelectionFunction, T: int, delta: float, Q: int, 
         tj = j / T
         unmatched = np.zeros(2 * m, dtype=np.float64)
         for rng, base, count in chunks(seed, 2 * m * Q, FILL_ROW_CHUNK, "fill-vertex", j):
-            rr = np.arange(count)
-            dir_id = (base + rr) // Q
-            tcell = rr * n + targets[dir_id]  # flat (row, target) cells
-            pcell = rr * n + proposers[dir_id]
-            Y = rng.random((count, n))
-            y = Y.reshape(-1)
-            y[tcell] *= tj
-            y[pcell] = tj + y[pcell] * (1.0 - tj)
+            dir_id = (base + np.arange(count)) // Q
+
+            def force(lo, Y):
+                """Rows lo.. of the times: target uniform on [0, t_j), proposer on (t_j, 1]."""
+                d = dir_id[lo : lo + Y.shape[0]]
+                rr = np.arange(d.size)
+                Y[rr, targets[d]] *= tj
+                Y[rr, proposers[d]] = tj + Y[rr, proposers[d]] * (1.0 - tj)
+                return Y
+
+            Y = rows(rng, count, n, then=force)
             F = sample_choices_batch(g, rng, count)
-            U = rng.random((count, n))
+            U = rows(rng, count, n)
             res = run_vertex_batch(g, sel, table, Y, F, U, t_stop=tj)
-            free = ~res.matched.reshape(-1)[tcell]
+            free = ~res.matched[np.arange(count), targets[dir_id]]
             unmatched += np.bincount(dir_id, weights=free, minlength=2 * m)
         values[j] = np.clip(unmatched / Q, floor_clamp, 1.0)
     return table
@@ -274,9 +280,9 @@ def simulate_vertex(
     table = _table(fill_tables, g, sel, T, delta, Q, seed)
     out = SimResult.zeros(g, trials, bins)
     for rng, _, count in chunks(seed, trials, TRIAL_CHUNK, "trials-vertex"):
-        Y = rng.random((count, g.vertex_count))
+        Y = rows(rng, count, g.vertex_count)
         F = sample_choices_batch(g, rng, count)
-        U = rng.random((count, g.vertex_count))
+        U = rows(rng, count, g.vertex_count)
         out.add(run_vertex_batch(g, sel, table, Y, F, U, bins=bins))
     return out
 
@@ -295,9 +301,9 @@ def simulate_edge(
     m = g.edge_count
     out = SimResult.zeros(g, trials, bins)
     for rng, _, count in chunks(seed, trials, TRIAL_CHUNK, "trials-edge"):
-        active = rng.random((count, m)) < g.x[None, :]
-        Ye = rng.random((count, m))
-        U = rng.random((count, m))
+        active = rows(rng, count, m, then=lambda _, u: u < g.x)
+        Ye = rows(rng, count, m)
+        U = rows(rng, count, m)
         out.add(run_edge_batch(g, sel, table, active, Ye, U, bins=bins))
     return out
 
@@ -306,28 +312,36 @@ def simulate_rank1(g: Graph, trials: int, seed: int, bins: int = 20) -> SimResul
     """Vectorized closed-form rank-1 runs.
 
     The first active element passing its thinning bit is the unique accept,
-    so a run reduces to an argmin over eligible arrival times.
+    so a run reduces to an argmin over eligible arrival times. Each chunk
+    runs in row blocks that draw their own rows, so the (trials, m)
+    temporaries are block-sized.
     """
     if abs(float(np.sum(g.x)) - 1.0) > 1e-9:
         raise ValueError("rank-1 closed form needs element values summing to 1")
     m = g.edge_count
     out = SimResult.zeros(g, trials, bins)
+    lock = threading.Lock()
     for rng, _, count in chunks(seed, trials, TRIAL_CHUNK, "trials-rank1"):
-        active = rng.random((count, m)) < g.x[None, :]
-        Ye = rng.random((count, m))
-        U = rng.random((count, m))
-        eligible = active & (U <= np.exp(-Ye * g.x[None, :]))
-        winner = np.argmin(np.where(eligible, Ye, np.inf), axis=1)
-        rows = np.arange(count)
-        has = eligible[rows, winner]
-        del U, eligible  # keeps the (count, m) cells below within the draws' memory
-        # Flat (edge, arrival bin) cells, one bincount per counter.
-        cell = _bin_of(Ye, bins)
-        cell += np.arange(m) * bins
-        act_bin = np.bincount(cell[active], minlength=m * bins).reshape(m, bins)
-        acc_bin = np.bincount(cell[rows[has], winner[has]], minlength=m * bins).reshape(m, bins)
-        out.act_bin += act_bin
-        out.active += act_bin.sum(axis=1)
-        out.acc_bin += acc_bin
-        out.accepted += acc_bin.sum(axis=1)
+        active = rows(rng, count, m, then=lambda _, u: u < g.x)
+        Ye = rows(rng, count, m)
+        U = rows(rng, count, m)
+
+        def block(lo, hi):
+            act, y = active[lo:hi], Ye[lo:hi]
+            eligible = act & (U[lo:hi] <= np.exp(-y * g.x))
+            winner = np.argmin(np.where(eligible, y, np.inf), axis=1)
+            rr = np.arange(hi - lo)
+            has = eligible[rr, winner]
+            # Flat (edge, arrival bin) cells, one bincount per counter.
+            cell = _bin_of(y, bins)
+            cell += np.arange(m) * bins
+            act_bin = np.bincount(cell[act], minlength=m * bins).reshape(m, bins)
+            acc_bin = np.bincount(cell[rr[has], winner[has]], minlength=m * bins).reshape(m, bins)
+            with lock:
+                out.act_bin += act_bin
+                out.acc_bin += acc_bin
+
+        _for_blocks(count, m, block)
+    out.active += out.act_bin.sum(axis=1)
+    out.accepted += out.acc_bin.sum(axis=1)
     return out

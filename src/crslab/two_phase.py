@@ -23,7 +23,7 @@ from .arrivals import _active_choices, _flat, sample_choices_batch
 from .graph import Graph
 from .matching import BatchResult, SimResult, _BatchTally, _for_blocks
 from .numerics import bisect
-from .rng import chunks
+from .rng import chunks, rows
 
 __all__ = [
     "prune_factor",
@@ -179,10 +179,10 @@ def simulate_two_phase(g: Graph, t: float, trials: int, seed: int, bins: int = 2
     n = g.vertex_count
     out = SimResult.zeros(g, trials, bins)
     for rng, _, count in chunks(seed, trials, TRIAL_CHUNK, "trials-two-phase"):
-        Y = rng.random((count, n))
+        Y = rows(rng, count, n)
         F = sample_choices_batch(g, rng, count)
-        UA = rng.random((count, n))
-        UB = rng.random((count, n))
+        UA = rows(rng, count, n)
+        UB = rows(rng, count, n)
         out.add(run_two_phase_batch(g, t, Y, F, UA, UB, bins=bins))
     return out
 

@@ -341,7 +341,11 @@ def kernel_digests() -> dict[str, str]:
 
 
 def sampler_digests() -> dict[str, str]:
-    """`sample_choices_batch` picks for one row, a few rows and many rows."""
+    """`sample_choices_batch` picks for one row, a few rows and many rows.
+
+    The picks are hashed as int64 values, the dtype they were pinned in, so
+    a narrower pick dtype keeps the digests.
+    """
     graphs = (
         ("complete61", complete(61)),  # degree 60
         # zero and tiny loads (equal and nearly equal breakpoints), leftover mass
@@ -354,7 +358,7 @@ def sampler_digests() -> dict[str, str]:
         rng = stream(801, "golden-sampler", name)
         h = hashlib.sha256()
         for trials in (1, 7, 20000):
-            h.update(_array_bytes(sample_choices_batch(g, rng, trials)))
+            h.update(_array_bytes(sample_choices_batch(g, rng, trials).astype(np.int64)))
         out[name] = h.hexdigest()
     return out
 

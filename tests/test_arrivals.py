@@ -2,7 +2,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crslab.arrivals import NO_CHOICE, _active_choices, _pick, sample_choices_batch
+from crslab.arrivals import NO_CHOICE, _active_choices, _choice_edges, _pick, sample_choices_batch
 from crslab.graph import LOAD_TOL, complete, cycle, weighted_star
 from crslab.recursive import simulate_edge
 from crslab.rng import stream
@@ -29,6 +29,14 @@ def test_choice_marginals_match_x():
     # each leaf picks the center w.p. x_i
     for leaf, x in ((1, 0.5), (2, 0.25), (3, 0.1)):
         assert abs(np.mean(F[:, leaf] == 0) - x) < 0.004
+
+
+def test_choices_and_their_edges_are_int32():
+    # the (trials, n) picks are the largest integer arrays of a batch
+    g = complete(7)
+    F = sample_choices_batch(g, stream(13, "test-choices"), 50)
+    assert F.dtype == np.int32 and F.shape == (50, 7)
+    assert _choice_edges(g, F).dtype == np.int32
 
 
 def test_choices_only_hit_neighbors():

@@ -601,6 +601,26 @@ def test_load_suite_config_errors(tmp_path):
         load_suite_config(write_suite(tmp_path, payload, "s.json"))
 
 
+def test_suite_bad_instance_stops_before_any_report(tmp_path, capsys):
+    payload = suite_payload()
+    payload["experiments"][1]["instance"] = {"family": "cycle", "n": 2}
+    p = write_suite(tmp_path, payload)
+    with pytest.raises(ConfigError, match=r"^experiments\[1\]\.instance: cycle needs n >= 3"):
+        run_suite(p, out_dir=tmp_path / "o")
+    assert main(["suite", str(p), "--out-dir", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("config error: experiments[1].instance:")
+    assert not (tmp_path / "o").exists()
+
+
+def test_load_suite_config_skips_hardness_instances(tmp_path, monkeypatch):
+    built = []
+    monkeypatch.setattr(crslab.harness, "generate", lambda family, **params: built.append(family))
+    hardness = {"name": "h", "kind": "hardness", "instance": {"family": "complete_bipartite", "n": 2000},
+                "scheme": "greedy", "trials": 10, "seed": 1}
+    configs, _ = load_suite_config(write_suite(tmp_path, {"experiments": [hardness]}))
+    assert [c.name for c in configs] == ["h"] and not built
+
+
 def test_load_suite_config_defaults(tmp_path):
     payload = suite_payload()
     del payload["out_dir"]

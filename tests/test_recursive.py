@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 import crslab.matching
 import crslab.recursive
 import crslab.rng
-from crslab.graph import complete_bipartite, single_edge, star, weighted_star
+import crslab.two_phase
+from crslab.graph import complete, complete_bipartite, cycle, single_edge, star, weighted_star
 from crslab.numerics import adaptive_simpson
 from crslab.recursive import (
     fill_tables,
@@ -23,6 +24,7 @@ from crslab.recursive import (
 )
 from crslab.rng import stream
 from crslab.selection import INFINITE, edge_selection, vertex_selection
+from crslab.two_phase import simulate_two_phase
 
 from .analysis import rank1_safety
 from .oracles import dir_index, run_rank1_closed_form
@@ -247,6 +249,42 @@ def test_simulate_chunking_invariant(c5, sel5, monkeypatch):
     # scale must not
     assert a.trials == b.trials
     assert abs(int(a.accepted.sum()) - int(b.accepted.sum())) < 4 * math.sqrt(a.accepted.sum())
+
+
+# Each simulation over several chunks (the last partial, and fill chunks that
+# cut through a directed pair's Q rows), returning its counters or table.
+_SIMULATIONS = {
+    "two-phase": lambda: simulate_two_phase(complete(7), 0.5, 2_500, 621, bins=4),
+    "vertex": lambda: simulate_vertex(cycle(5, 0.5), vertex_selection(5), 4, 0.1, 2_500, 622, Q=90, bins=4),
+    "edge": lambda: simulate_edge(complete_bipartite(3), edge_selection("edge_general"), 4, 0.1, 2_500, 623, Q=90, bins=4),
+    "fill": lambda: fill_tables(complete_bipartite(3), vertex_selection(INFINITE), 4, 0.1, 90, 624),
+    "rank1": lambda: simulate_rank1(weighted_star([1.0 / 6.0] * 6), 2_500, 625, bins=4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SIMULATIONS))
+def test_simulations_ignore_block_budget_and_workers(monkeypatch, name):
+    """Row blocks draw their own uniforms: the same bytes for any block
+    budget (a few rows, or the default) on one, two or three engine threads
+    (more than this machine may have cores), with frequent thread switches."""
+    monkeypatch.setattr(crslab.recursive, "TRIAL_CHUNK", 1_000)
+    monkeypatch.setattr(crslab.two_phase, "TRIAL_CHUNK", 1_000)
+    monkeypatch.setattr(crslab.recursive, "FILL_ROW_CHUNK", 700)
+    fields = ("values",) if name == "fill" else ("accepted", "active", "acc_bin", "act_bin")
+    results = []
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(crslab.matching, "WORKERS", workers)
+            for budget in (40, crslab.matching.ROW_BLOCK_ELEMS):
+                monkeypatch.setattr(crslab.matching, "ROW_BLOCK_ELEMS", budget)
+                res = _SIMULATIONS[name]()
+                results.append([getattr(res, f) for f in fields])
+    finally:
+        sys.setswitchinterval(switch)
+    for got in results[1:]:
+        assert all(np.array_equal(a, b) for a, b in zip(results[0], got))
 
 
 def test_rank1_requires_unit_mass():

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crslab.rng import chunks, spawn_key, stream
+from crslab.rng import chunks, rows, spawn_key, stream
 
 
 def test_same_tags_same_stream():
@@ -72,3 +72,36 @@ def test_total_below_size_gives_one_chunk():
 
 def test_zero_total_yields_nothing():
     assert list(chunks(0, 0, 1000, "t")) == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=300),
+    st.integers(min_value=0, max_value=40),
+    st.integers(min_value=0, max_value=320),
+    st.integers(min_value=0, max_value=320),
+)
+def test_row_slices_equal_the_eager_draw(count, width, lo, hi):
+    lazy_rng, eager_rng = stream(5, "rows", count, width), stream(5, "rows", count, width)
+    seen = []
+
+    def then(start, block):
+        seen.append((start, block.shape))
+        return block * 2.0 + start
+
+    lazy = rows(lazy_rng, count, width, then)
+    eager = eager_rng.random((count, width))
+    assert lazy.shape == eager.shape
+    # the generator ends where the eager draw leaves it
+    assert lazy_rng.bit_generator.state == eager_rng.bit_generator.state
+    assert np.array_equal(lazy_rng.random(3), eager_rng.random(3))
+    lo, hi = min(lo, count), min(hi, count)
+    got = lazy[lo:hi]
+    assert np.array_equal(got, eager[lo:hi] * 2.0 + lo)
+    assert seen == [(lo, (max(hi - lo, 0), width))]
+    assert np.array_equal(rows(stream(5, "rows", count, width), count, width)[lo:hi], eager[lo:hi])
+
+
+def test_row_slices_are_contiguous_only():
+    with pytest.raises(IndexError):
+        rows(stream(5, "rows"), 10, 3)[::2]

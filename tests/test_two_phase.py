@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -218,3 +219,18 @@ def test_warning_free_on_regular_instances(c5):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         simulate_two_phase(c5, 0.3, trials=50, seed=709)
+
+
+def test_simulate_two_phase_holds_no_whole_float_arrays():
+    """Row blocks draw their own times and bits: a chunk's peak stays near
+    three (trials, n) float arrays' worth (the int32 choices, the matched
+    flags and the blocks in flight), not the four eager arrays and more."""
+    g, trials = complete(61), 20_000
+    simulate_two_phase(g, 0.3, 200, 1)  # warm caches outside the measurement
+    tracemalloc.start()
+    try:
+        simulate_two_phase(g, 0.3, trials, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * trials * g.vertex_count * 8
