@@ -12,6 +12,9 @@ Callers draw the uniform arrival times and decision bits straight from
 their keyed streams; the table fills force the arrivals they condition on
 by rescaling those times themselves. This module samples the neighbor
 choices (`sample_choices_batch`) and finds a batch's active proposals.
+The choices of a chunk are drawn vertex by vertex, each vertex's uniforms
+at its fixed offset in the chunk's stream, on the engine threads, and
+stored in the narrowest signed integer type that holds every vertex id.
 """
 
 from __future__ import annotations
@@ -21,6 +24,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .graph import Graph
+from .matching import _for_blocks
+from .rng import rows
 
 __all__ = ["sample_choices_batch", "NO_CHOICE"]
 
@@ -64,23 +69,36 @@ def sample_choices_batch(g: Graph, rng: np.random.Generator, trials: int) -> np.
     """(trials, n) array of neighbor picks (NO_CHOICE for the leftover mass).
 
     Vertex v picks its s-th neighbor when u lands in [cum[s-1], cum[s]) of its
-    cumulative loads, and nothing past the last one. Built vertex-major: one
-    `rng.random(trials)` per vertex with neighbors, in vertex order, fills
-    one contiguous row of an (n, trials) array, returned transposed. The
-    pick is `_pick`'s guide table, which returns exactly the binary search
-    `np.searchsorted(cum, u, side="right")` for every u in [0, 1) in a
-    constant number of passes per draw at any degree: it relies only on
-    power-of-two cell widths, not on how the generator makes its numbers.
+    cumulative loads, and nothing past the last one. The draws are one
+    `rng.random(trials)` per vertex with neighbors, in vertex order, that is
+    `rng.random((k, trials))` for the k such vertices, handed out by
+    `crslab.rng.rows`: `matching._for_blocks` runs the vertex rows on the
+    engine threads, each row draws its uniforms at its stream offset and
+    fills its own row of an (n, trials) array, returned transposed, and
+    `rng` ends past all k * trials draws. The pick is `_pick`'s guide table,
+    which returns exactly the binary search `np.searchsorted(cum, u,
+    side="right")` for every u in [0, 1) in a constant number of passes per
+    draw at any degree: it relies only on power-of-two cell widths, not on
+    how the generator makes its numbers.
+
+    The picks take the narrowest signed type that holds n - 1 and
+    NO_CHOICE: int8 up to n = 128, int16 up to 2^15, int32 beyond. Readers
+    promote them before any arithmetic (`_active_choices` returns intp
+    targets).
     """
     n = g.vertex_count
-    out = np.full((n, trials), NO_CHOICE, dtype=np.int32)
-    for v in range(n):
-        lo, hi = g.indptr[v], g.indptr[v + 1]
-        if hi == lo:
-            continue
-        u = rng.random(trials)
-        # slot hi - lo (the leftover mass) picks the trailing NO_CHOICE
-        out[v] = np.append(g.adj_v[lo:hi], NO_CHOICE)[_pick(g.adj_cumx[lo:hi], u)]
+    verts = np.flatnonzero(np.diff(g.indptr))
+    out = np.full((n, trials), NO_CHOICE, dtype=np.min_scalar_type(min(-n, NO_CHOICE)))
+    U = rows(rng, verts.size, trials)
+
+    def block(first, last):
+        for i in range(first, last):
+            v = verts[i]
+            lo, hi = g.indptr[v], g.indptr[v + 1]
+            # slot hi - lo (the leftover mass) picks the trailing NO_CHOICE
+            out[v] = np.append(g.adj_v[lo:hi], NO_CHOICE)[_pick(g.adj_cumx[lo:hi], U[i : i + 1][0])]
+
+    _for_blocks(verts.size, trials, block)
     return out.T
 
 
@@ -139,4 +157,5 @@ def _active_choices(g: Graph, Y: np.ndarray, F: np.ndarray, t_stop: float = 1.0,
     cell = np.flatnonzero(arrived)
     row, proposer = np.divmod(cell, n)
     edge = _choice_edges(g, F).T.reshape(-1)[proposer * rows + row]
-    return _ActiveChoices(cell, row, proposer, Fc.reshape(-1)[cell], edge, y_flat[cell])
+    # the targets leave as intp: narrow picks would wrap in the callers' arithmetic
+    return _ActiveChoices(cell, row, proposer, Fc.reshape(-1)[cell].astype(np.intp), edge, y_flat[cell])

@@ -9,7 +9,8 @@ proposals themselves.
 Row blocks share no state but the tally's counters, so `_for_blocks` runs
 them on up to `WORKERS` threads (numpy releases the interpreter lock in its
 kernels and in its draws). A trial loop or vertex fill passes its uniforms
-as `crslab.rng.rows`, so each block draws its own rows there. The memory
+as `crslab.rng.rows`, so each block draws its own rows there; the choice
+sampler runs its vertex rows through `_for_blocks` the same way. The memory
 budget of one serial block is split across the workers, the counters are
 integer sums taken under one lock, and the selection function is called
 under that lock too, so the result is the same for every worker count and

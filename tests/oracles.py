@@ -13,7 +13,9 @@ that kernel accepted, which the library itself never needs.
 The scalar event loops (`run_vertex`, `run_edge`, `run_two_phase`,
 `run_rank1_closed_form`) replay one sample at a time, the references for the
 batch engines, and `detect_potential_path` walks one choice vector, the
-reference for the batch potential-path scan.
+reference for the batch potential-path scan. `choices_reference` draws the
+neighbor picks one vertex at a time by binary search, the reference for the
+threaded choice sampler.
 """
 
 import dataclasses
@@ -336,6 +338,19 @@ def run_rank1_closed_form(g, active, ye, u) -> list:
 
 
 # -- coupled executions and their witness ---------------------------------------------
+
+
+def choices_reference(g, rng, trials: int) -> np.ndarray:
+    """(trials, n) int64 picks: one `rng.random(trials)` per vertex with
+    neighbors, in vertex order, each mapped by a binary search of the
+    vertex's cumulative loads (the leftover mass picks NO_CHOICE)."""
+    out = np.full((g.vertex_count, trials), NO_CHOICE, dtype=np.int64)
+    for v in range(g.vertex_count):
+        lo, hi = g.indptr[v], g.indptr[v + 1]
+        if hi > lo:
+            idx = np.searchsorted(g.adj_cumx[lo:hi], rng.random(trials), side="right")
+            out[v] = np.append(g.adj_v[lo:hi], NO_CHOICE)[idx]
+    return out.T
 
 
 def vertex_draws(g, rng, trials: int):

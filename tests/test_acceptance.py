@@ -193,7 +193,9 @@ def test_criterion5_min_ratio_c5():
         assert float(rx.min()) >= thresh, (
             f"min per-edge ratio {float(rx.min()):.5f} < required {thresh:.5f}: same finite-phase "
             f"damping shortfall as on the bipartite instance (see test_criterion5_min_ratio_k66); "
-            f"the deficit shrinks like 1/T and vanishes in the T=300 companion test"
+            f"the finite-T damped integral 2*int c(y) y (1-delta)/(1+1/(C T y)) dy predicts about "
+            f"0.433 here at T=20 (ROADMAP item 9); no test runs C5 above T=20, and its T sweep "
+            f"is ROADMAP item 10"
         )
 
 

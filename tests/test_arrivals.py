@@ -1,14 +1,20 @@
+import sys
+import tracemalloc
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import crslab.matching
 from crslab.arrivals import NO_CHOICE, _active_choices, _choice_edges, _pick, sample_choices_batch
-from crslab.graph import LOAD_TOL, complete, cycle, weighted_star
-from crslab.recursive import simulate_edge
+from crslab.diagnostics import detect_potential_paths_batch
+from crslab.graph import LOAD_TOL, Graph, complete, cycle, star, weighted_star
+from crslab.recursive import EstimateTable, run_vertex_batch, simulate_edge
 from crslab.rng import stream
-from crslab.selection import edge_selection
+from crslab.selection import INFINITE, edge_selection, vertex_selection
+from crslab.two_phase import run_two_phase_batch
 
-from .oracles import vertex_draws
+from .oracles import choices_reference, vertex_draws
 
 
 def _active(g, y, f):
@@ -31,12 +37,49 @@ def test_choice_marginals_match_x():
         assert abs(np.mean(F[:, leaf] == 0) - x) < 0.004
 
 
-def test_choices_and_their_edges_are_int32():
-    # the (trials, n) picks are the largest integer arrays of a batch
-    g = complete(7)
-    F = sample_choices_batch(g, stream(13, "test-choices"), 50)
-    assert F.dtype == np.int32 and F.shape == (50, 7)
-    assert _choice_edges(g, F).dtype == np.int32
+def test_pick_dtype_is_the_narrowest_that_holds_every_id():
+    # int8 up to n = 128, int16 up to 2^15; the edge ids stay int32
+    for g, dtype in ((complete(7), np.int8), (star(127, 1 / 127), np.int8), (star(128, 1 / 128), np.int16)):
+        F = sample_choices_batch(g, stream(13, "test-choices"), 500)
+        assert F.dtype == dtype and F.shape == (500, g.vertex_count)
+        assert _choice_edges(g, F).dtype == np.int32
+        # the largest id, 127 at n = 128, does not wrap
+        assert np.array_equal(F, choices_reference(g, stream(13, "test-choices"), 500))
+        assert F.max() == g.vertex_count - 1
+
+
+def test_choice_array_is_one_byte_per_pick(monkeypatch):
+    """K61 picks are int8: the returned array is trials * n bytes, and each
+    of the two threads holds one vertex row's temporaries on top."""
+    monkeypatch.setattr(crslab.matching, "WORKERS", 2)
+    g, trials = complete(61), 20_000
+    sample_choices_batch(g, stream(1, "test-choices"), 200)  # warm caches outside the measurement
+    tracemalloc.start()
+    try:
+        sample_choices_batch(g, stream(2, "test-choices"), trials)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= trials * g.vertex_count + 2 * 4 * 8 * trials
+
+
+def test_narrow_picks_run_like_wide_ones():
+    """The engines and the path scan read int8 picks as they read int64 ones,
+    on a 128-vertex instance whose largest id, 127, is a target of degree 4
+    (the two-phase sum over its adjacency takes the dense route)."""
+    g = Graph(128, [(i, i + 1, 0.2 + 0.001 * (i % 7)) for i in range(127)] + [(j, 127, 0.25) for j in (0, 40, 80)])
+    rng = stream(17, "test-choices")
+    Y, F, U = rng.random((2000, 128)), sample_choices_batch(g, rng, 2000), rng.random((2000, 128))
+    assert F.dtype == np.int8 and (F == 127).any()
+    wide = F.astype(np.int64)
+    sel, table = vertex_selection(INFINITE), EstimateTable(4, 0.1, np.ones((4, 2 * g.edge_count)))
+    for a, b in (
+        (run_two_phase_batch(g, 0.4, Y, F, U, Y[::-1]), run_two_phase_batch(g, 0.4, Y, wide, U, Y[::-1])),
+        (run_vertex_batch(g, sel, table, Y, F, U), run_vertex_batch(g, sel, table, Y, wide, U)),
+    ):
+        assert np.array_equal(a.accepted, b.accepted) and np.array_equal(a.matched, b.matched)
+    a, b = detect_potential_paths_batch(g, F, 127, 126), detect_potential_paths_batch(g, wide, 127, 126)
+    assert np.array_equal(a.path, b.path) and np.array_equal(a.count, b.count)
 
 
 def test_choices_only_hit_neighbors():
@@ -80,11 +123,31 @@ def test_sampler_equals_binary_search_reference():
     for g in (weighted_star(xs), complete(9), cycle(5, 0.5)):
         for trials in (1, 7, 5000):
             F = sample_choices_batch(g, stream(16, "test-choices"), trials)
-            rng = stream(16, "test-choices")
-            for v in range(g.vertex_count):
-                lo, hi = g.indptr[v], g.indptr[v + 1]
-                idx = np.searchsorted(g.adj_cumx[lo:hi], rng.random(trials), side="right")
-                assert np.array_equal(F[:, v], np.append(g.adj_v[lo:hi], NO_CHOICE)[idx])
+            assert np.array_equal(F, choices_reference(g, stream(16, "test-choices"), trials))
+
+
+def test_sampler_same_picks_and_stream_for_every_split(monkeypatch):
+    # vertex 1 of the four-vertex graph is isolated and draws nothing; four
+    # workers with a short switch interval stress the rows' shared output
+    default, interval = crslab.matching.ROW_BLOCK_ELEMS, sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for g in (complete(61), Graph(4, [(0, 2, 0.5), (2, 3, 0.5)])):
+            for trials in (0, 1, 50_000):
+                ref_rng = stream(18, "test-choices")
+                ref = choices_reference(g, ref_rng, trials)
+                after = ref_rng.random()
+                for workers in (1, 2, 4):
+                    for budget in (1 << 10, default):
+                        monkeypatch.setattr(crslab.matching, "WORKERS", workers)
+                        monkeypatch.setattr(crslab.matching, "ROW_BLOCK_ELEMS", budget)
+                        rng = stream(18, "test-choices")
+                        F = sample_choices_batch(g, rng, trials)
+                        assert F.shape == (trials, g.vertex_count)
+                        assert np.array_equal(F.astype(np.int64), ref), (g.vertex_count, trials, workers, budget)
+                        assert rng.random() == after
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_active_edges_rule_hand_built():
