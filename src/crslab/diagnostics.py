@@ -20,7 +20,7 @@ import numpy as np
 
 from .arrivals import NO_CHOICE, _choice_edges, sample_choices_batch
 from .graph import Graph
-from .recursive import EstimateTable, _proposal_param, phase_of, run_vertex_batch
+from .recursive import EstimateTable, _pair_estimate, _proposal_param, run_vertex_batch
 from .rng import chunks
 from .selection import INFINITE, SelectionFunction
 
@@ -126,8 +126,7 @@ def _survives_batch(g, sel, table, Y, F, U, FE, rows, a, b) -> np.ndarray:
     # elsewhere the threshold is computed on some other edge and discarded
     eid = np.where(chose, FE[rows, later], 0)
     y = Y[rows, later]
-    shat = table.values[phase_of(y, table.T), 2 * eid + (earlier == g.ev[eid])]
-    return chose & (U[rows, later] <= _proposal_param(sel, table, y, shat))
+    return chose & (U[rows, later] <= _proposal_param(sel, table, y, _pair_estimate(g, table, y, eid, earlier)))
 
 
 def flip_indicators(

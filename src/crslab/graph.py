@@ -96,22 +96,13 @@ class Graph:
         self.ev = np.array([e[1] for e in canon], dtype=np.int64)
         self.x = np.array([e[2] for e in canon], dtype=np.float64)
 
-        deg = np.zeros(n, dtype=np.int64)
-        for u, v, _ in canon:
-            deg[u] += 1
-            deg[v] += 1
-        self.indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(deg, out=self.indptr[1:])
-        self.adj_v = np.zeros(m * 2, dtype=np.int64)
-        self.adj_eid = np.zeros(m * 2, dtype=np.int64)
-        cursor = self.indptr[:-1].copy()
-        for eid, (u, v, _) in enumerate(canon):
-            self.adj_v[cursor[u]] = v
-            self.adj_eid[cursor[u]] = eid
-            cursor[u] += 1
-            self.adj_v[cursor[v]] = u
-            self.adj_eid[cursor[v]] = eid
-            cursor[v] += 1
+        # CSR adjacency: each vertex's slots hold its (neighbor, edge id) pairs
+        # in edge-id order; entry i of the doubled edge list is edge i mod m
+        ends, eids = np.concatenate((self.eu, self.ev)), np.tile(np.arange(m, dtype=np.int64), 2)
+        order = np.lexsort((eids, ends))
+        self.indptr = np.concatenate(([0], np.cumsum(np.bincount(ends, minlength=n))))
+        self.adj_v = np.concatenate((self.ev, self.eu))[order]
+        self.adj_eid = eids[order]
         # Per-vertex cumulative x over the adjacency slice, used by the
         # categorical choice sampler (the tail mass up to 1 is the no-choice
         # outcome).

@@ -244,6 +244,14 @@ def resolve_instance(spec: dict) -> Graph:
         raise ConfigError(f"instance: {exc}") from exc
 
 
+def _instance(cfg: ExperimentConfig) -> Graph:
+    """The config's instance graph, checked against what its scheme needs."""
+    g = resolve_instance(cfg.instance)
+    if cfg.scheme == "rank1-closed" and abs(float(np.sum(g.x)) - 1.0) > 1e-9:
+        raise ConfigError("instance: rank-1 closed form needs element values summing to 1")
+    return g
+
+
 # -- runners ---------------------------------------------------------------------
 
 
@@ -284,7 +292,7 @@ def _run_scheme(cfg: ExperimentConfig, g: Graph):
 
 def estimate_selectability(cfg: ExperimentConfig) -> ExperimentReport:
     """Per-edge acceptance frequencies with Wilson intervals."""
-    g = resolve_instance(cfg.instance)
+    g = _instance(cfg)
     sim, _ = _run_scheme(cfg, g)
     columns = [
         "eid", "u", "v", "x", "active", "accepted",
@@ -348,7 +356,7 @@ def exact_selection_profile(cfg: ExperimentConfig) -> ExperimentReport:
     """Binned conditional acceptance versus the scheme's target curve."""
     if cfg.kind != "profile":
         raise ConfigError("kind: exact_selection_profile requires kind=profile")
-    g = resolve_instance(cfg.instance)
+    g = _instance(cfg)
     sim, sel = _run_scheme(cfg, g)
     bins = cfg.bins
     act_b = sim.act_bin.sum(axis=0)
@@ -397,7 +405,7 @@ def exact_selection_profile(cfg: ExperimentConfig) -> ExperimentReport:
 
 
 def _run_gap(cfg: ExperimentConfig) -> ExperimentReport:
-    g = resolve_instance(cfg.instance)
+    g = _instance(cfg)
     p = cfg.parsed
     u, v = p["u"], p["v"]
     for fld, w in (("u", u), ("v", v)):
@@ -516,9 +524,9 @@ class SuiteResult:
 def load_suite_config(path: str | Path) -> tuple[list[ExperimentConfig], str]:
     """The suite's configs and out_dir, every entry checked before any runs.
 
-    Each non-hardness instance is resolved here too, so a bad generator
-    parameter or instance file names its `experiments[i]` and stops the
-    suite before a report is written.
+    Each non-hardness instance is resolved and checked here too, so a bad
+    generator parameter, instance file or rank-1 mass names its
+    `experiments[i]` and stops the suite before a report is written.
     """
     try:
         raw = json.loads(Path(path).read_text())
@@ -538,7 +546,7 @@ def load_suite_config(path: str | Path) -> tuple[list[ExperimentConfig], str]:
         try:
             cfg = ExperimentConfig.from_dict(entry)
             if cfg.kind != "hardness":  # a hardness instance is never built
-                resolve_instance(cfg.instance)
+                _instance(cfg)
         except ConfigError as exc:
             raise ConfigError(f"experiments[{i}].{exc}") from exc
         if cfg.name in seen:

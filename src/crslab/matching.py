@@ -2,9 +2,10 @@
 
 In every batch engine the only sequential state is `matched`: arrival
 order, active proposals and decision bits depend on the arrivals alone. So
-each engine emits one row block's proposals in a single vectorized pass,
-and `_BatchTally.resolve` accepts them in greedy rounds, visiting only the
-proposals themselves.
+the engines (recursive vertex and edge, two-phase, rank-1) differ only in
+the keep rule that `_run_batch` applies to one row block in a single
+vectorized pass; `_BatchTally.resolve` accepts the kept proposals in
+greedy rounds, visiting only the proposals themselves.
 
 Row blocks share no state but the tally's counters, so `_for_blocks` runs
 them on up to `WORKERS` threads (numpy releases the interpreter lock in its
@@ -186,10 +187,10 @@ def _bin_of(y: np.ndarray, bins: int) -> np.ndarray:
 class _BatchTally:
     """The BatchResult of one engine batch, filled row block by row block.
 
-    An engine passes each block's active proposals to `count_active`, then
-    those whose decision bits passed to `resolve`. Blocks may run on several
-    threads: each writes only its own rows, and adds to the shared counters
-    under `lock`, which also serializes the engine's selection calls.
+    `_run_batch` counts each block's active proposals, then passes those
+    its engine kept to `resolve`. Blocks may run on several threads: each
+    writes only its own rows, and adds to the shared counters under `lock`,
+    which also serializes the engine's selection calls.
     """
 
     def __init__(self, g: Graph, trials: int, bins: int | None = None):
@@ -198,8 +199,8 @@ class _BatchTally:
         self.matched = np.zeros((trials, n), dtype=bool)
         self.accepted = np.zeros(m, dtype=np.int64)
         self.active = np.zeros(m, dtype=np.int64)
-        self.acc_bin = np.zeros(m * bins, dtype=np.int64) if bins else None
-        self.act_bin = np.zeros(m * bins, dtype=np.int64) if bins else None
+        self.acc_bin = np.zeros((m, bins), dtype=np.int64) if bins else None
+        self.act_bin = np.zeros((m, bins), dtype=np.int64) if bins else None
         self.lock = threading.Lock()
 
     def _add(self, total: np.ndarray, ids: np.ndarray) -> None:
@@ -208,11 +209,11 @@ class _BatchTally:
         with self.lock:
             total += counts
 
-    def count_active(self, edge: np.ndarray, y: np.ndarray) -> None:
-        """Count active proposals per edge (and per arrival bin)."""
-        self._add(self.active, edge)
+    def count(self, total: np.ndarray, by_bin: np.ndarray | None, edge: np.ndarray, y: np.ndarray) -> None:
+        """Count proposals per edge into `total` (and per arrival bin into `by_bin`)."""
+        self._add(total, edge)
         if self.bins:
-            self._add(self.act_bin, edge * self.bins + _bin_of(y, self.bins))
+            self._add(by_bin.reshape(-1), edge * self.bins + _bin_of(y, self.bins))
 
     def resolve(self, lo: int, hi: int, row, y, target, proposer, edge) -> np.ndarray:
         """Accept one block's proposals by the greedy rule, count them, and
@@ -222,6 +223,8 @@ class _BatchTally:
         accepted iff both endpoints are still unmatched when it arrives, in
         (y, index) order within its row, so a row's proposals must come in
         slot order (proposer id or edge id): index order breaks ties in `y`.
+        A proposal with target == proposer needs just that vertex, so such
+        proposals naming one vertex compete for it as for a single slot.
 
         The rule runs in greedy rounds (Blelloch, Fineman & Shun, SPAA
         2012), each over the live proposals. A proposal wins a round when it
@@ -260,14 +263,26 @@ class _BatchTally:
             flat[b[w]] = True
             keep = np.flatnonzero(~(flat[a] | flat[b]))
             live, a, b, t = live[keep], a[keep], b[keep], t[keep]
-        ea = edge[acc]
-        self._add(self.accepted, ea)
-        if self.bins:
-            self._add(self.acc_bin, ea * self.bins + _bin_of(y[acc], self.bins))
+        self.count(self.accepted, self.acc_bin, edge[acc], y[acc])
         return acc
 
     def result(self) -> BatchResult:
-        m = self.accepted.size
-        acc_bin = self.acc_bin.reshape(m, self.bins) if self.bins else None
-        act_bin = self.act_bin.reshape(m, self.bins) if self.bins else None
-        return BatchResult(self.matched, self.accepted, self.active, acc_bin, act_bin)
+        return BatchResult(self.matched, self.accepted, self.active, self.acc_bin, self.act_bin)
+
+
+def _run_batch(g: Graph, trials: int, width: int, bins: int | None, propose) -> BatchResult:
+    """One engine batch of `trials` rows of `width` arrivals.
+
+    propose(lo, hi, lock), the engine's keep rule on rows lo..hi-1, returns
+    the (edge, y) of every active proposal and the (row, y, target,
+    proposer, edge) of the kept ones; it calls selection under `lock`.
+    """
+    tally = _BatchTally(g, trials, bins)
+
+    def block(lo, hi):
+        (edge, y), kept = propose(lo, hi, tally.lock)
+        tally.count(tally.active, tally.act_bin, edge, y)
+        tally.resolve(lo, hi, *kept)
+
+    _for_blocks(trials, width, block)
+    return tally.result()

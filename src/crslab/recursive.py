@@ -24,7 +24,6 @@ from __future__ import annotations
 import contextlib
 import itertools
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +31,7 @@ import numpy as np
 from .arrivals import _active_choices, _flat, sample_choices_batch
 from .graph import Graph
 from . import matching
-from .matching import BatchResult, SimResult, _ahead, _BatchTally, _bin_of, _for_blocks
+from .matching import BatchResult, SimResult, _ahead, _run_batch
 from .rng import chunks, rows
 from .selection import SelectionFunction
 
@@ -80,6 +79,11 @@ class EstimateTable:
     values: np.ndarray  # (T, 2m) vertex / (T, m) edge; row 0 is all ones
 
 
+def _pair_estimate(g: Graph, table: EstimateTable, y: np.ndarray, edge: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Vertex-mode S_hat at times y of the pairs proposing to `target` along `edge`."""
+    return table.values[phase_of(y, table.T), 2 * edge + (target == g.ev[edge])]
+
+
 def _proposal_param(sel: SelectionFunction, table: EstimateTable, y: np.ndarray, shat: np.ndarray, lock=contextlib.nullcontext()) -> np.ndarray:
     """Proposal probability min(c(y) / S_hat * (1 - delta) / (1 + 1/(C T y)), 1).
 
@@ -113,18 +117,14 @@ def run_vertex_batch(
     Passing the same arrays with different `exclude` values realizes
     coupled executions on G and G minus a vertex.
     """
-    trials, n = Y.shape
-    tally = _BatchTally(g, trials, bins)
 
-    def block(lo, hi):
+    def propose(lo, hi, lock):
         c = _active_choices(g, Y[lo:hi], F[lo:hi], t_stop, exclude)
-        tally.count_active(c.edge, c.y)
-        shat = table.values[phase_of(c.y, table.T), 2 * c.edge + (c.target == g.ev[c.edge])]
-        bit = _flat(U[lo:hi])[c.cell] <= _proposal_param(sel, table, c.y, shat, tally.lock)
-        tally.resolve(lo, hi, c.row[bit], c.y[bit], c.target[bit], c.proposer[bit], c.edge[bit])
+        shat = _pair_estimate(g, table, c.y, c.edge, c.target)
+        k = _flat(U[lo:hi])[c.cell] <= _proposal_param(sel, table, c.y, shat, lock)
+        return (c.edge, c.y), (c.row[k], c.y[k], c.target[k], c.proposer[k], c.edge[k])
 
-    _for_blocks(trials, n, block)
-    return tally.result()
+    return _run_batch(g, *Y.shape, bins, propose)
 
 
 def fill_tables(g: Graph, sel: SelectionFunction, T: int, delta: float, Q: int, seed: int) -> EstimateTable:
@@ -139,12 +139,9 @@ def fill_tables(g: Graph, sel: SelectionFunction, T: int, delta: float, Q: int, 
     floor_clamp = sel.floor / 2.0
     values = np.ones((T, 2 * m), dtype=np.float64)
     table = EstimateTable(T, delta, values)
-    targets = np.empty(2 * m, dtype=np.int64)
-    proposers = np.empty(2 * m, dtype=np.int64)
-    for eid in range(m):
-        u, v = g.eu[eid], g.ev[eid]
-        targets[2 * eid], proposers[2 * eid] = u, v  # dir v->u (target eu)
-        targets[2 * eid + 1], proposers[2 * eid + 1] = v, u  # dir u->v (target ev)
+    # the column rule of `_pair_estimate`: 2 eid targets eu, 2 eid + 1 targets ev
+    targets = np.column_stack((g.eu, g.ev)).reshape(-1)
+    proposers = np.column_stack((g.ev, g.eu)).reshape(-1)
     for j in range(1, T):
         tj = j / T
         unmatched = np.zeros(2 * m, dtype=np.float64)
@@ -183,21 +180,17 @@ def run_edge_batch(
     bins: int | None = None,
 ) -> BatchResult:
     """Vectorized edge-mode runs; feasibility is both endpoints unmatched."""
-    trials, m = Ye.shape
-    tally = _BatchTally(g, trials, bins)
 
-    def block(lo, hi):
+    def propose(lo, hi, lock):
         yb = _flat(Ye[lo:hi])
         cell = np.flatnonzero(_flat(active[lo:hi]) & (yb <= t_stop))
-        row, e = np.divmod(cell, m)
+        row, e = np.divmod(cell, Ye.shape[1])
         y = yb[cell]
-        tally.count_active(e, y)
-        bit = _flat(U[lo:hi])[cell] <= _proposal_param(sel, table, y, table.values[phase_of(y, table.T), e], tally.lock)
-        e = e[bit]
-        tally.resolve(lo, hi, row[bit], y[bit], g.eu[e], g.ev[e], e)
+        bit = _flat(U[lo:hi])[cell] <= _proposal_param(sel, table, y, table.values[phase_of(y, table.T), e], lock)
+        ek = e[bit]
+        return (e, y), (row[bit], y[bit], g.eu[ek], g.ev[ek], ek)
 
-    _for_blocks(trials, m, block)
-    return tally.result()
+    return _run_batch(g, *Ye.shape, bins, propose)
 
 
 def fill_tables_edge(g: Graph, sel: SelectionFunction, T: int, delta: float, Q: int, seed: int) -> EstimateTable:
@@ -311,37 +304,27 @@ def simulate_edge(
 def simulate_rank1(g: Graph, trials: int, seed: int, bins: int = 20) -> SimResult:
     """Vectorized closed-form rank-1 runs.
 
-    The first active element passing its thinning bit is the unique accept,
-    so a run reduces to an argmin over eligible arrival times. Each chunk
-    runs in row blocks that draw their own rows, so the (trials, m)
-    temporaries are block-sized.
+    The first active element passing its thinning bit is the unique accept.
+    Each kept element proposes with target = proposer = 0, so the elements
+    of a row compete for one slot and `resolve` accepts the earliest (the
+    lowest edge id on a tie). Row blocks draw their own rows.
     """
     if abs(float(np.sum(g.x)) - 1.0) > 1e-9:
         raise ValueError("rank-1 closed form needs element values summing to 1")
     m = g.edge_count
     out = SimResult.zeros(g, trials, bins)
-    lock = threading.Lock()
     for rng, _, count in chunks(seed, trials, TRIAL_CHUNK, "trials-rank1"):
         active = rows(rng, count, m, then=lambda _, u: u < g.x)
         Ye = rows(rng, count, m)
         U = rows(rng, count, m)
 
-        def block(lo, hi):
-            act, y = active[lo:hi], Ye[lo:hi]
-            eligible = act & (U[lo:hi] <= np.exp(-y * g.x))
-            winner = np.argmin(np.where(eligible, y, np.inf), axis=1)
-            rr = np.arange(hi - lo)
-            has = eligible[rr, winner]
-            # Flat (edge, arrival bin) cells, one bincount per counter.
-            cell = _bin_of(y, bins)
-            cell += np.arange(m) * bins
-            act_bin = np.bincount(cell[act], minlength=m * bins).reshape(m, bins)
-            acc_bin = np.bincount(cell[rr[has], winner[has]], minlength=m * bins).reshape(m, bins)
-            with lock:
-                out.act_bin += act_bin
-                out.acc_bin += acc_bin
+        def propose(lo, hi, lock):
+            cell = np.flatnonzero(_flat(active[lo:hi]))
+            row, e = np.divmod(cell, m)
+            y = _flat(Ye[lo:hi])[cell]
+            bit = _flat(U[lo:hi])[cell] <= np.exp(-y * g.x[e])
+            slot = np.zeros(np.count_nonzero(bit), dtype=np.intp)
+            return (e, y), (row[bit], y[bit], slot, slot, e[bit])
 
-        _for_blocks(count, m, block)
-    out.active += out.act_bin.sum(axis=1)
-    out.accepted += out.acc_bin.sum(axis=1)
+        out.add(_run_batch(g, count, m, bins, propose))
     return out

@@ -21,7 +21,7 @@ import numpy as np
 
 from .arrivals import _active_choices, _flat, sample_choices_batch
 from .graph import Graph
-from .matching import BatchResult, SimResult, _BatchTally, _for_blocks
+from .matching import BatchResult, SimResult, _run_batch
 from .numerics import bisect
 from .rng import chunks, rows
 
@@ -76,25 +76,11 @@ def _phase1_mode(g: Graph) -> tuple[str, np.ndarray | None]:
     if uniform and m == n * (n - 1) // 2:
         return "complete", None
     if uniform:
-        side = np.full(n, -1, dtype=np.int64)
-        queue = []
-        ok = True
-        for s in range(n):
-            if side[s] >= 0:
-                continue
-            side[s] = 0
-            queue.append(s)
-            while queue:
-                v = queue.pop()
-                for w in g.neighbors(v):
-                    if side[w] < 0:
-                        side[w] = side[v] ^ 1
-                        queue.append(int(w))
-                    elif side[w] == side[v]:
-                        ok = False
-        counts = (int(np.sum(side == 0)), int(np.sum(side == 1)))
-        degs = np.diff(g.indptr)
-        if ok and m == counts[0] * counts[1] and np.all(degs == np.where(side == 0, counts[1], counts[0])):
+        # K_{a,n-a}: each edge joins a neighbor of vertex 0 to a non-neighbor, and m = a (n - a)
+        side = np.zeros(n, dtype=np.int64)
+        side[g.adj_v[g.indptr[0] : g.indptr[1]]] = 1
+        a = n - int(side.sum())
+        if m == a * (n - a) and np.all(side[g.eu] != side[g.ev]):
             return "bipartite", side
     return "dense", None
 
@@ -147,26 +133,22 @@ def run_two_phase_batch(
     """Vectorized two-phase runs; Y/F/UA/UB are (trials, n) per-vertex arrays."""
     if not (0.0 <= t <= 1.0):
         raise ValueError("t must lie in [0, 1]")
-    trials, n = Y.shape
     avals = prune_factor(g.x, t)
     fvals = survival_prob(g.x, t)
     mode, side = _phase1_mode(g)
-    tally = _BatchTally(g, trials, bins)
 
-    def block(lo, hi):
+    def propose(lo, hi, lock):
         yb = np.ascontiguousarray(Y[lo:hi])
         c = _active_choices(g, yb, F[lo:hi], t_stop)
-        tally.count_active(c.edge, c.y)
         keep = _flat(UA[lo:hi])[c.cell] <= avals[c.edge]
         if t > 0.0:
             p1 = np.flatnonzero(c.y < t)
             s = _phase1_sums(g, mode, side, fvals, yb, c.row[p1], c.proposer[p1], c.target[p1], c.y[p1])
             assert float(np.max(s, initial=0.0)) <= 1.0 + 1e-9, "phase-1 sums must stay within the unit load"
             keep[p1] &= _flat(UB[lo:hi])[c.cell[p1]] <= 1.0 / (2.0 - s)
-        tally.resolve(lo, hi, c.row[keep], c.y[keep], c.target[keep], c.proposer[keep], c.edge[keep])
+        return (c.edge, c.y), (c.row[keep], c.y[keep], c.target[keep], c.proposer[keep], c.edge[keep])
 
-    _for_blocks(trials, n, block)
-    return tally.result()
+    return _run_batch(g, *Y.shape, bins, propose)
 
 
 TRIAL_CHUNK = 200_000

@@ -6,13 +6,16 @@ defining ODE with a fixed-step RK4 scheme, and the matching-trajectory
 reference solves its linear ODE the same way. Frozen constants were computed
 once from these oracles and are asserted against the library's closed forms.
 `hardness_rounds` replays the K_{n,n} round process one round at a time, the
-reference for the library's pass over feasible picks. `greedy_resolve` takes
-a row block's proposals one at a time, the reference for the engines' kernel;
-`RecordingTally` (swapped in by `recorded`) keeps the per-trial record of what
-that kernel accepted, which the library itself never needs.
-The scalar event loops (`run_vertex`, `run_edge`, `run_two_phase`,
-`run_rank1_closed_form`) replay one sample at a time, the references for the
-batch engines, and `detect_potential_path` walks one choice vector, the
+reference for the library's pass over feasible picks. `csr_reference` fills
+a graph's adjacency edge by edge, the reference for its sorted construction.
+`greedy_resolve` takes a row block's proposals one at a time, the reference
+for the engines' kernel; `RecordingTally` (swapped in by `recorded`) keeps
+the per-trial record of what that kernel accepted, which the library itself
+never needs. The scalar event loops (`run_vertex`, `run_edge`,
+`run_two_phase`, `run_rank1_closed_form`) replay one sample at a time, the
+references for the batch engines; `phase1_mode` finds complete bipartite
+instances by a breadth-first search, the reference for two-phase's
+vectorized check; and `detect_potential_path` walks one choice vector, the
 reference for the batch potential-path scan. `choices_reference` draws the
 neighbor picks one vertex at a time by binary search, the reference for the
 threaded choice sampler.
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from crslab import recursive, two_phase
+from crslab import matching
 from crslab.arrivals import NO_CHOICE, sample_choices_batch
 from crslab.diagnostics import flip_indicators
 from crslab.matching import BatchResult, _BatchTally
@@ -141,6 +144,26 @@ def hardness_rounds(n: int, trials: int, seed: int):
     return matched, balance
 
 
+def csr_reference(g) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(indptr, adj_v, adj_eid) of `g` filled edge by edge, each endpoint's
+    cursor advancing, the reference for `Graph`'s sorted construction."""
+    n = g.vertex_count
+    deg = np.zeros(n, dtype=np.int64)
+    for u, v, _ in g.edges:
+        deg[u] += 1
+        deg[v] += 1
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(deg, out=indptr[1:])
+    adj_v = np.zeros(2 * g.edge_count, dtype=np.int64)
+    adj_eid = np.zeros(2 * g.edge_count, dtype=np.int64)
+    cursor = indptr[:-1].copy()
+    for eid, (u, v, _) in enumerate(g.edges):
+        for a, b in ((u, v), (v, u)):
+            adj_v[cursor[a]], adj_eid[cursor[a]] = b, eid
+            cursor[a] += 1
+    return indptr, adj_v, adj_eid
+
+
 def greedy_resolve(g, trials: int, lo: int, row, y, target, proposer, edge, bins: int | None = None) -> dict:
     """Sequential reference for `_BatchTally.resolve` on one block of a fresh tally.
 
@@ -215,16 +238,16 @@ class RecordingTally(_BatchTally):
 def recorded(fn, *args, **kwargs):
     """fn(*args, **kwargs) with every engine batch tallied by `RecordingTally`.
 
-    The vertex, edge and two-phase engines (and `coupled_batch` through the
-    vertex engine) then return RecordedResults; their other fields are
-    unchanged.
+    Every engine builds its tally in `matching._run_batch`, so the vertex,
+    edge and two-phase engines (and `coupled_batch` through the vertex
+    engine) then return RecordedResults; their other fields are unchanged.
     """
-    saved = recursive._BatchTally, two_phase._BatchTally
-    recursive._BatchTally = two_phase._BatchTally = RecordingTally
+    saved = matching._BatchTally
+    matching._BatchTally = RecordingTally
     try:
         return fn(*args, **kwargs)
     finally:
-        recursive._BatchTally, two_phase._BatchTally = saved
+        matching._BatchTally = saved
 
 
 # -- scalar event loops ------------------------------------------------------------
@@ -327,6 +350,36 @@ def run_two_phase(g, t: float, y, f, ua, ub) -> list:
             matched[v] = matched[w] = True
             out.append((eid, float(y[v]), v))
     return out
+
+
+def phase1_mode(g) -> tuple[str, np.ndarray | None]:
+    """`two_phase._phase1_mode` by a breadth-first 2-colouring of every
+    component: "bipartite" when the colouring is proper, its two classes
+    hold m = a b crossing pairs and every degree is the other class's size."""
+    n, m = g.vertex_count, g.edge_count
+    uniform = m > 0 and float(np.ptp(g.x)) <= 1e-15
+    if uniform and m == n * (n - 1) // 2:
+        return "complete", None
+    if uniform:
+        side = np.full(n, -1, dtype=np.int64)
+        ok = True
+        for s in range(n):
+            if side[s] >= 0:
+                continue
+            side[s] = 0
+            queue = [s]
+            while queue:
+                v = queue.pop()
+                for w in g.neighbors(v):
+                    if side[w] < 0:
+                        side[w] = side[v] ^ 1
+                        queue.append(int(w))
+                    elif side[w] == side[v]:
+                        ok = False
+        a, b = int(np.sum(side == 0)), int(np.sum(side == 1))
+        if ok and m == a * b and np.all(np.diff(g.indptr) == np.where(side == 0, b, a)):
+            return "bipartite", side
+    return "dense", None
 
 
 def run_rank1_closed_form(g, active, ye, u) -> list:

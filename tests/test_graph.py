@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crslab.graph import (
@@ -21,6 +21,8 @@ from crslab.graph import (
     weighted_star,
 )
 from crslab.selection import INFINITE
+
+from .oracles import csr_reference
 
 
 def test_construction_canonicalizes_edges():
@@ -54,6 +56,16 @@ def test_adjacency_and_loads():
     assert g.validate_fractional_matching().ok
     with pytest.raises(KeyError):
         g.edge_id(1, 2)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(n=st.integers(0, 8), data=st.data())
+def test_adjacency_equals_edge_by_edge_fill(n, data):
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    picked = data.draw(st.lists(st.sampled_from(pairs), unique_by=lambda p: frozenset(p))) if pairs else []
+    g = Graph(n, [(u, v, 0.1) for u, v in picked])
+    for got, want in zip((g.indptr, g.adj_v, g.adj_eid), csr_reference(g)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_overloaded_instance_reports_vertices():

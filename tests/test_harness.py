@@ -612,6 +612,21 @@ def test_suite_bad_instance_stops_before_any_report(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_suite_rank1_without_unit_mass_stops_before_any_report(tmp_path, capsys):
+    payload = suite_payload()
+    payload["experiments"][1]["instance"] = {"family": "cycle", "n": 5, "x": 0.5}
+    p = write_suite(tmp_path, payload)
+    with pytest.raises(ConfigError, match=r"^experiments\[1\]\.instance: rank-1 closed form needs element values summing to 1"):
+        run_suite(p, out_dir=tmp_path / "o")
+    assert main(["suite", str(p), "--out-dir", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("config error: experiments[1].instance: rank-1")
+    assert not (tmp_path / "o").exists()
+    # a single run reports the same configuration error
+    cfg = ExperimentConfig.from_dict(payload["experiments"][1])
+    with pytest.raises(ConfigError, match=r"^instance: rank-1 closed form"):
+        run_experiment(cfg)
+
+
 def test_load_suite_config_skips_hardness_instances(tmp_path, monkeypatch):
     built = []
     monkeypatch.setattr(crslab.harness, "generate", lambda family, **params: built.append(family))

@@ -53,10 +53,16 @@ def _resolve_vs_oracle(g, trials, lo, hi, block, bins=None):
     grid=st.sampled_from([None, 1, 2, 4]),
     bins=st.sampled_from([None, 3]),
     interleave=st.booleans(),
+    single=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_resolve_equals_greedy_oracle(n, rows, lo, per_row, grid, bins, interleave, seed):
-    """Random blocks, with ties on grid times, against the sequential greedy rule."""
+def test_resolve_equals_greedy_oracle(n, rows, lo, per_row, grid, bins, interleave, single, seed):
+    """Random blocks, with ties on grid times, against the sequential greedy rule.
+
+    With `single`, about half the proposals have target == proposer, the
+    single-slot encoding of rank-1 runs: in each row they name one vertex
+    and an edge at it, so no edge is accepted twice in a row.
+    """
     g = complete(n)
     eid = np.full((n, n), -1)
     eid[g.eu, g.ev] = eid[g.ev, g.eu] = np.arange(g.edge_count)
@@ -65,7 +71,13 @@ def test_resolve_equals_greedy_oracle(n, rows, lo, per_row, grid, bins, interlea
     target = rng.integers(0, n, size=row.size)
     proposer = (target + rng.integers(1, n, size=row.size)) % n
     y = rng.random(row.size) if grid is None else (rng.integers(0, grid, size=row.size) + 1) / grid
-    block = (row, y, target, proposer, eid[target, proposer])
+    edge = eid[target, proposer]
+    if single:
+        one = rng.random(row.size) < 0.5
+        v = row[one] % n
+        target[one] = proposer[one] = v
+        edge[one] = eid[v, (v + rng.integers(1, n, size=v.size)) % n]
+    block = (row, y, target, proposer, edge)
     if interleave:  # rows in any order, each row's proposals still in slot order
         perm = np.empty(row.size, dtype=np.int64)
         perm[np.argsort(rng.permutation(row), kind="stable")] = np.arange(row.size)

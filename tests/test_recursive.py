@@ -11,7 +11,7 @@ import crslab.matching
 import crslab.recursive
 import crslab.rng
 import crslab.two_phase
-from crslab.graph import complete, complete_bipartite, cycle, single_edge, star, weighted_star
+from crslab.graph import Graph, complete, complete_bipartite, cycle, single_edge, star, weighted_star
 from crslab.numerics import adaptive_simpson
 from crslab.recursive import (
     fill_tables,
@@ -303,25 +303,28 @@ def test_rank1_single_run_rule():
 
 
 def test_rank1_batch_matches_single_runs():
-    g = weighted_star([0.3, 0.3, 0.4])
-    trials = 4_000
-    res = simulate_rank1(g, trials=trials, seed=608, bins=10)
-    assert int(res.accepted.sum()) <= trials  # at most one accept per trial
-    # replay the same stream and compare against the single-run reference
-    rng = stream(608, "trials-rank1", 0)
-    active = rng.random((trials, 3)) < g.x[None, :]
-    Ye = rng.random((trials, 3))
-    U = rng.random((trials, 3))
-    accepted = np.zeros(3, dtype=np.int64)
-    for i in range(trials):
-        for eid, _, _ in run_rank1_closed_form(g, active[i], Ye[i], U[i]):
-            accepted[eid] += 1
-    assert np.array_equal(accepted, res.accepted)
-    assert np.array_equal(res.acc_bin.sum(axis=1), res.accepted)
-    assert np.array_equal(res.act_bin.sum(axis=1), res.active)
-    safe_bin, all_bin = rank1_safety(g, trials, 608, bins=10)
-    assert np.all(safe_bin <= all_bin)
-    assert np.array_equal(all_bin.sum(axis=1), np.full(3, trials))
+    # a star, and two disjoint edges: every element of a row competes for
+    # one slot whether or not the elements share a vertex
+    for g in (weighted_star([0.3, 0.3, 0.4]), Graph(4, [(0, 1, 0.5), (2, 3, 0.5)])):
+        m, trials = g.edge_count, 4_000
+        res = simulate_rank1(g, trials=trials, seed=608, bins=10)
+        assert int(res.accepted.sum()) <= trials  # at most one accept per trial
+        # replay the same stream and compare against the single-run reference
+        rng = stream(608, "trials-rank1", 0)
+        active = rng.random((trials, m)) < g.x[None, :]
+        Ye = rng.random((trials, m))
+        U = rng.random((trials, m))
+        accepted = np.zeros(m, dtype=np.int64)
+        for i in range(trials):
+            for eid, _, _ in run_rank1_closed_form(g, active[i], Ye[i], U[i]):
+                accepted[eid] += 1
+        assert np.array_equal(accepted, res.accepted)
+        assert np.array_equal(active.sum(axis=0), res.active)
+        assert np.array_equal(res.acc_bin.sum(axis=1), res.accepted)
+        assert np.array_equal(res.act_bin.sum(axis=1), res.active)
+        safe_bin, all_bin = rank1_safety(g, trials, 608, bins=10)
+        assert np.all(safe_bin <= all_bin)
+        assert np.array_equal(all_bin.sum(axis=1), np.full(m, trials))
 
 
 def test_estimate_tables_reflect_contention():

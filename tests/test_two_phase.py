@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crslab.arrivals import sample_choices_batch
-from crslab.graph import complete, single_edge, star
+from crslab.graph import Graph, complete, single_edge, star
 from crslab.numerics import bisect
 from crslab.rng import stream
 from crslab.two_phase import (
+    _phase1_mode,
     find_t0,
     prune_factor,
     run_two_phase_batch,
@@ -28,7 +29,7 @@ from .analysis import (
     recursion_bound,
     survival_prob_closed,
 )
-from .oracles import GUARANTEE_AT_T0, GUARANTEE_MAX, T0_FROZEN
+from .oracles import GUARANTEE_AT_T0, GUARANTEE_MAX, T0_FROZEN, phase1_mode
 
 
 def test_prune_factor_basics():
@@ -133,6 +134,47 @@ def test_non_regular_instance_warns():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         run_two_phase_batch(g, 0.3, *_draws(g, 706, 50))
+
+
+@st.composite
+def _phase1_graphs(draw):
+    """Complete bipartite blocks (one or two, any sides), maybe with isolated
+    vertices, one edge dropped or one x changed, relabelled; or any graph on
+    up to 6 vertices, n <= 1 included."""
+    if draw(st.booleans()):
+        n = draw(st.integers(0, 6))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        pairs = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    else:
+        a, b, copies = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 2))
+        n = copies * (a + b) + draw(st.integers(0, 2))
+        pairs = [(c * (a + b) + i, c * (a + b) + a + j) for c in range(copies) for i in range(a) for j in range(b)]
+        if len(pairs) > 1 and draw(st.booleans()):
+            pairs.pop(draw(st.integers(0, len(pairs) - 1)))
+    label = draw(st.permutations(range(n)))
+    xs = [0.25] * len(pairs)
+    if xs and draw(st.booleans()):
+        xs[draw(st.integers(0, len(xs) - 1))] = 0.125
+    return Graph(n, [(label[u], label[v], x) for (u, v), x in zip(pairs, xs)])
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(g=_phase1_graphs())
+def test_phase1_mode_equals_search(g):
+    """The vectorized complete-bipartite check against a breadth-first search."""
+    mode, side = _phase1_mode(g)
+    want_mode, want_side = phase1_mode(g)
+    assert mode == want_mode
+    assert (side is None and want_side is None) or (side.dtype == want_side.dtype and np.array_equal(side, want_side))
+
+
+def test_phase1_mode_cases():
+    k23 = [(u, v, 0.25) for u in range(2) for v in range(2, 5)]
+    assert _phase1_mode(Graph(5, k23))[0] == "bipartite"  # a != b
+    assert _phase1_mode(Graph(6, k23))[0] == "dense"  # an isolated vertex
+    assert _phase1_mode(Graph(4, [(0, 1, 0.5), (2, 3, 0.5)]))[0] == "dense"  # disconnected
+    assert _phase1_mode(Graph(5, k23[:-1] + [(1, 4, 0.5)]))[0] == "dense"  # non-uniform x
+    assert _phase1_mode(Graph(0, []))[0] == _phase1_mode(Graph(1, []))[0] == "dense"
 
 
 def test_phase_boundary_is_strict():
