@@ -152,10 +152,11 @@ def _active_choices(g: Graph, Y: np.ndarray, F: np.ndarray, t_stop: float = 1.0,
         has[:, exclude] = False
         has &= Fc != exclude
     # the pick's time; NO_CHOICE reads some other cell, masked by `has`
-    yu = y_flat[Fc + (np.arange(rows) * n)[:, None]]
+    yu = y_flat.take(Fc + (np.arange(rows) * n)[:, None])
     arrived = has & ((yu < Yc) | ((yu == Yc) & (Fc < np.arange(n))))
     cell = np.flatnonzero(arrived)
-    row, proposer = np.divmod(cell, n)
-    edge = _choice_edges(g, F).T.reshape(-1)[proposer * rows + row]
+    row = cell // n
+    proposer = cell - row * n
+    edge = _choice_edges(g, F).T.reshape(-1).take(proposer * rows + row)
     # the targets leave as intp: narrow picks would wrap in the callers' arithmetic
-    return _ActiveChoices(cell, row, proposer, Fc.reshape(-1)[cell].astype(np.intp), edge, y_flat[cell])
+    return _ActiveChoices(cell, row, proposer, Fc.reshape(-1).take(cell).astype(np.intp), edge, y_flat.take(cell))

@@ -226,14 +226,14 @@ def correlation_gap(
         outer = Y[:, u] < t_k
         inner = outer & (Y[:, v] > t_k)
         m_u = full.matched[:, u]
-        sum_inner += int(m_u[inner].sum())
-        cnt_inner += int(inner.sum())
-        sum_outer += int(m_u[outer].sum())
-        cnt_outer += int(outer.sum())
+        sum_inner += int(np.count_nonzero(m_u & inner))
+        cnt_inner += int(np.count_nonzero(inner))
+        sum_outer += int(np.count_nonzero(m_u & outer))
+        cnt_outer += int(np.count_nonzero(outer))
         B, paths = flip_indicators(g, sel, table, Y, F, U, u, v)
         need = dropped.matched[:, u] & ~m_u
-        flips += int(need.sum())
-        violations += int((need & ~B).sum())
+        flips += int(np.count_nonzero(need))
+        violations += int(np.count_nonzero(need & ~B))
         max_paths = max(max_paths, int(paths.count.max()))
     mean_inner = sum_inner / cnt_inner if cnt_inner else math.nan
     mean_outer = sum_outer / cnt_outer if cnt_outer else math.nan

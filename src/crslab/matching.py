@@ -5,7 +5,11 @@ order, active proposals and decision bits depend on the arrivals alone. So
 the engines (recursive vertex and edge, two-phase, rank-1) differ only in
 the keep rule that `_run_batch` applies to one row block in a single
 vectorized pass; `_BatchTally.resolve` accepts the kept proposals in
-greedy rounds, visiting only the proposals themselves.
+greedy rounds, visiting only the proposals themselves. A keep rule gathers
+its kept proposals through one integer index (`np.flatnonzero` of its keep
+mask, then `take`), and `resolve` gathers its accepted ones the same way:
+at the densities keep rules produce, a boolean-mask gather costs several
+times as much per element.
 
 Row blocks share no state but the tally's counters, so `_for_blocks` runs
 them on up to `WORKERS` threads (numpy releases the interpreter lock in its
@@ -209,8 +213,9 @@ class _BatchTally:
         with self.lock:
             total += counts
 
-    def count(self, total: np.ndarray, by_bin: np.ndarray | None, edge: np.ndarray, y: np.ndarray) -> None:
-        """Count proposals per edge into `total` (and per arrival bin into `by_bin`)."""
+    def count(self, total: np.ndarray, by_bin: np.ndarray | None, edge: np.ndarray, y: np.ndarray | None) -> None:
+        """Count proposals per edge into `total` (and per arrival bin into
+        `by_bin`); the times `y` are read only with bins."""
         self._add(total, edge)
         if self.bins:
             self._add(by_bin.reshape(-1), edge * self.bins + _bin_of(y, self.bins))
@@ -242,28 +247,32 @@ class _BatchTally:
         flat = self.matched[lo:hi].reshape(-1)
         # the live proposals: index, vertex keys and time
         live, a, b, t = np.arange(row.size), row * n + target, row * n + proposer, y
+        single = bool(np.any(target == proposer))  # some proposal has one key
         acc = np.zeros(row.size, dtype=bool)
         first = np.full(flat.size, np.inf)  # earliest live time per key
         while live.size:
             np.minimum.at(first, a, t)
             np.minimum.at(first, b, t)
-            at_a, at_b = t == first[a], t == first[b]
+            at_a, at_b = t == first.take(a), t == first.take(b)
             win = at_a & at_b
+            if single:  # count a single-key proposal once, at a
+                at_b &= a != b
             # without ties, each touched key has exactly one proposal at its minimum
             if np.count_nonzero(at_a) + np.count_nonzero(at_b) > np.count_nonzero(first != np.inf):
                 lowest = np.full(flat.size, row.size)
                 np.minimum.at(lowest, a[at_a], live[at_a])
                 np.minimum.at(lowest, b[at_b], live[at_b])
-                win &= (lowest[a] == live) & (lowest[b] == live)
+                win &= (lowest.take(a) == live) & (lowest.take(b) == live)
             first[a] = np.inf
             first[b] = np.inf
             w = np.flatnonzero(win)
-            acc[live[w]] = True
-            flat[a[w]] = True
-            flat[b[w]] = True
-            keep = np.flatnonzero(~(flat[a] | flat[b]))
-            live, a, b, t = live[keep], a[keep], b[keep], t[keep]
-        self.count(self.accepted, self.acc_bin, edge[acc], y[acc])
+            acc[live.take(w)] = True
+            flat[a.take(w)] = True
+            flat[b.take(w)] = True
+            keep = np.flatnonzero(~(flat.take(a) | flat.take(b)))
+            live, a, b, t = live.take(keep), a.take(keep), b.take(keep), t.take(keep)
+        k = np.flatnonzero(acc)
+        self.count(self.accepted, self.acc_bin, edge.take(k), y.take(k) if self.bins else None)
         return acc
 
     def result(self) -> BatchResult:

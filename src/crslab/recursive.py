@@ -67,9 +67,9 @@ def required_samples(C: float, delta: float, T: int, n: int) -> int:
 
 
 def phase_of(y, T: int):
-    """Phase index j for arrival time y in (t_j, t_{j+1}] with t_j = j/T."""
-    j = np.ceil(np.asarray(y) * T).astype(np.int64) - 1
-    return np.clip(j, 0, T - 1)
+    """Phase index j for arrival time y in (t_j, t_{j+1}] with t_j = j/T, as intp."""
+    j = np.ceil(np.asarray(y, dtype=np.float64) * T) - 1.0
+    return np.clip(j, 0.0, T - 1.0).astype(np.intp)
 
 
 @dataclass
@@ -78,10 +78,15 @@ class EstimateTable:
     delta: float
     values: np.ndarray  # (T, 2m) vertex / (T, m) edge; row 0 is all ones
 
+    def at(self, y: np.ndarray, col: np.ndarray) -> np.ndarray:
+        """values[phase_of(y, T), col], read through one flat index."""
+        width = self.values.shape[1]
+        return self.values.reshape(-1).take(phase_of(y, self.T) * width + col)
+
 
 def _pair_estimate(g: Graph, table: EstimateTable, y: np.ndarray, edge: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Vertex-mode S_hat at times y of the pairs proposing to `target` along `edge`."""
-    return table.values[phase_of(y, table.T), 2 * edge + (target == g.ev[edge])]
+    return table.at(y, 2 * edge + (target == g.ev.take(edge)))
 
 
 def _proposal_param(sel: SelectionFunction, table: EstimateTable, y: np.ndarray, shat: np.ndarray, lock=contextlib.nullcontext()) -> np.ndarray:
@@ -121,8 +126,8 @@ def run_vertex_batch(
     def propose(lo, hi, lock):
         c = _active_choices(g, Y[lo:hi], F[lo:hi], t_stop, exclude)
         shat = _pair_estimate(g, table, c.y, c.edge, c.target)
-        k = _flat(U[lo:hi])[c.cell] <= _proposal_param(sel, table, c.y, shat, lock)
-        return (c.edge, c.y), (c.row[k], c.y[k], c.target[k], c.proposer[k], c.edge[k])
+        k = np.flatnonzero(_flat(U[lo:hi]).take(c.cell) <= _proposal_param(sel, table, c.y, shat, lock))
+        return (c.edge, c.y), (c.row.take(k), c.y.take(k), c.target.take(k), c.proposer.take(k), c.edge.take(k))
 
     return _run_batch(g, *Y.shape, bins, propose)
 
@@ -151,16 +156,18 @@ def fill_tables(g: Graph, sel: SelectionFunction, T: int, delta: float, Q: int, 
             def force(lo, Y):
                 """Rows lo.. of the times: target uniform on [0, t_j), proposer on (t_j, 1]."""
                 d = dir_id[lo : lo + Y.shape[0]]
-                rr = np.arange(d.size)
-                Y[rr, targets[d]] *= tj
-                Y[rr, proposers[d]] = tj + Y[rr, proposers[d]] * (1.0 - tj)
+                start = np.arange(d.size) * n  # each row's first flat cell
+                # Y is a fresh C-order block, so its flat view writes through
+                flat, tgt, prop = Y.reshape(-1), start + targets.take(d), start + proposers.take(d)
+                flat[tgt] *= tj
+                flat[prop] = tj + flat.take(prop) * (1.0 - tj)
                 return Y
 
             Y = rows(rng, count, n, then=force)
             F = sample_choices_batch(g, rng, count)
             U = rows(rng, count, n)
             res = run_vertex_batch(g, sel, table, Y, F, U, t_stop=tj)
-            free = ~res.matched[np.arange(count), targets[dir_id]]
+            free = ~res.matched.reshape(-1).take(np.arange(count) * n + targets.take(dir_id))
             unmatched += np.bincount(dir_id, weights=free, minlength=2 * m)
         values[j] = np.clip(unmatched / Q, floor_clamp, 1.0)
     return table
@@ -184,11 +191,12 @@ def run_edge_batch(
     def propose(lo, hi, lock):
         yb = _flat(Ye[lo:hi])
         cell = np.flatnonzero(_flat(active[lo:hi]) & (yb <= t_stop))
-        row, e = np.divmod(cell, Ye.shape[1])
-        y = yb[cell]
-        bit = _flat(U[lo:hi])[cell] <= _proposal_param(sel, table, y, table.values[phase_of(y, table.T), e], lock)
-        ek = e[bit]
-        return (e, y), (row[bit], y[bit], g.eu[ek], g.ev[ek], ek)
+        row = cell // Ye.shape[1]
+        e = cell - row * Ye.shape[1]
+        y = yb.take(cell)
+        k = np.flatnonzero(_flat(U[lo:hi]).take(cell) <= _proposal_param(sel, table, y, table.at(y, e), lock))
+        ek = e.take(k)
+        return (e, y), (row.take(k), y.take(k), g.eu.take(ek), g.ev.take(ek), ek)
 
     return _run_batch(g, *Ye.shape, bins, propose)
 
@@ -227,7 +235,7 @@ def fill_tables_edge(g: Graph, sel: SelectionFunction, T: int, delta: float, Q: 
         erow = (base + rr) // Q
         y = Ye.reshape(-1)
         ecell = rr * m + erow  # flat (row, forced edge) cells
-        y[ecell] = tj + y[ecell] * (1.0 - tj)
+        y[ecell] = tj + y.take(ecell) * (1.0 - tj)
         rng.random(out=U)
         return j, base + count == rows_total, rr, erow, active, Ye, U
 
@@ -236,7 +244,7 @@ def fill_tables_edge(g: Graph, sel: SelectionFunction, T: int, delta: float, Q: 
         for j, last, rr, erow, active, Ye, U in drawn:
             res = run_edge_batch(g, sel, table, active, Ye, U, t_stop=j / T)
             matched = res.matched.reshape(-1)
-            free = ~matched[rr * n + eu[erow]] & ~matched[rr * n + ev[erow]]
+            free = ~matched.take(rr * n + eu.take(erow)) & ~matched.take(rr * n + ev.take(erow))
             feasible += np.bincount(erow, weights=free, minlength=m)
             if last:  # the phase's rows are all in
                 values[j] = np.clip(feasible / Q, floor_clamp, 1.0)
@@ -320,11 +328,12 @@ def simulate_rank1(g: Graph, trials: int, seed: int, bins: int = 20) -> SimResul
 
         def propose(lo, hi, lock):
             cell = np.flatnonzero(_flat(active[lo:hi]))
-            row, e = np.divmod(cell, m)
-            y = _flat(Ye[lo:hi])[cell]
-            bit = _flat(U[lo:hi])[cell] <= np.exp(-y * g.x[e])
-            slot = np.zeros(np.count_nonzero(bit), dtype=np.intp)
-            return (e, y), (row[bit], y[bit], slot, slot, e[bit])
+            row = cell // m
+            e = cell - row * m
+            y = _flat(Ye[lo:hi]).take(cell)
+            k = np.flatnonzero(_flat(U[lo:hi]).take(cell) <= np.exp(-y * g.x.take(e)))
+            slot = np.zeros(k.size, dtype=np.intp)
+            return (e, y), (row.take(k), y.take(k), slot, slot, e.take(k))
 
         out.add(_run_batch(g, count, m, bins, propose))
     return out

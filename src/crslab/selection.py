@@ -102,20 +102,24 @@ def _tail_series(minus2y: np.ndarray, g: int) -> np.ndarray:
 
     The series stops after the first term below 1e-20 at the largest |y|.
     Rounding is monotone, so every |term_k| is monotone in |y| and that one
-    element decides the term count; it is found first, on that element alone.
+    element decides the term count; it is found first, on that element alone,
+    in Python floats (the same IEEE doubles as numpy's). The passes over the
+    array then run in place.
     """
-    widest = minus2y[np.argmax(np.abs(minus2y))][None]
-    term = np.ones_like(widest)
+    widest = float(minus2y[np.argmax(np.abs(minus2y))])
+    term = 1.0
     for last in range(1, g + 80):
         term = term * widest / last
-        if last > g and np.abs(term[0]) < 1e-20:
+        if last > g and abs(term) < 1e-20:
             break
     term = np.ones_like(minus2y)
     for k in range(1, g + 1):
-        term = term * minus2y / k
+        np.multiply(term, minus2y, out=term)
+        np.divide(term, k, out=term)
     tail = term.copy()
     for k in range(g + 1, last + 1):
-        term = term * minus2y / k
+        np.multiply(term, minus2y, out=term)
+        np.divide(term, k, out=term)
         tail += term
     return tail
 

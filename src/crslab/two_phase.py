@@ -140,13 +140,14 @@ def run_two_phase_batch(
     def propose(lo, hi, lock):
         yb = np.ascontiguousarray(Y[lo:hi])
         c = _active_choices(g, yb, F[lo:hi], t_stop)
-        keep = _flat(UA[lo:hi])[c.cell] <= avals[c.edge]
+        keep = _flat(UA[lo:hi]).take(c.cell) <= avals.take(c.edge)
         if t > 0.0:
             p1 = np.flatnonzero(c.y < t)
-            s = _phase1_sums(g, mode, side, fvals, yb, c.row[p1], c.proposer[p1], c.target[p1], c.y[p1])
+            s = _phase1_sums(g, mode, side, fvals, yb, c.row.take(p1), c.proposer.take(p1), c.target.take(p1), c.y.take(p1))
             assert float(np.max(s, initial=0.0)) <= 1.0 + 1e-9, "phase-1 sums must stay within the unit load"
-            keep[p1] &= _flat(UB[lo:hi])[c.cell[p1]] <= 1.0 / (2.0 - s)
-        return (c.edge, c.y), (c.row[keep], c.y[keep], c.target[keep], c.proposer[keep], c.edge[keep])
+            keep[p1] &= _flat(UB[lo:hi]).take(c.cell.take(p1)) <= 1.0 / (2.0 - s)
+        k = np.flatnonzero(keep)
+        return (c.edge, c.y), (c.row.take(k), c.y.take(k), c.target.take(k), c.proposer.take(k), c.edge.take(k))
 
     return _run_batch(g, *Y.shape, bins, propose)
 

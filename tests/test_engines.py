@@ -18,14 +18,15 @@ import numpy as np
 import pytest
 
 import crslab.matching
+import crslab.recursive
 from crslab.arrivals import NO_CHOICE, sample_choices_batch
-from crslab.graph import complete, complete_bipartite, cycle, cycle_blowup
-from crslab.recursive import fill_tables_edge, run_edge_batch, run_vertex_batch
+from crslab.graph import complete, complete_bipartite, cycle, cycle_blowup, weighted_star
+from crslab.recursive import EstimateTable, fill_tables_edge, run_edge_batch, run_vertex_batch, simulate_rank1
 from crslab.rng import stream
 from crslab.selection import edge_selection
 from crslab.two_phase import run_two_phase_batch
 
-from .oracles import T0_FROZEN, matched_flags, recorded, run_edge, run_two_phase, run_vertex
+from .oracles import T0_FROZEN, matched_flags, recorded, run_edge, run_rank1_closed_form, run_two_phase, run_vertex
 
 GRID = 6  # arrival times k / GRID, k = 1..GRID
 BINS = 4
@@ -94,6 +95,33 @@ class _Reference:
             assert got.dtype == want.dtype and np.array_equal(got, want), name
 
 
+def _vertex_reference(g, sel, table, Y, F, U, t_stop, exclude=None):
+    ref = _Reference(g, Y.shape[0])
+    for i in range(Y.shape[0]):
+        ref.add_vertex_active(Y[i], F[i], t_stop, exclude)
+        ref.add_accepted(i, run_vertex(g, sel, table, Y[i], F[i], U[i], t_stop=t_stop, exclude=exclude))
+    return ref
+
+
+def _edge_reference(g, sel, table, active, Ye, U, t_stop):
+    ref = _Reference(g, Ye.shape[0])
+    for i in range(Ye.shape[0]):
+        for e in np.nonzero(active[i] & (Ye[i] <= t_stop))[0]:
+            ref.add_active(e, Ye[i, e])
+        ref.add_accepted(i, run_edge(g, sel, table, active[i], Ye[i], U[i], t_stop=t_stop))
+    return ref
+
+
+def _two_phase_reference(g, t, Y, F, UA, UB, t_stop):
+    ref = _Reference(g, Y.shape[0])
+    for i in range(Y.shape[0]):
+        ref.add_vertex_active(Y[i], F[i], t_stop)
+        # earlier decisions never look at later arrivals, so stopping at
+        # t_stop keeps exactly the accepts of the full run made by then
+        ref.add_accepted(i, [a for a in run_two_phase(g, t, Y[i], F[i], UA[i], UB[i]) if a[1] <= t_stop])
+    return ref
+
+
 VERTEX_CASES = [  # which, exclude, t_stop, grid
     *(
         pytest.param(which, exclude, t_stop, GRID, id=f"{which}-{exclude}-{t_stop}")
@@ -113,11 +141,7 @@ def test_vertex_batch_rows_match_scalar(which, exclude, t_stop, grid, c5, sel5, 
     trials = 300
     Y, F, U = _vertex_draws(g, 811, trials, grid=grid)
     res = recorded(run_vertex_batch, g, sel, table, Y, F, U, t_stop, exclude, BINS)
-    ref = _Reference(g, trials)
-    for i in range(trials):
-        ref.add_vertex_active(Y[i], F[i], t_stop, exclude)
-        ref.add_accepted(i, run_vertex(g, sel, table, Y[i], F[i], U[i], t_stop=t_stop, exclude=exclude))
-    ref.check(res)
+    _vertex_reference(g, sel, table, Y, F, U, t_stop, exclude).check(res)
 
 
 @pytest.mark.parametrize(
@@ -133,13 +157,8 @@ def test_edge_batch_rows_match_scalar(t_stop, grid, k33):
     Ye = _grid(rng, (trials, m), grid)
     U = rng.random((trials, m))
     res = recorded(run_edge_batch, g, sel, table, active, Ye, U, t_stop, BINS)
-    ref = _Reference(g, trials)
-    for i in range(trials):
-        for e in np.nonzero(active[i] & (Ye[i] <= t_stop))[0]:
-            ref.add_active(e, Ye[i, e])
-        ref.add_accepted(i, run_edge(g, sel, table, active[i], Ye[i], U[i], t_stop=t_stop))
     # an edge arrival has no proposer side: skip the two fields that name one
-    ref.check(res, FIELDS[:-2])
+    _edge_reference(g, sel, table, active, Ye, U, t_stop).check(res, FIELDS[:-2])
 
 
 @pytest.mark.parametrize("t_stop", T_STOPS)
@@ -161,13 +180,82 @@ def test_two_phase_batch_rows_match_scalar(maker, t, t_stop):
     trials = 300
     Y, F, UA, UB = _vertex_draws(g, 814, trials, extra=2, grid=grid)
     res = recorded(run_two_phase_batch, g, t, Y, F, UA, UB, t_stop, BINS)
+    _two_phase_reference(g, t, Y, F, UA, UB, t_stop).check(res)
+
+
+# -- the keep rules at their extremes -------------------------------------------------
+#
+# Each keep rule gathers its kept proposals through one integer index. These
+# cases hand it no candidate (t_stop below every arrival, or nothing active),
+# every candidate (U = 0) and none (U = 1, with every probability below 1).
+
+EXTREMES = ("no-candidate", "keep-all", "keep-none")
+
+
+def _extreme(case):
+    """The constant uniform and the t_stop of one case."""
+    return (1.0 if case == "keep-none" else 0.0), (0.5 / GRID if case == "no-candidate" else 1.0)
+
+
+def _check_extreme(case, res):
+    if case == "no-candidate":
+        assert not res.active.any()
+    elif case == "keep-none":
+        assert res.active.any() and not res.accepted.any()
+    else:
+        assert res.accepted.any()
+
+
+@pytest.mark.parametrize("case", EXTREMES)
+@pytest.mark.parametrize("engine", ["vertex", "edge", "two-phase"])
+def test_batch_keep_rules_at_the_extremes(engine, case, c5, sel5, k33):
+    u, t_stop = _extreme(case)
+    trials = 200
+    if engine == "vertex":
+        # S_hat = 1 and c <= 1 keep every proposal probability below 1
+        table = EstimateTable(6, 0.1, np.ones((6, 2 * c5.edge_count)))
+        Y, F = _vertex_draws(c5, 841, trials, extra=0)
+        U = np.full(Y.shape, u)
+        res = recorded(run_vertex_batch, c5, sel5, table, Y, F, U, t_stop, None, BINS)
+        _vertex_reference(c5, sel5, table, Y, F, U, t_stop).check(res)
+    elif engine == "edge":
+        sel = edge_selection("edge_general")
+        table = EstimateTable(6, 0.1, np.ones((6, k33.edge_count)))
+        rng = stream(842, "test-engines")
+        active = rng.random((trials, k33.edge_count)) < 2.0 * k33.x[None, :]
+        Ye = _grid(rng, active.shape)
+        U = np.full(active.shape, u)
+        res = recorded(run_edge_batch, k33, sel, table, active, Ye, U, t_stop, BINS)
+        _edge_reference(k33, sel, table, active, Ye, U, t_stop).check(res, FIELDS[:-2])
+    else:
+        # the prune factor is below 1 at t < 1
+        g = complete(5)
+        Y, F = _vertex_draws(g, 843, trials, extra=0)
+        UA = UB = np.full(Y.shape, u)
+        res = recorded(run_two_phase_batch, g, 0.6, Y, F, UA, UB, t_stop, BINS)
+        _two_phase_reference(g, 0.6, Y, F, UA, UB, t_stop).check(res)
+    _check_extreme(case, res)
+
+
+@pytest.mark.parametrize("case", EXTREMES)
+def test_rank1_keep_rule_at_the_extremes(monkeypatch, case):
+    """simulate_rank1 on given (active, Ye, U) rows: e^{-y x} < 1 at y > 0."""
+    g = weighted_star([0.3, 0.3, 0.4])
+    trials, m = 200, g.edge_count
+    u, _ = _extreme(case)
+    rng = stream(844, "test-engines")
+    active = rng.random((trials, m)) < (0.0 if case == "no-candidate" else 2.0 * g.x[None, :])
+    Ye, U = _grid(rng, (trials, m)), np.full((trials, m), u)
+    drawn = iter((active, Ye, U))
+    monkeypatch.setattr(crslab.recursive, "rows", lambda *args, **kwargs: next(drawn))
+    res = simulate_rank1(g, trials, seed=0, bins=BINS)
     ref = _Reference(g, trials)
     for i in range(trials):
-        ref.add_vertex_active(Y[i], F[i], t_stop)
-        # earlier decisions never look at later arrivals, so stopping at
-        # t_stop keeps exactly the accepts of the full run made by then
-        ref.add_accepted(i, [a for a in run_two_phase(g, t, Y[i], F[i], UA[i], UB[i]) if a[1] <= t_stop])
-    ref.check(res)
+        for e in np.flatnonzero(active[i]):
+            ref.add_active(e, Ye[i, e])
+        ref.add_accepted(i, run_rank1_closed_form(g, active[i], Ye[i], U[i]))
+    ref.check(res, ("accepted", "active", "acc_bin", "act_bin"))
+    _check_extreme(case, res)
 
 
 def _budgets(width):

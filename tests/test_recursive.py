@@ -14,6 +14,7 @@ import crslab.two_phase
 from crslab.graph import Graph, complete, complete_bipartite, cycle, single_edge, star, weighted_star
 from crslab.numerics import adaptive_simpson
 from crslab.recursive import (
+    _pair_estimate,
     fill_tables,
     fill_tables_edge,
     phase_of,
@@ -27,7 +28,7 @@ from crslab.selection import INFINITE, edge_selection, vertex_selection
 from crslab.two_phase import simulate_two_phase
 
 from .analysis import rank1_safety
-from .oracles import dir_index, run_rank1_closed_form
+from .oracles import _phase, dir_index, run_rank1_closed_form
 
 
 def test_required_samples_frozen_example():
@@ -67,6 +68,44 @@ def test_phase_of_interval_property(y, T):
     assert 0 <= j <= T - 1
     assert j / T < y or j == 0
     assert y <= (j + 1) / T or j == T - 1
+
+
+@pytest.mark.parametrize("T", [1, 2, 3, 7, 10, 240, 8000, 10**4])
+def test_phase_of_at_phase_boundaries(T):
+    """intp phases equal clip(ceil(y T) - 1, 0, T - 1) at 0, 1, every k/T and its two neighbours."""
+    grid = np.arange(T + 1) / T
+    y = np.concatenate(([0.0, 1.0], grid, np.nextafter(grid, 1.0), np.nextafter(grid, -1.0)))
+    got = phase_of(y, T)
+    assert got.dtype == np.intp
+    assert got.tolist() == [_phase(v, T) for v in y.tolist()]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.integers(min_value=1, max_value=10**4), st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=40))
+def test_phase_of_equals_clipped_ceil(T, ys):
+    got = phase_of(np.array(ys), T)
+    assert got.dtype == np.intp
+    assert got.tolist() == [_phase(v, T) for v in ys]
+    assert np.asarray(phase_of(ys[0], T)).dtype == np.intp and phase_of(ys[0], T) == _phase(ys[0], T)
+
+
+def test_table_flat_lookup_equals_2d(c5, table_c5_small):
+    """`EstimateTable.at` and `_pair_estimate` read what 2-D indexing reads,
+    on a filled vertex table and a filled edge table."""
+    edge_table = fill_tables_edge(c5, edge_selection("edge_general"), T=6, delta=0.1, Q=200, seed=851)
+    rng = stream(852, "test-recursive")
+    y = np.concatenate((rng.random(500), np.arange(7) / 6))  # both tables have T = 6
+    for table in (table_c5_small, edge_table):
+        T, width = table.values.shape
+        assert T == 6 and len(np.unique(table.values[1:])) > 1  # a filled table, not its ones
+        col = rng.integers(0, width, size=y.size)
+        assert np.array_equal(table.at(y, col), table.values[phase_of(y, T), col])
+    # vertex mode: the pair proposer -> target along each edge, both ways
+    edge = rng.integers(0, c5.edge_count, size=y.size)
+    target = np.where(rng.random(y.size) < 0.5, c5.eu[edge], c5.ev[edge])
+    proposer = c5.eu[edge] + c5.ev[edge] - target
+    want = [table_c5_small.values[_phase(v, 6), dir_index(c5, int(p), int(t))] for v, p, t in zip(y, proposer, target)]
+    assert _pair_estimate(c5, table_c5_small, y, edge, target).tolist() == want
 
 
 def test_dir_index_layout(c5, table_c5_small):
