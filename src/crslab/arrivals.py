@@ -14,7 +14,13 @@ by rescaling those times themselves. This module samples the neighbor
 choices (`sample_choices_batch`) and finds a batch's active proposals.
 The choices of a chunk are drawn vertex by vertex, each vertex's uniforms
 at its fixed offset in the chunk's stream, on the engine threads, and
-stored in the narrowest signed integer type that holds every vertex id.
+stored in the narrowest signed integer type that holds every vertex id:
+a guide table finds each draw's slot, and one answer table per vertex, in
+the picks' type, turns slots into picks with one `take` into the vertex's
+row. The edge ids of a block's picks come from one table indexed by
+(vertex, pick) for a group of vertices, so a block makes a few whole-block
+numpy calls per group instead of a few small ones per vertex; calls on a
+thousand elements barely run in parallel on the engine threads.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .graph import Graph
+from . import matching
 from .matching import _for_blocks
 from .rng import rows
 
@@ -32,8 +39,9 @@ __all__ = ["sample_choices_batch", "NO_CHOICE"]
 NO_CHOICE = -1
 
 
-def _pick(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """`np.searchsorted(cum, u, side="right")` for a sorted `cum` and u in [0, 1).
+def _pick(cum: np.ndarray, u: np.ndarray, values: np.ndarray, out: np.ndarray) -> None:
+    """out[:] = values[np.searchsorted(cum, u, side="right")] for a sorted `cum`
+    and u in [0, 1); `values` holds the answer of each of the cum.size + 1 slots.
 
     A guide table (Chen & Asau 1974; Devroye 1986, III.2.4) over the distinct
     breakpoints b of `cum`: K = 2^p cells, start[k] = count(b <= k/K). A draw
@@ -43,11 +51,14 @@ def _pick(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     and `steps` passes (the most breakpoints strictly inside one cell) reach
     count(b <= u). p grows from the smallest K >= 2 len(b) until every cell
     holds at most one breakpoint or K reaches the number of draws, so the
-    table never costs more than the draws it serves.
+    table never costs more than the draws it serves. The final j indexes one
+    answer table in `out`'s dtype, so each draw costs one `take` into `out`.
+    The guide index stays intp: `take` copies any other index type to intp
+    first.
     """
     b = np.unique(cum)
-    # slot_of[j] = count(cum <= b[j - 1]), the answer once j = count(b <= u)
-    slot_of = np.concatenate(([0], np.searchsorted(cum, b, side="right")))
+    # answer[j] = values[count(cum <= b[j - 1])], the answer once j = count(b <= u)
+    answer = values.take(np.concatenate(([0], np.searchsorted(cum, b, side="right")))).astype(out.dtype)
     p = (2 * b.size - 1).bit_length()
     while True:
         K = 1 << p
@@ -59,10 +70,12 @@ def _pick(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
         p += 1
     start = np.searchsorted(b, np.arange(K) / K, side="right")
     b_ext = np.append(b, np.inf)
-    j = start[(u * K).astype(np.intp)]
+    j = start.take((u * K).astype(np.intp))
     for _ in range(steps):
-        j += b_ext[j] <= u
-    return slot_of[j]
+        j += b_ext.take(j) <= u
+    # j never leaves 0..b.size, so "clip" clips nothing; unlike "raise" it
+    # writes `out` directly instead of through a buffer
+    answer.take(j, out=out, mode="clip")
 
 
 def sample_choices_batch(g: Graph, rng: np.random.Generator, trials: int) -> np.ndarray:
@@ -76,10 +89,11 @@ def sample_choices_batch(g: Graph, rng: np.random.Generator, trials: int) -> np.
     engine threads, each row draws its uniforms at its stream offset and
     fills its own row of an (n, trials) array, returned transposed, and
     `rng` ends past all k * trials draws. The pick is `_pick`'s guide table,
-    which returns exactly the binary search `np.searchsorted(cum, u,
-    side="right")` for every u in [0, 1) in a constant number of passes per
-    draw at any degree: it relies only on power-of-two cell widths, not on
-    how the generator makes its numbers.
+    which finds exactly the slot of the binary search `np.searchsorted(cum,
+    u, side="right")` for every u in [0, 1) in a constant number of passes
+    per draw at any degree (it relies only on power-of-two cell widths, not
+    on how the generator makes its numbers), and writes that slot's
+    neighbor, or NO_CHOICE, straight into the vertex's row.
 
     The picks take the narrowest signed type that holds n - 1 and
     NO_CHOICE: int8 up to n = 128, int16 up to 2^15, int32 beyond. Readers
@@ -96,7 +110,7 @@ def sample_choices_batch(g: Graph, rng: np.random.Generator, trials: int) -> np.
             v = verts[i]
             lo, hi = g.indptr[v], g.indptr[v + 1]
             # slot hi - lo (the leftover mass) picks the trailing NO_CHOICE
-            out[v] = np.append(g.adj_v[lo:hi], NO_CHOICE)[_pick(g.adj_cumx[lo:hi], U[i : i + 1][0])]
+            _pick(g.adj_cumx[lo:hi], U[i : i + 1][0], np.append(g.adj_v[lo:hi], NO_CHOICE), out[v])
 
     _for_blocks(verts.size, trials, block)
     return out.T
@@ -110,19 +124,31 @@ def _flat(a: np.ndarray) -> np.ndarray:
 def _choice_edges(g: Graph, F: np.ndarray) -> np.ndarray:
     """Edge id of every pick: out[i, v] is the edge (v, F[i, v]), -1 for none.
 
-    One lookup table of n + 1 entries serves each vertex in turn (the last
-    entry answers NO_CHOICE), so memory stays O(n) beyond the output. The
-    output is vertex-major, like `sample_choices_batch`.
+    The vertices go in groups v0..v1-1, each served by one table of edge ids
+    indexed by (vertex, pick): row v - v0 holds -1 in column 0, where
+    NO_CHOICE + 1 lands, and the edge (v, u) in column u + 1. A group
+    scatters its CSR slice into the table, looks every pick up with one
+    `take` through an intp index of its rows and resets what it wrote. The
+    table and the index each hold at most `matching.ROW_BLOCK_ELEMS` entries,
+    so an engine's row block is one group up to n = 361, the memory beyond
+    the int32 output never grows with n^2, and the work is O(m + rows * n).
+    The output is vertex-major, like `sample_choices_batch`.
     """
-    n = g.vertex_count
-    out = np.empty((n, F.shape[0]), dtype=np.int32)
-    lut = np.full(n + 1, -1, dtype=np.int32)
-    for v in range(n):
-        lo, hi = g.indptr[v], g.indptr[v + 1]
-        nb = g.adj_v[lo:hi]
-        lut[nb] = g.adj_eid[lo:hi]
-        out[v] = lut[F[:, v]]
-        lut[nb] = -1
+    n, count = g.vertex_count, F.shape[0]
+    width = n + 1
+    group = max(1, matching.ROW_BLOCK_ELEMS // max(width, count))
+    out = np.empty((n, count), dtype=np.int32)
+    table = np.full(min(group, n) * width, -1, dtype=np.int32)
+    index = np.empty((min(group, n), count), dtype=np.intp)
+    for v0 in range(0, n, group):
+        v1 = min(n, v0 + group)
+        lo, hi = g.indptr[v0], g.indptr[v1]
+        base = np.arange(v1 - v0) * width + 1  # table entry of (v, pick) is base[v - v0] + pick
+        keys = np.repeat(base, np.diff(g.indptr[v0 : v1 + 1])) + g.adj_v[lo:hi]
+        table[keys] = g.adj_eid[lo:hi]
+        np.add(F.T[v0:v1], base[:, None], out=index[: v1 - v0])
+        table.take(index[: v1 - v0], out=out[v0:v1], mode="clip")  # "clip" writes `out` unbuffered
+        table[keys] = -1
     return out.T
 
 

@@ -18,7 +18,8 @@ instances by a breadth-first search, the reference for two-phase's
 vectorized check; and `detect_potential_path` walks one choice vector, the
 reference for the batch potential-path scan. `choices_reference` draws the
 neighbor picks one vertex at a time by binary search, the reference for the
-threaded choice sampler.
+threaded choice sampler, and `choice_edges_reference` looks up their edge ids
+one vertex at a time, the reference for the grouped table lookup.
 """
 
 import dataclasses
@@ -403,6 +404,22 @@ def choices_reference(g, rng, trials: int) -> np.ndarray:
         if hi > lo:
             idx = np.searchsorted(g.adj_cumx[lo:hi], rng.random(trials), side="right")
             out[v] = np.append(g.adj_v[lo:hi], NO_CHOICE)[idx]
+    return out.T
+
+
+def choice_edges_reference(g, F) -> np.ndarray:
+    """(rows, n) int32 edge ids of the picks F, -1 for NO_CHOICE: one lookup
+    table of n + 1 entries serves each vertex in turn (the last entry answers
+    NO_CHOICE)."""
+    n = g.vertex_count
+    out = np.empty((n, F.shape[0]), dtype=np.int32)
+    lut = np.full(n + 1, -1, dtype=np.int32)
+    for v in range(n):
+        lo, hi = g.indptr[v], g.indptr[v + 1]
+        nb = g.adj_v[lo:hi]
+        lut[nb] = g.adj_eid[lo:hi]
+        out[v] = lut[F[:, v]]
+        lut[nb] = -1
     return out.T
 
 

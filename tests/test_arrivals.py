@@ -1,5 +1,6 @@
 import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -14,7 +15,7 @@ from crslab.rng import stream
 from crslab.selection import INFINITE, edge_selection, vertex_selection
 from crslab.two_phase import run_two_phase_batch
 
-from .oracles import choices_reference, vertex_draws
+from .oracles import choice_edges_reference, choices_reference, vertex_draws
 
 
 def _active(g, y, f):
@@ -109,13 +110,65 @@ def cumulative_loads(draw):
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
-@given(cum=cumulative_loads(), n_random=st.sampled_from([0, 5, 3000]))
-def test_pick_equals_binary_search(cum, n_random):
+@given(cum=cumulative_loads(), n_random=st.sampled_from([0, 5, 3000]), dtype=st.sampled_from([np.int8, np.int16]))
+def test_pick_equals_binary_search(cum, n_random, dtype):
     below = np.nextafter(cum, -np.inf)
     u = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], cum, below, np.random.default_rng(n_random).random(n_random)])
     u = u[(u >= 0.0) & (u < 1.0)]
+    # one distinct answer per slot, beyond int8's range for the int16 output, so
+    # the answers name the slot the draw landed in, never one of the zero-mass
+    # slots that repeated breakpoints leave
+    values = np.arange(cum.size + 1) * (1 if dtype == np.int8 else 300) - 1
+    out = np.empty(u.size, dtype)
     # the number of draws bounds the table size, so both small and large counts matter
-    assert np.array_equal(_pick(cum, u), np.searchsorted(cum, u, side="right"))
+    _pick(cum, u, values, out)
+    assert np.array_equal(out, values[np.searchsorted(cum, u, side="right")])
+
+
+@st.composite
+def picks_on_graphs(draw):
+    """A random graph with isolated vertices and its (rows, n) picks, NO_CHOICE
+    included, in the sampler's dtype (int8 at n = 128, int16 at n = 129)."""
+    n = draw(st.sampled_from([1, 2, 5, 17, 128, 129]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < min(1.0, 3.0 / n)]
+    if n > 2:  # the largest id, a target of a narrow pick, always has a neighbor
+        pairs.append((0, n - 1))
+    g = Graph(n, [(u, v, 0.1) for u, v in set(pairs)])
+    count = draw(st.sampled_from([0, 1, 3, 40]))
+    F = np.full((count, n), NO_CHOICE, dtype=np.min_scalar_type(min(-n, NO_CHOICE)))
+    for v in range(n):
+        options = np.append(g.neighbors(v), NO_CHOICE)
+        F[:, v] = options[rng.integers(0, options.size, count)]
+    return g, F
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(case=picks_on_graphs(), groups=st.sampled_from([None, 1, 2, 3, 7]))
+def test_choice_edges_equal_reference(case, groups):
+    g, F = case
+    # `groups` shrinks the table budget so that a group holds that many vertices
+    budget = crslab.matching.ROW_BLOCK_ELEMS if groups is None else groups * max(g.vertex_count + 1, F.shape[0])
+    with mock.patch.object(crslab.matching, "ROW_BLOCK_ELEMS", budget):
+        out = _choice_edges(g, F)
+    assert out.dtype == np.int32 and out.shape == F.shape
+    assert np.array_equal(out, choice_edges_reference(g, F))
+
+
+def test_choice_edges_memory_stays_linear_in_n():
+    """On a 3001-vertex star the lookup holds its int32 output plus one group's
+    table and intp index, each within ROW_BLOCK_ELEMS entries; a table for
+    every vertex pair would need n^2 entries, ten times the output here."""
+    g, count = star(3000, 1 / 3000), 300
+    F = sample_choices_batch(g, stream(20, "test-choices"), count)
+    _choice_edges(g, F[:5])  # warm caches outside the measurement
+    tracemalloc.start()
+    try:
+        _choice_edges(g, F)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= count * g.vertex_count * 4 + crslab.matching.ROW_BLOCK_ELEMS * (4 + 8)
 
 
 def test_sampler_equals_binary_search_reference():
