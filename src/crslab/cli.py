@@ -131,20 +131,22 @@ def _cmd_validate(args) -> int:
 
 def _cmd_selection(args) -> int:
     girths = [parse_girth(tok) for tok in args.g.split(",")]
-    for gv in girths:
-        label = "inf" if gv == INFINITE else str(gv)
-        if args.edge:
-            sel = edge_selection(args.edge)
-            print(f"edge[{args.edge}]: alpha = {sel.alpha!r}  floor = {sel.floor!r}")
-            continue
-        sel = vertex_selection(gv)
-        print(f"g={label}: alpha = {alpha_closed_form(gv)!r}  floor = {sel.floor!r}")
-        if args.certify:
-            rep = verify_selection_conditions(sel, gv, grid_size=args.grid)
-            print(
-                f"  certificate[{args.grid}]: monotone={rep.monotone_ok} floor={rep.floor_ok} "
-                f"max_violation={rep.max_violation!r} equality_slack={rep.equality_max_slack!r}"
-            )
+    if args.edge and args.certify:
+        raise ConfigError("--certify: the certificate checks vertex-mode selection functions, not --edge")
+    if args.edge:
+        sel = edge_selection(args.edge)
+        print(f"edge[{args.edge}]: alpha = {sel.alpha!r}  floor = {sel.floor!r}")
+    else:
+        for gv in girths:
+            label = "inf" if gv == INFINITE else str(gv)
+            sel = vertex_selection(gv)
+            print(f"g={label}: alpha = {alpha_closed_form(gv)!r}  floor = {sel.floor!r}")
+            if args.certify:
+                rep = verify_selection_conditions(sel, gv, grid_size=args.grid)
+                print(
+                    f"  certificate[{args.grid}]: monotone={rep.monotone_ok} floor={rep.floor_ok} "
+                    f"max_violation={rep.max_violation!r} equality_slack={rep.equality_max_slack!r}"
+                )
     if args.out:
         if len(girths) != 1:
             raise ConfigError("--out: exactly one --g value expected")
@@ -254,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", default="infinite", help="comma list of odd girths / 'infinite'")
     p.add_argument("--edge", choices=EDGE_KINDS, help="edge-mode kind instead of vertex mode")
     p.add_argument("--grid", type=int, default=1000)
-    p.add_argument("--certify", action="store_true", help="run the certificate on the grid")
+    p.add_argument("--certify", action="store_true", help="run the vertex-mode certificate on the grid")
     p.add_argument("--out", metavar="PATH", help="write a (y, c, phi) CSV table")
     p.set_defaults(fn=_cmd_selection)
 

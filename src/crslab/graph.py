@@ -117,10 +117,6 @@ class Graph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def neighbors(self, v: int) -> np.ndarray:
-        lo, hi = self.indptr[v], self.indptr[v + 1]
-        return self.adj_v[lo:hi]
-
     def incident_edges(self, v: int) -> np.ndarray:
         lo, hi = self.indptr[v], self.indptr[v + 1]
         return self.adj_eid[lo:hi]

@@ -22,16 +22,17 @@ under that lock too, so the result is the same for every worker count and
 block budget.
 
 `_ahead` overlaps the making of a batch's inputs with the run of the
-previous batch: with WORKERS > 1 the next item is made on one helper
-thread. The edge-mode table fill uses it for its arrival draws, whose
-streams are still created on the calling thread, so the draws, and every
-result, are the same for every worker count.
+previous batch: the next item is made on one helper thread per call, on
+any number of CPUs. The edge-mode table fill uses it for its arrival draws,
+whose streams are still created on the calling thread, so the draws, and
+every result, are the same for every worker count.
 """
 
 from __future__ import annotations
 
 import os
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,50 +139,21 @@ def _for_blocks(trials: int, width: int, body) -> None:
 def _ahead(make, items):
     """Yield make(item) for each item of `items`, in order.
 
-    With WORKERS > 1, make(item k + 1) runs on one helper thread while the
-    caller consumes the result of item k; with one CPU every call runs
-    inline. `items` is advanced on the calling thread only, so whatever it
-    creates (random streams, say) is created there. make(item k + 2) starts
-    only once the caller asks for result k + 1, so it may reuse the buffers
-    of result k. An exception raised in make is re-raised here; closing the
-    generator early joins the helper first.
+    make(item k + 1) runs on one helper thread while the caller consumes
+    the result of item k. `items` is advanced on the calling thread only,
+    so whatever it creates (random streams, say) is created there.
+    make(item k + 2) starts only once the caller asks for result k + 1, so
+    it may reuse the buffers of result k. An exception raised in make is
+    re-raised here, and no later item is made; closing the generator early
+    waits for the helper first.
     """
-    if WORKERS == 1:
-        for item in items:
-            yield make(item)
-        return
-    items = iter(items)
-
-    def start_next():
-        """The helper and result box of the next item; None when none is left."""
-        for item in items:
-            box = {}
-
-            def run():
-                try:
-                    box["value"] = make(item)
-                except BaseException as exc:
-                    box["error"] = exc
-
-            helper = threading.Thread(target=run, daemon=True)
-            helper.start()
-            return helper, box
-        return None
-
-    pending = None
-    try:
-        pending = start_next()
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        futures = (helper.submit(make, item) for item in items)
+        pending = next(futures, None)
         while pending is not None:
-            helper, box = pending
-            helper.join()
-            pending = None
-            if "error" in box:
-                raise box["error"]
-            pending = start_next()
-            yield box["value"]
-    finally:
-        if pending is not None:
-            pending[0].join()
+            value = pending.result()
+            pending = next(futures, None)
+            yield value
 
 
 def _bin_of(y: np.ndarray, bins: int) -> np.ndarray:

@@ -30,7 +30,6 @@ import numpy as np
 
 from .arrivals import _active_choices, _flat, sample_choices_batch
 from .graph import Graph
-from . import matching
 from .matching import BatchResult, SimResult, _ahead, _run_batch
 from .rng import chunks, rows
 from .selection import SelectionFunction
@@ -207,10 +206,10 @@ def fill_tables_edge(g: Graph, sel: SelectionFunction, T: int, delta: float, Q: 
     Phase j runs Q forced rows per edge (the edge arrives after t_j), in
     chunks of FILL_ROW_CHUNK rows drawn from the stream
     (seed, "fill-edge", j, chunk). A chunk's draws do not depend on the
-    table, so when matching.WORKERS > 1 the next chunk's draws are made on
-    a helper thread while the engine runs this one. The streams are created
-    on the calling thread and the draws are unchanged, so the table does
-    not depend on it.
+    table, so the next chunk's draws are made on the fill's one helper
+    thread while the engine runs this one. The streams are created on the
+    calling thread and the draws are unchanged, so the table does not
+    depend on it.
     """
     m = g.edge_count
     n = g.vertex_count
@@ -219,9 +218,9 @@ def fill_tables_edge(g: Graph, sel: SelectionFunction, T: int, delta: float, Q: 
     table = EstimateTable(T, delta, values)
     eu, ev = g.eu, g.ev
     rows_total = m * Q
-    # Two buffer sets when drawing ahead (one being drawn, one being run).
+    # Two buffer sets: one being drawn, one being run.
     size = min(FILL_ROW_CHUNK, rows_total)
-    sets = [(np.empty((size, m), dtype=bool), np.empty((size, m)), np.empty((size, m))) for _ in range(min(matching.WORKERS, 2))]
+    sets = [(np.empty((size, m), dtype=bool), np.empty((size, m)), np.empty((size, m))) for _ in range(2)]
     phases = ((j, chunk) for j in range(1, T) for chunk in chunks(seed, rows_total, FILL_ROW_CHUNK, "fill-edge", j))
 
     def draw(item):

@@ -217,7 +217,6 @@ def edge_selection(kind: str) -> SelectionFunction:
 
 @dataclass
 class CertificateReport:
-    grid_size: int
     monotone_ok: bool
     floor_ok: bool
     max_violation: float  # max over grid of c(t) - rhs(t); <= 0 means valid
@@ -259,7 +258,6 @@ def verify_selection_conditions(sel: SelectionFunction, g, grid_size: int) -> Ce
         if slack > 1e-10:
             violations.append((float(t), float(slack)))
     return CertificateReport(
-        grid_size=grid_size,
         monotone_ok=monotone_ok,
         floor_ok=floor_ok,
         max_violation=float(max_violation),

@@ -25,6 +25,8 @@ from crslab.rng import chunks
 from crslab.selection import SelectionFunction, c_vertex
 from crslab.two_phase import prune_factor, run_two_phase_batch, survival_prob
 
+from .oracles import neighbors
+
 # -- selection functions ------------------------------------------------------------
 
 
@@ -209,7 +211,7 @@ def _bound_poly(g: Graph, t: float, memo: dict, deleted: frozenset, a: int, b: i
     total = y_poly
     half_t2 = 0.5 * t * t
     inner_deleted = deleted | {a}
-    for w in g.neighbors(b):
+    for w in neighbors(g, b):
         w = int(w)
         if w == a or w in deleted:
             continue

@@ -7,7 +7,8 @@ reference solves its linear ODE the same way. Frozen constants were computed
 once from these oracles and are asserted against the library's closed forms.
 `hardness_rounds` replays the K_{n,n} round process one round at a time, the
 reference for the library's pass over feasible picks. `csr_reference` fills
-a graph's adjacency edge by edge, the reference for its sorted construction.
+a graph's adjacency edge by edge, the reference for its sorted construction,
+and `neighbors` reads one vertex's slice of it.
 `greedy_resolve` takes a row block's proposals one at a time, the reference
 for the engines' kernel; `RecordingTally` (swapped in by `recorded`) keeps
 the per-trial record of what that kernel accepted, which the library itself
@@ -143,6 +144,11 @@ def hardness_rounds(n: int, trials: int, seed: int):
         unarrived = np.maximum(n - left_arrived, n - right_arrived)
         balance[:, t + 1] = unarrived <= thresholds[t + 1]
     return matched, balance
+
+
+def neighbors(g, v: int) -> np.ndarray:
+    """The neighbors of v: its slice of `g`'s CSR adjacency."""
+    return g.adj_v[g.indptr[v] : g.indptr[v + 1]]
 
 
 def csr_reference(g) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -343,7 +349,7 @@ def run_two_phase(g, t: float, y, f, ua, ub) -> list:
         if ua[v] > prune_factor(float(g.x[eid]), t):
             continue
         if y[v] < t:
-            s = sum(float(fvals[g.edge_id(w, int(k))]) for k in g.neighbors(w) if (y[k], int(k)) < (y[v], v))
+            s = sum(float(fvals[g.edge_id(w, int(k))]) for k in neighbors(g, w) if (y[k], int(k)) < (y[v], v))
             assert s <= 1.0 + 1e-9
             if ub[v] > 1.0 / (2.0 - s):
                 continue
@@ -371,7 +377,7 @@ def phase1_mode(g) -> tuple[str, np.ndarray | None]:
             queue = [s]
             while queue:
                 v = queue.pop()
-                for w in g.neighbors(v):
+                for w in neighbors(g, v):
                     if side[w] < 0:
                         side[w] = side[v] ^ 1
                         queue.append(int(w))

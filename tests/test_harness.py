@@ -769,6 +769,8 @@ def test_cli_selection(capsys, tmp_path):
 def test_cli_selection_edge_kind(capsys):
     assert main(["selection", "--edge", "rank1"]) == 0
     assert "edge[rank1]" in capsys.readouterr().out
+    assert main(["selection", "--edge", "rank1", "--g", "3,5"]) == 0
+    assert capsys.readouterr().out.count("edge[rank1]") == 1  # once, not once per girth
 
 
 def test_cli_simulate(tmp_path, capsys):
@@ -825,6 +827,8 @@ CLI_ERRORS = [
     (["simulate", "--family", "cycle", "--param", "n5", "--scheme", "rank1-closed", *RUN],
      "config error: --param: key=value expected, got 'n5'"),
     (["selection", "--g", "3,5", "--out", "unwritten.csv"], "config error: --out: exactly one --g value expected"),
+    (["selection", "--edge", "edge_general", "--certify"],
+     "config error: --certify: the certificate checks vertex-mode selection functions, not --edge"),
     (["generate"], "config error: instance.family: must be one of"),
     (["generate", "--family", "cycle", "--param", "n5"], "config error: --param: key=value expected, got 'n5'"),
     (["generate", "--family", "cycle", "--param", "n=2"], "config error: instance: cycle needs n >= 3"),

@@ -30,6 +30,47 @@ def test_ahead_yields_in_order_and_close_joins_helper(monkeypatch, workers):
     assert threading.active_count() == threads
 
 
+class _Boom(Exception):
+    pass
+
+
+def test_ahead_error_reaches_caller_at_its_item():
+    made = []
+
+    def make(k):
+        made.append(k)
+        if k == 3:
+            raise _Boom(k)
+        return k
+
+    threads = threading.active_count()
+    got = []
+    with pytest.raises(_Boom):
+        for value in _ahead(make, range(8)):
+            assert max(made) <= value + 1  # at most one item made ahead
+            got.append(value)
+    assert got == [0, 1, 2]
+    assert made == [0, 1, 2, 3]  # nothing made after the failing item
+    assert threading.active_count() == threads  # the helper has finished
+
+
+def test_ahead_advances_items_on_calling_thread():
+    advanced, made_on = [], []
+
+    def items():
+        for k in range(6):
+            advanced.append(threading.get_ident())
+            yield k
+
+    def make(k):
+        made_on.append(threading.get_ident())
+        return k
+
+    assert list(_ahead(make, items())) == list(range(6))
+    assert set(advanced) == {threading.get_ident()}
+    assert threading.get_ident() not in made_on  # made on the helper
+
+
 def _resolve_vs_oracle(g, trials, lo, hi, block, bins=None):
     """Run one block through a fresh recording tally and compare every array,
     the recorded ones included, with greedy_resolve."""

@@ -202,7 +202,7 @@ def test_certificate_flags_monotone_and_floor_breaks():
 
 
 def test_certificate_report_is_dataclass():
-    rep = CertificateReport(4, True, True, -1e-12, 5e-12, [])
+    rep = CertificateReport(True, True, -1e-12, 5e-12, [])
     assert rep.passed and rep.inequality_ok
 
 
