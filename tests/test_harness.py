@@ -827,8 +827,6 @@ CLI_ERRORS = [
     (["simulate", "--family", "cycle", "--param", "n5", "--scheme", "rank1-closed", *RUN],
      "config error: --param: key=value expected, got 'n5'"),
     (["selection", "--g", "3,5", "--out", "unwritten.csv"], "config error: --out: exactly one --g value expected"),
-    (["selection", "--edge", "edge_general", "--certify"],
-     "config error: --certify: the certificate checks vertex-mode selection functions, not --edge"),
     (["generate"], "config error: instance.family: must be one of"),
     (["generate", "--family", "cycle", "--param", "n5"], "config error: --param: key=value expected, got 'n5'"),
     (["generate", "--family", "cycle", "--param", "n=2"], "config error: instance: cycle needs n >= 3"),
@@ -840,6 +838,8 @@ CLI_ERRORS = [
     (["generate", "--family", "cycle", "--param", "path=f.json"], "config error: --param: path is not a generator parameter"),
     (["simulate", "--family", "cycle", "--param", "family=star", "--param", "k=2", "--scheme", "rank1-closed", *RUN],
      "config error: --param: family is not a generator parameter"),
+    (["selection", "--edge", "edge_general", "--certify"],
+     "config error: --certify: the certificate checks vertex-mode selection functions, not --edge"),
 ]
 
 
