@@ -46,10 +46,14 @@ def coupled_batch(
     F: np.ndarray,
     U: np.ndarray,
     t_k: float = 1.0,
+    watch: np.ndarray | None = None,
 ):
-    """Vectorized coupled executions; returns (full, dropped) BatchResults."""
-    full = run_vertex_batch(g, sel, table, Y, F, U, t_stop=t_k)
-    dropped = run_vertex_batch(g, sel, table, Y, F, U, t_stop=t_k, exclude=v)
+    """Vectorized coupled executions; returns (full, dropped) BatchResults.
+
+    Both carry the matched flags at the (trials, k) vertex ids `watch`.
+    """
+    full = run_vertex_batch(g, sel, table, Y, F, U, t_stop=t_k, watch=watch)
+    dropped = run_vertex_batch(g, sel, table, Y, F, U, t_stop=t_k, exclude=v, watch=watch)
     return full, dropped
 
 
@@ -222,16 +226,16 @@ def correlation_gap(
         Y = rng.random((count, n))
         F = sample_choices_batch(g, rng, count)
         U = rng.random((count, n))
-        full, dropped = coupled_batch(g, sel, table, v, Y, F, U, t_k=t_k)
+        full, dropped = coupled_batch(g, sel, table, v, Y, F, U, t_k=t_k, watch=np.broadcast_to(np.intp(u), (count, 1)))
         outer = Y[:, u] < t_k
         inner = outer & (Y[:, v] > t_k)
-        m_u = full.matched[:, u]
+        m_u = full.matched[:, 0]
         sum_inner += int(np.count_nonzero(m_u & inner))
         cnt_inner += int(np.count_nonzero(inner))
         sum_outer += int(np.count_nonzero(m_u & outer))
         cnt_outer += int(np.count_nonzero(outer))
         B, paths = flip_indicators(g, sel, table, Y, F, U, u, v)
-        need = dropped.matched[:, u] & ~m_u
+        need = dropped.matched[:, 0] & ~m_u
         flips += int(np.count_nonzero(need))
         violations += int(np.count_nonzero(need & ~B))
         max_paths = max(max_paths, int(paths.count.max()))

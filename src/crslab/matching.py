@@ -1,11 +1,15 @@
 """Engine result types and the candidate-then-resolve kernel of the engines.
 
-In every batch engine the only sequential state is `matched`: arrival
-order, active proposals and decision bits depend on the arrivals alone. So
-the engines (recursive vertex and edge, two-phase, rank-1) differ only in
-the keep rule that `_run_batch` applies to one row block in a single
-vectorized pass; `_BatchTally.resolve` accepts the kept proposals in
-greedy rounds, visiting only the proposals themselves. A keep rule gathers
+In every batch engine the only sequential state is which vertices are
+matched: arrival order, active proposals and decision bits depend on the
+arrivals alone. So the engines (recursive vertex and edge, two-phase,
+rank-1) differ only in the keep rule that `_run_batch` applies to one row
+block in a single vectorized pass; `_BatchTally.resolve` accepts the kept
+proposals in greedy rounds, visiting only the proposals themselves. It
+keeps the matched flags of its block only, and a batch returns those of
+the vertices its caller watches (`watch`, k ids per row): a table fill
+reads one or two per row and a trial loop none, so no batch holds a
+(trials, n) flag matrix. A keep rule gathers
 its kept proposals through one integer index (`np.flatnonzero` of its keep
 mask, then `take`), and `resolve` gathers its accepted ones the same way:
 at the densities keep rules produce, a boolean-mask gather costs several
@@ -32,7 +36,6 @@ from __future__ import annotations
 
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,7 +60,7 @@ WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 
 class BatchResult:
     """Counters produced by one vectorized batch of trials."""
 
-    matched: np.ndarray  # (trials, n) matched-by-t_stop flags
+    matched: np.ndarray | None  # (trials, k) matched-by-t_stop flags of the watched vertices
     accepted: np.ndarray  # (m,) accepted count per edge
     active: np.ndarray  # (m,) active-proposal count per edge
     acc_bin: np.ndarray | None = None  # (m, bins)
@@ -147,6 +150,9 @@ def _ahead(make, items):
     re-raised here, and no later item is made; closing the generator early
     waits for the helper first.
     """
+    # imported here: only the edge fill pays for concurrent.futures (and logging)
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=1) as helper:
         futures = (helper.submit(make, item) for item in items)
         pending = next(futures, None)
@@ -166,13 +172,17 @@ class _BatchTally:
     `_run_batch` counts each block's active proposals, then passes those
     its engine kept to `resolve`. Blocks may run on several threads: each
     writes only its own rows, and adds to the shared counters under `lock`,
-    which also serializes the engine's selection calls.
+    which also serializes the engine's selection calls. `watch`, when
+    given, is a (trials, k) array of vertex ids: each row's k flags at
+    those ids are kept in `watched`.
     """
 
-    def __init__(self, g: Graph, trials: int, bins: int | None = None):
-        n, m = g.vertex_count, g.edge_count
+    def __init__(self, g: Graph, trials: int, bins: int | None = None, watch: np.ndarray | None = None):
+        m = g.edge_count
+        self.n = g.vertex_count
         self.bins = bins
-        self.matched = np.zeros((trials, n), dtype=bool)
+        self.watch = watch
+        self.watched = None if watch is None else np.zeros(watch.shape, dtype=bool)
         self.accepted = np.zeros(m, dtype=np.int64)
         self.active = np.zeros(m, dtype=np.int64)
         self.acc_bin = np.zeros((m, bins), dtype=np.int64) if bins else None
@@ -193,10 +203,12 @@ class _BatchTally:
             self._add(by_bin.reshape(-1), edge * self.bins + _bin_of(y, self.bins))
 
     def resolve(self, lo: int, hi: int, row, y, target, proposer, edge) -> np.ndarray:
-        """Accept one block's proposals by the greedy rule, count them, and
-        return the mask of the accepted ones.
+        """Accept one block's proposals by the greedy rule, count them, keep
+        the watched flags of rows lo..hi-1 and return the mask of the
+        accepted ones.
 
-        Rows lo..hi-1 must be untouched; `row` is block-local. A proposal is
+        Rows lo..hi-1 start all unmatched, so each row's proposals must come
+        in one call; `row` is block-local. A proposal is
         accepted iff both endpoints are still unmatched when it arrives, in
         (y, index) order within its row, so a row's proposals must come in
         slot order (proposer id or edge id): index order breaks ties in `y`.
@@ -215,8 +227,8 @@ class _BatchTally:
         index. The earliest live proposal of every row wins each round, so
         the rounds never outnumber the most proposals in any row.
         """
-        n = self.matched.shape[1]
-        flat = self.matched[lo:hi].reshape(-1)
+        n = self.n
+        flat = np.zeros((hi - lo) * n, dtype=bool)  # the block's matched flags
         # the live proposals: index, vertex keys and time
         live, a, b, t = np.arange(row.size), row * n + target, row * n + proposer, y
         single = bool(np.any(target == proposer))  # some proposal has one key
@@ -243,22 +255,28 @@ class _BatchTally:
             flat[b.take(w)] = True
             keep = np.flatnonzero(~(flat.take(a) | flat.take(b)))
             live, a, b, t = live.take(keep), a.take(keep), b.take(keep), t.take(keep)
+        if self.watch is not None:
+            # a flat take: `np.take_along_axis` costs twice as much here
+            self.watched[lo:hi] = flat.take(np.arange(hi - lo)[:, None] * n + self.watch[lo:hi])
         k = np.flatnonzero(acc)
         self.count(self.accepted, self.acc_bin, edge.take(k), y.take(k) if self.bins else None)
         return acc
 
     def result(self) -> BatchResult:
-        return BatchResult(self.matched, self.accepted, self.active, self.acc_bin, self.act_bin)
+        return BatchResult(self.watched, self.accepted, self.active, self.acc_bin, self.act_bin)
 
 
-def _run_batch(g: Graph, trials: int, width: int, bins: int | None, propose) -> BatchResult:
+def _run_batch(g: Graph, trials: int, width: int, bins: int | None, propose, watch: np.ndarray | None = None) -> BatchResult:
     """One engine batch of `trials` rows of `width` arrivals.
 
     propose(lo, hi, lock), the engine's keep rule on rows lo..hi-1, returns
     the (edge, y) of every active proposal and the (row, y, target,
     proposer, edge) of the kept ones; it calls selection under `lock`.
+    `watch` is a (trials, k) intp array of the vertex ids whose matched
+    flags the result carries, one row per trial row; with None it carries
+    none.
     """
-    tally = _BatchTally(g, trials, bins)
+    tally = _BatchTally(g, trials, bins, watch)
 
     def block(lo, hi):
         (edge, y), kept = propose(lo, hi, tally.lock)

@@ -112,6 +112,7 @@ def run_vertex_batch(
     t_stop: float = 1.0,
     exclude: int | None = None,
     bins: int | None = None,
+    watch: np.ndarray | None = None,
 ) -> BatchResult:
     """Vectorized vertex-mode runs over the trial axis.
 
@@ -119,7 +120,9 @@ def run_vertex_batch(
     decision uniforms. Y and U may be `crslab.rng.Rows`, as every array
     input of the engines may: only their shape and row slices are read.
     Passing the same arrays with different `exclude` values realizes
-    coupled executions on G and G minus a vertex.
+    coupled executions on G and G minus a vertex. The result's `matched`
+    holds the flags at the (trials, k) vertex ids `watch`, as in every
+    engine (None without it).
     """
 
     def propose(lo, hi, lock):
@@ -128,7 +131,7 @@ def run_vertex_batch(
         k = np.flatnonzero(_flat(U[lo:hi]).take(c.cell) <= _proposal_param(sel, table, c.y, shat, lock))
         return (c.edge, c.y), (c.row.take(k), c.y.take(k), c.target.take(k), c.proposer.take(k), c.edge.take(k))
 
-    return _run_batch(g, *Y.shape, bins, propose)
+    return _run_batch(g, *Y.shape, bins, propose, watch)
 
 
 def fill_tables(g: Graph, sel: SelectionFunction, T: int, delta: float, Q: int, seed: int) -> EstimateTable:
@@ -137,6 +140,7 @@ def fill_tables(g: Graph, sel: SelectionFunction, T: int, delta: float, Q: int, 
     Phase j is estimated from Q forced runs per directed pair (target's time
     uniform on [0, t_j), proposer's on (t_j, 1], fresh choices), executed as
     one stacked batch over all 2m pairs and reusing rows 0..j-1 of the table.
+    Each run watches its forced target only.
     """
     m = g.edge_count
     n = g.vertex_count
@@ -165,8 +169,8 @@ def fill_tables(g: Graph, sel: SelectionFunction, T: int, delta: float, Q: int, 
             Y = rows(rng, count, n, then=force)
             F = sample_choices_batch(g, rng, count)
             U = rows(rng, count, n)
-            res = run_vertex_batch(g, sel, table, Y, F, U, t_stop=tj)
-            free = ~res.matched.reshape(-1).take(np.arange(count) * n + targets.take(dir_id))
+            res = run_vertex_batch(g, sel, table, Y, F, U, t_stop=tj, watch=targets.take(dir_id)[:, None])
+            free = ~res.matched[:, 0]
             unmatched += np.bincount(dir_id, weights=free, minlength=2 * m)
         values[j] = np.clip(unmatched / Q, floor_clamp, 1.0)
     return table
@@ -184,6 +188,7 @@ def run_edge_batch(
     U: np.ndarray,
     t_stop: float = 1.0,
     bins: int | None = None,
+    watch: np.ndarray | None = None,
 ) -> BatchResult:
     """Vectorized edge-mode runs; feasibility is both endpoints unmatched."""
 
@@ -197,7 +202,7 @@ def run_edge_batch(
         ek = e.take(k)
         return (e, y), (row.take(k), y.take(k), g.eu.take(ek), g.ev.take(ek), ek)
 
-    return _run_batch(g, *Ye.shape, bins, propose)
+    return _run_batch(g, *Ye.shape, bins, propose, watch)
 
 
 def fill_tables_edge(g: Graph, sel: SelectionFunction, T: int, delta: float, Q: int, seed: int) -> EstimateTable:
@@ -209,14 +214,13 @@ def fill_tables_edge(g: Graph, sel: SelectionFunction, T: int, delta: float, Q: 
     table, so the next chunk's draws are made on the fill's one helper
     thread while the engine runs this one. The streams are created on the
     calling thread and the draws are unchanged, so the table does not
-    depend on it.
+    depend on it. Each run watches the two endpoints of its forced edge.
     """
     m = g.edge_count
-    n = g.vertex_count
     floor_clamp = sel.floor / 2.0
     values = np.ones((T, m), dtype=np.float64)
     table = EstimateTable(T, delta, values)
-    eu, ev = g.eu, g.ev
+    ends = np.column_stack((g.eu, g.ev))  # each edge's two endpoints
     rows_total = m * Q
     # Two buffer sets: one being drawn, one being run.
     size = min(FILL_ROW_CHUNK, rows_total)
@@ -236,14 +240,13 @@ def fill_tables_edge(g: Graph, sel: SelectionFunction, T: int, delta: float, Q: 
         ecell = rr * m + erow  # flat (row, forced edge) cells
         y[ecell] = tj + y.take(ecell) * (1.0 - tj)
         rng.random(out=U)
-        return j, base + count == rows_total, rr, erow, active, Ye, U
+        return j, base + count == rows_total, erow, ends.take(erow, axis=0), active, Ye, U
 
     feasible = np.zeros(m, dtype=np.float64)
     with contextlib.closing(_ahead(draw, zip(phases, itertools.cycle(sets)))) as drawn:
-        for j, last, rr, erow, active, Ye, U in drawn:
-            res = run_edge_batch(g, sel, table, active, Ye, U, t_stop=j / T)
-            matched = res.matched.reshape(-1)
-            free = ~matched.take(rr * n + eu.take(erow)) & ~matched.take(rr * n + ev.take(erow))
+        for j, last, erow, watch, active, Ye, U in drawn:
+            res = run_edge_batch(g, sel, table, active, Ye, U, t_stop=j / T, watch=watch)
+            free = ~(res.matched[:, 0] | res.matched[:, 1])
             feasible += np.bincount(erow, weights=free, minlength=m)
             if last:  # the phase's rows are all in
                 values[j] = np.clip(feasible / Q, floor_clamp, 1.0)

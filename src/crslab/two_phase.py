@@ -129,8 +129,13 @@ def run_two_phase_batch(
     UB: np.ndarray,
     t_stop: float = 1.0,
     bins: int | None = None,
+    watch: np.ndarray | None = None,
 ) -> BatchResult:
-    """Vectorized two-phase runs; Y/F/UA/UB are (trials, n) per-vertex arrays."""
+    """Vectorized two-phase runs; Y/F/UA/UB are (trials, n) per-vertex arrays.
+
+    The result's `matched` holds the flags at the (trials, k) vertex ids
+    `watch` (None without it).
+    """
     if not (0.0 <= t <= 1.0):
         raise ValueError("t must lie in [0, 1]")
     avals = prune_factor(g.x, t)
@@ -149,7 +154,7 @@ def run_two_phase_batch(
         k = np.flatnonzero(keep)
         return (c.edge, c.y), (c.row.take(k), c.y.take(k), c.target.take(k), c.proposer.take(k), c.edge.take(k))
 
-    return _run_batch(g, *Y.shape, bins, propose)
+    return _run_batch(g, *Y.shape, bins, propose, watch)
 
 
 TRIAL_CHUNK = 200_000

@@ -10,7 +10,10 @@ direct entry points, and hashes what they produce:
 - every `BatchResult` field of the three batch engines on tie-heavy inputs
   (arrival times on a coarse grid), with `exclude` and `bins`, plus the
   per-trial record of accepted proposals that `tests.oracles.recorded`
-  keeps (`acc_edge`, `prop_is_ev`, `sel_into`);
+  keeps (`acc_edge`, `prop_is_ev`, `sel_into`); the engines and the
+  kernel blocks below watch every vertex (`tests.oracles.watch_all`), so
+  `matched` is the whole (trials, n) flag matrix the digests were pinned
+  with;
 - every chunked loop (the six trial loops and the edge fill) over several
   chunks with a partial last one, with the rank-1 safety tally replayed by
   `tests.analysis.rank1_safety`;
@@ -66,7 +69,7 @@ from crslab.selection import INFINITE, c_vertex, edge_selection, vertex_selectio
 from crslab.two_phase import run_two_phase_batch
 
 from .analysis import pinned_phase1_frequency, rank1_safety
-from .oracles import RecordingTally, recorded
+from .oracles import RecordingTally, recorded, watch_all
 
 PINNED = Path(__file__).with_name("golden_digests.json")
 
@@ -227,9 +230,9 @@ def engine_digests() -> dict[str, str]:
         U = rng.random((rows, g.vertex_count))
         for t_stop in (0.5, 0.6, 1.0):
             for ex in (None, excl):
-                res = recorded(run_vertex_batch, g, sel, tab, Y, F, U, t_stop, ex, 4)
+                res = recorded(run_vertex_batch, g, sel, tab, Y, F, U, t_stop, ex, 4, watch_all(g, rows))
                 out[f"vertex-{name}-t{t_stop}-x{ex}"] = batch_digest(res)
-        full, dropped = recorded(coupled_batch, g, sel, tab, excl, Y, F, U, t_k=0.75)
+        full, dropped = recorded(coupled_batch, g, sel, tab, excl, Y, F, U, t_k=0.75, watch=watch_all(g, rows))
         # pinned when this call recorded the targets only
         out[f"coupled-{name}"] = "".join(batch_digest(_drop(r, "acc_edge", "prop_is_ev")) for r in (full, dropped))
 
@@ -246,7 +249,7 @@ def engine_digests() -> dict[str, str]:
     Ye = _grid_times(rng, (rows, m))
     U = rng.random((rows, m))
     for t_stop in (0.5, 0.6, 1.0):
-        out[f"edge-tree9-t{t_stop}"] = batch_digest(run_edge_batch(tree, sel_e, tab_e, active, Ye, U, t_stop, 3))
+        out[f"edge-tree9-t{t_stop}"] = batch_digest(run_edge_batch(tree, sel_e, tab_e, active, Ye, U, t_stop, 3, watch_all(tree, rows)))
 
     two_phase_graphs = (
         ("complete7", complete(7)),  # complete-graph phase-1 sums
@@ -262,7 +265,7 @@ def engine_digests() -> dict[str, str]:
         UA = rng.random((rows, n))
         UB = rng.random((rows, n))
         for t_stop in (0.5, 0.6, 1.0):
-            res = recorded(run_two_phase_batch, g, 0.6, Y, F, UA, UB, t_stop, 4)
+            res = recorded(run_two_phase_batch, g, 0.6, Y, F, UA, UB, t_stop, 4, watch_all(g, rows))
             # pinned when this call recorded the edges only
             out[f"two-phase-{name}-t{t_stop}"] = batch_digest(_drop(res, "sel_into"))
     return out
@@ -333,7 +336,7 @@ def kernel_digests() -> dict[str, str]:
     out = {}
     for name, g, trials, blocks, grid, flip, bins, tracked in cases:
         rng = stream(1101, "golden-kernel", name)
-        tally = (RecordingTally if tracked else _BatchTally)(g, trials, bins)
+        tally = (RecordingTally if tracked else _BatchTally)(g, trials, bins, watch_all(g, trials))
         for lo, hi in blocks:
             tally.resolve(lo, hi, *_kernel_block(g, rng, hi - lo, grid, flip))
         out[name] = batch_digest(tally.result())

@@ -214,6 +214,13 @@ class RecordedResult(BatchResult):
     sel_into: np.ndarray | None = None  # (trials, n) vertex accepted as a target
 
 
+def watch_all(g, trials: int) -> np.ndarray:
+    """The engines' `watch` that names every vertex of every row: with it,
+    `BatchResult.matched` is the full (trials, n) flag matrix."""
+    n = g.vertex_count
+    return np.broadcast_to(np.arange(n), (trials, n))
+
+
 class RecordingTally(_BatchTally):
     """`_BatchTally` that also records each row's accepted proposals.
 
@@ -221,8 +228,8 @@ class RecordingTally(_BatchTally):
     own rows, so blocks may run on several threads.
     """
 
-    def __init__(self, g, trials: int, bins: int | None = None):
-        super().__init__(g, trials, bins)
+    def __init__(self, g, trials: int, bins: int | None = None, watch: np.ndarray | None = None):
+        super().__init__(g, trials, bins, watch)
         self.ev = g.ev
         self.acc_edge = np.zeros((trials, g.edge_count), dtype=bool)
         self.prop_is_ev = np.zeros((trials, g.edge_count), dtype=bool)

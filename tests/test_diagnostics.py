@@ -23,7 +23,7 @@ from crslab.recursive import EstimateTable
 from crslab.rng import stream
 from crslab.selection import INFINITE
 
-from .oracles import analyze_flipping, check_badly_ordered, coupled_run, detect_potential_path, vertex_draws
+from .oracles import analyze_flipping, check_badly_ordered, coupled_run, detect_potential_path, vertex_draws, watch_all
 
 NO = NO_CHOICE
 
@@ -161,7 +161,7 @@ def test_coupled_run_matches_batch(c5, sel5, table_c5_small):
     rng = stream(46, "corr-gap", 0)
     Y, F = vertex_draws(c5, rng, 200)
     U = rng.random((200, 5))
-    full, dropped = coupled_batch(c5, sel5, table_c5_small, 1, Y, F, U, t_k=0.8)
+    full, dropped = coupled_batch(c5, sel5, table_c5_small, 1, Y, F, U, t_k=0.8, watch=watch_all(c5, 200))
     for i in range(200):
         run = coupled_run(c5, sel5, table_c5_small, 0, 1, 0.8, Y[i], F[i], U[i])
         assert (full.matched[i] == run.matched_full).all()
@@ -173,7 +173,7 @@ def test_rows_with_absent_v_are_identical(c5, sel5, table_c5_small):
     rng = stream(47, "trials-vertex", 0)
     Y, F = vertex_draws(c5, rng, 800)
     U = rng.random((800, 5))
-    full, dropped = coupled_batch(c5, sel5, table_c5_small, 1, Y, F, U, t_k=0.6)
+    full, dropped = coupled_batch(c5, sel5, table_c5_small, 1, Y, F, U, t_k=0.6, watch=watch_all(c5, 800))
     mask = Y[:, 1] > 0.6
     assert mask.any()
     assert (full.matched[mask] == dropped.matched[mask]).all()
@@ -231,7 +231,7 @@ def test_flip_indicator_covers_all_flips(c5, sel5, table_c5_small):
     rng = stream(48, "trials-vertex", 0)
     Y, F = vertex_draws(c5, rng, 20000)
     U = rng.random((20000, 5))
-    full, dropped = coupled_batch(c5, sel5, table_c5_small, 1, Y, F, U, t_k=1.0)
+    full, dropped = coupled_batch(c5, sel5, table_c5_small, 1, Y, F, U, t_k=1.0, watch=watch_all(c5, 20000))
     B, scan = flip_indicators(c5, sel5, table_c5_small, Y, F, U, 0, 1)
     need = dropped.matched[:, 0] & ~full.matched[:, 0]
     assert not (need & ~B).any()
@@ -242,7 +242,7 @@ def test_bipartite_never_flips(k33, sel_inf, table_k33_small):
     rng = stream(49, "trials-vertex", 0)
     Y, F = vertex_draws(k33, rng, 2000)
     U = rng.random((2000, 6))
-    full, dropped = coupled_batch(k33, sel_inf, table_k33_small, 3, Y, F, U, t_k=1.0)
+    full, dropped = coupled_batch(k33, sel_inf, table_k33_small, 3, Y, F, U, t_k=1.0, watch=watch_all(k33, 2000))
     need = dropped.matched[:, 0] & ~full.matched[:, 0]
     assert not need.any()
 

@@ -26,7 +26,7 @@ from crslab.rng import stream
 from crslab.selection import edge_selection
 from crslab.two_phase import run_two_phase_batch
 
-from .oracles import T0_FROZEN, matched_flags, recorded, run_edge, run_rank1_closed_form, run_two_phase, run_vertex
+from .oracles import T0_FROZEN, matched_flags, recorded, run_edge, run_rank1_closed_form, run_two_phase, run_vertex, watch_all
 
 GRID = 6  # arrival times k / GRID, k = 1..GRID
 BINS = 4
@@ -140,7 +140,7 @@ def test_vertex_batch_rows_match_scalar(which, exclude, t_stop, grid, c5, sel5, 
     g, sel, table = (c5, sel5, table_c5_small) if which == "c5" else (k33, sel_inf, table_k33_small)
     trials = 300
     Y, F, U = _vertex_draws(g, 811, trials, grid=grid)
-    res = recorded(run_vertex_batch, g, sel, table, Y, F, U, t_stop, exclude, BINS)
+    res = recorded(run_vertex_batch, g, sel, table, Y, F, U, t_stop, exclude, BINS, watch_all(g, trials))
     _vertex_reference(g, sel, table, Y, F, U, t_stop, exclude).check(res)
 
 
@@ -156,7 +156,7 @@ def test_edge_batch_rows_match_scalar(t_stop, grid, k33):
     active = rng.random((trials, m)) < 2.0 * g.x[None, :]
     Ye = _grid(rng, (trials, m), grid)
     U = rng.random((trials, m))
-    res = recorded(run_edge_batch, g, sel, table, active, Ye, U, t_stop, BINS)
+    res = recorded(run_edge_batch, g, sel, table, active, Ye, U, t_stop, BINS, watch_all(g, trials))
     # an edge arrival has no proposer side: skip the two fields that name one
     _edge_reference(g, sel, table, active, Ye, U, t_stop).check(res, FIELDS[:-2])
 
@@ -179,7 +179,7 @@ def test_two_phase_batch_rows_match_scalar(maker, t, t_stop):
     g, grid = maker()
     trials = 300
     Y, F, UA, UB = _vertex_draws(g, 814, trials, extra=2, grid=grid)
-    res = recorded(run_two_phase_batch, g, t, Y, F, UA, UB, t_stop, BINS)
+    res = recorded(run_two_phase_batch, g, t, Y, F, UA, UB, t_stop, BINS, watch_all(g, trials))
     _two_phase_reference(g, t, Y, F, UA, UB, t_stop).check(res)
 
 
@@ -216,7 +216,7 @@ def test_batch_keep_rules_at_the_extremes(engine, case, c5, sel5, k33):
         table = EstimateTable(6, 0.1, np.ones((6, 2 * c5.edge_count)))
         Y, F = _vertex_draws(c5, 841, trials, extra=0)
         U = np.full(Y.shape, u)
-        res = recorded(run_vertex_batch, c5, sel5, table, Y, F, U, t_stop, None, BINS)
+        res = recorded(run_vertex_batch, c5, sel5, table, Y, F, U, t_stop, None, BINS, watch_all(c5, trials))
         _vertex_reference(c5, sel5, table, Y, F, U, t_stop).check(res)
     elif engine == "edge":
         sel = edge_selection("edge_general")
@@ -225,14 +225,14 @@ def test_batch_keep_rules_at_the_extremes(engine, case, c5, sel5, k33):
         active = rng.random((trials, k33.edge_count)) < 2.0 * k33.x[None, :]
         Ye = _grid(rng, active.shape)
         U = np.full(active.shape, u)
-        res = recorded(run_edge_batch, k33, sel, table, active, Ye, U, t_stop, BINS)
+        res = recorded(run_edge_batch, k33, sel, table, active, Ye, U, t_stop, BINS, watch_all(k33, trials))
         _edge_reference(k33, sel, table, active, Ye, U, t_stop).check(res, FIELDS[:-2])
     else:
         # the prune factor is below 1 at t < 1
         g = complete(5)
         Y, F = _vertex_draws(g, 843, trials, extra=0)
         UA = UB = np.full(Y.shape, u)
-        res = recorded(run_two_phase_batch, g, 0.6, Y, F, UA, UB, t_stop, BINS)
+        res = recorded(run_two_phase_batch, g, 0.6, Y, F, UA, UB, t_stop, BINS, watch_all(g, trials))
         _two_phase_reference(g, 0.6, Y, F, UA, UB, t_stop).check(res)
     _check_extreme(case, res)
 
@@ -285,7 +285,7 @@ def test_vertex_batch_ignores_block_budget(monkeypatch, c5, sel5, table_c5_small
     for t_stop in T_STOPS:
         _same_for_every_budget(
             monkeypatch, c5.vertex_count,
-            lambda: recorded(run_vertex_batch, c5, sel5, table_c5_small, Y, F, U, t_stop, 1, BINS),
+            lambda: recorded(run_vertex_batch, c5, sel5, table_c5_small, Y, F, U, t_stop, 1, BINS, watch_all(c5, 200)),
         )
 
 
@@ -297,7 +297,7 @@ def test_edge_batch_ignores_block_budget(monkeypatch, k33):
     Ye = _grid(rng, (200, 9))
     U = rng.random((200, 9))
     for t_stop in T_STOPS:
-        _same_for_every_budget(monkeypatch, 9, lambda: recorded(run_edge_batch, k33, sel, table, active, Ye, U, t_stop, BINS))
+        _same_for_every_budget(monkeypatch, 9, lambda: recorded(run_edge_batch, k33, sel, table, active, Ye, U, t_stop, BINS, watch_all(k33, 200)))
 
 
 @pytest.mark.parametrize("maker", [lambda: complete(5), lambda: complete_bipartite(3), lambda: cycle_blowup(3, 2)])
@@ -309,8 +309,42 @@ def test_two_phase_batch_ignores_block_budget(monkeypatch, maker):
         for t_stop in T_STOPS:
             _same_for_every_budget(
                 monkeypatch, g.vertex_count,
-                lambda: recorded(run_two_phase_batch, g, 0.6, Y, F, UA, UB, t_stop, BINS),
+                lambda: recorded(run_two_phase_batch, g, 0.6, Y, F, UA, UB, t_stop, BINS, watch_all(g, 200)),
             )
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_watched_flags_are_cells_of_the_full_watch(monkeypatch, k, c5, sel5, table_c5_small, k33):
+    """`matched` holds each row's flags at its watched ids (repeats allowed),
+    as cut from the full flag matrix, for every block budget and 1-3 engine
+    threads; without `watch` it is None and the counters are unchanged."""
+    trials = 200
+    Y, F, U, UB = _vertex_draws(c5, 851, trials, extra=2)
+    sel_e = edge_selection("edge_general")
+    table_e = fill_tables_edge(k33, sel_e, T=6, delta=0.1, Q=100, seed=852)
+    rng = stream(853, "test-engines")
+    active = rng.random((trials, 9)) < 2.0 * k33.x[None, :]
+    Ye, Ue = _grid(rng, (trials, 9)), rng.random((trials, 9))
+    runs = (  # (graph, row width, run(watch))
+        (c5, 5, lambda watch: run_vertex_batch(c5, sel5, table_c5_small, Y, F, U, 0.6, 1, BINS, watch)),
+        (k33, 9, lambda watch: run_edge_batch(k33, sel_e, table_e, active, Ye, Ue, 0.6, BINS, watch)),
+        (c5, 5, lambda watch: run_two_phase_batch(c5, 0.6, Y, F, U, UB, 0.6, BINS, watch)),
+    )
+    for g, width, run in runs:
+        full = run(watch_all(g, trials))
+        watch = rng.integers(0, g.vertex_count, size=(trials, k)).astype(np.intp)
+        want = np.take_along_axis(full.matched, watch, axis=1)
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(crslab.matching, "WORKERS", workers)
+            for budget in _budgets(width):
+                monkeypatch.setattr(crslab.matching, "ROW_BLOCK_ELEMS", budget)
+                got, plain = run(watch), run(None)
+                assert got.matched.dtype == bool and np.array_equal(got.matched, want)
+                assert plain.matched is None
+                for name in FIELDS[1:5]:
+                    assert np.array_equal(getattr(got, name), getattr(full, name)), name
+                    assert np.array_equal(getattr(plain, name), getattr(full, name)), name
+        monkeypatch.undo()
 
 
 # -- engine threads ------------------------------------------------------------------
@@ -358,8 +392,8 @@ def _engine_runs(c5, sel5, table_c5_small, k33):
     active = rng.random((120, 9)) < 2.0 * k33.x[None, :]
     Ye, Ue = _grid(rng, (120, 9)), rng.random((120, 9))
     return (
-        (sel5, c5.vertex_count, lambda sel: recorded(run_vertex_batch, c5, sel, table_c5_small, Y, F, U, 0.6, None, BINS)),
-        (sel_e, 9, lambda sel: recorded(run_edge_batch, k33, sel, table_e, active, Ye, Ue, 0.6, BINS)),
+        (sel5, c5.vertex_count, lambda sel: recorded(run_vertex_batch, c5, sel, table_c5_small, Y, F, U, 0.6, None, BINS, watch_all(c5, 120))),
+        (sel_e, 9, lambda sel: recorded(run_edge_batch, k33, sel, table_e, active, Ye, Ue, 0.6, BINS, watch_all(k33, 120))),
     )
 
 
@@ -405,7 +439,7 @@ def test_arrival_at_time_zero(c5, sel5, table_c5_small):
         Y = np.array([[0.0, 0.0, 0.3, 0.6, 0.9]])
         F = np.array([[NO_CHOICE, 0, 1, 2, 3]])
         U = np.full((1, 5), 1e-9)
-        res = run_vertex_batch(c5, sel5, table_c5_small, Y, F, U)
+        res = run_vertex_batch(c5, sel5, table_c5_small, Y, F, U, watch=watch_all(c5, 1))
         ref = run_vertex(c5, sel5, table_c5_small, Y[0], F[0], U[0])
         assert np.array_equal(res.matched[0], matched_flags(c5, ref))
         assert sorted(e for e, _, _ in ref) == sorted(np.flatnonzero(res.accepted))
@@ -416,7 +450,7 @@ def test_arrival_at_time_zero(c5, sel5, table_c5_small):
         active = np.ones((1, c5.edge_count), dtype=bool)
         Ye = np.array([[0.0, 0.2, 0.4, 0.6, 0.8]])
         Ue = np.full((1, c5.edge_count), 1e-9)
-        res = run_edge_batch(c5, sel, table, active, Ye, Ue)
+        res = run_edge_batch(c5, sel, table, active, Ye, Ue, watch=watch_all(c5, 1))
         ref = run_edge(c5, sel, table, active[0], Ye[0], Ue[0])
         assert np.array_equal(res.matched[0], matched_flags(c5, ref))
         assert res.accepted[0] == 0 and sorted(e for e, _, _ in ref) == sorted(np.flatnonzero(res.accepted))

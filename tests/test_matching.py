@@ -16,7 +16,7 @@ from crslab.rng import stream
 from crslab.selection import edge_selection, vertex_selection
 from crslab.two_phase import run_two_phase_batch
 
-from .oracles import RecordedResult, RecordingTally, greedy_resolve, recorded
+from .oracles import RecordedResult, RecordingTally, greedy_resolve, recorded, watch_all
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -74,7 +74,7 @@ def test_ahead_advances_items_on_calling_thread():
 def _resolve_vs_oracle(g, trials, lo, hi, block, bins=None):
     """Run one block through a fresh recording tally and compare every array,
     the recorded ones included, with greedy_resolve."""
-    tally = RecordingTally(g, trials, bins)
+    tally = RecordingTally(g, trials, bins, watch_all(g, trials))
     acc = tally.resolve(lo, hi, *block)
     got = tally.result()
     want = greedy_resolve(g, trials, lo, *block, bins=bins)
@@ -148,9 +148,9 @@ def _engine_calls():
     active, Ye, Ue = rng.random((rows, 9)) < 2.0 * k33.x, rng.random((rows, 9)), rng.random((rows, 9))
     UB = rng.random((rows, 5))
     return (
-        (run_vertex_batch, (c5, sel5, tab5, Y, F, U, 0.7, None, 4)),
-        (run_edge_batch, (k33, sel_e, tab_e, active, Ye, Ue, 0.7, 4)),
-        (run_two_phase_batch, (c5, 0.6, Y, F, U, UB, 0.7, 4)),
+        (run_vertex_batch, (c5, sel5, tab5, Y, F, U, 0.7, None, 4, watch_all(c5, rows))),
+        (run_edge_batch, (k33, sel_e, tab_e, active, Ye, Ue, 0.7, 4, watch_all(k33, rows))),
+        (run_two_phase_batch, (c5, 0.6, Y, F, U, UB, 0.7, 4, watch_all(c5, rows))),
     )
 
 

@@ -55,6 +55,7 @@ def test_chunk_draws_equal_its_stream():
         assert np.array_equal(rng.random(16), stream(7, "trials-vertex", i).random(16))
 
 
+@settings(deadline=None, derandomize=True)  # (10000, 1) makes 10,000 stream keys
 @given(st.integers(min_value=1, max_value=10_000), st.integers(min_value=1, max_value=3_000))
 def test_chunk_counts_cover_total_and_only_the_last_is_partial(total, size):
     spans = [(lo, count) for _, lo, count in chunks(0, total, size, "t")]

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from crslab.arrivals import sample_choices_batch
 from crslab.graph import Graph, complete, single_edge, star
 from crslab.numerics import bisect
-from crslab.rng import stream
+from crslab.rng import rows, stream
 from crslab.two_phase import (
     _phase1_mode,
     find_t0,
@@ -29,7 +29,7 @@ from .analysis import (
     recursion_bound,
     survival_prob_closed,
 )
-from .oracles import GUARANTEE_AT_T0, GUARANTEE_MAX, T0_FROZEN, phase1_mode
+from .oracles import GUARANTEE_AT_T0, GUARANTEE_MAX, T0_FROZEN, phase1_mode, watch_all
 
 
 def test_prune_factor_basics():
@@ -104,8 +104,8 @@ def _draws(g, seed, trials):
 def test_t_zero_is_prune_greedy_bitwise(k33):
     # t = 0 has no balancing phase: the balance bits are never read
     Y, F, UA, UB = _draws(k33, 702, 400)
-    a = run_two_phase_batch(k33, 0.0, Y, F, UA, UB)
-    b = run_two_phase_batch(k33, 0.0, Y, F, UA, np.ones_like(UB))
+    a = run_two_phase_batch(k33, 0.0, Y, F, UA, UB, watch=watch_all(k33, 400))
+    b = run_two_phase_batch(k33, 0.0, Y, F, UA, np.ones_like(UB), watch=watch_all(k33, 400))
     assert np.array_equal(a.matched, b.matched)
     assert np.array_equal(a.accepted, b.accepted)
 
@@ -113,8 +113,8 @@ def test_t_zero_is_prune_greedy_bitwise(k33):
 def test_t_one_is_balanced_scheme_bitwise(k33):
     # t = 1 prunes nothing (a_1 = 1): the pruning bits are never decisive
     Y, F, UA, UB = _draws(k33, 703, 400)
-    a = run_two_phase_batch(k33, 1.0, Y, F, UA, UB)
-    b = run_two_phase_batch(k33, 1.0, Y, F, np.zeros_like(UA), UB)
+    a = run_two_phase_batch(k33, 1.0, Y, F, UA, UB, watch=watch_all(k33, 400))
+    b = run_two_phase_batch(k33, 1.0, Y, F, np.zeros_like(UA), UB, watch=watch_all(k33, 400))
     assert np.array_equal(a.matched, b.matched)
     assert np.array_equal(a.accepted, b.accepted)
 
@@ -185,7 +185,7 @@ def test_phase_boundary_is_strict():
     UA = np.zeros((2, 2))  # always survive pruning
     UB = np.array([[0.0, 0.99]] * 2)  # would fail the balance bit if applied
     Y = np.array([[0.2, t], [0.2, t - 1e-9]])  # at t, then just below it
-    res = run_two_phase_batch(g, t, Y, F, UA, UB)
+    res = run_two_phase_batch(g, t, Y, F, UA, UB, watch=watch_all(g, 2))
     assert res.matched.tolist() == [[True, True], [False, False]]
 
 
@@ -265,8 +265,8 @@ def test_warning_free_on_regular_instances(c5):
 
 def test_simulate_two_phase_holds_no_whole_float_arrays():
     """Row blocks draw their own times and bits: a chunk's peak stays near
-    three (trials, n) float arrays' worth (the int32 choices, the matched
-    flags and the blocks in flight), not the four eager arrays and more."""
+    three (trials, n) float arrays' worth (the int8 choices and the blocks
+    in flight), not the four eager arrays and more."""
     g, trials = complete(61), 20_000
     simulate_two_phase(g, 0.3, 200, 1)  # warm caches outside the measurement
     tracemalloc.start()
@@ -276,3 +276,24 @@ def test_simulate_two_phase_holds_no_whole_float_arrays():
     finally:
         tracemalloc.stop()
     assert peak <= 3 * trials * g.vertex_count * 8
+
+
+def test_unwatched_batch_holds_no_flag_matrix():
+    """A batch that watches nothing keeps its matched flags per row block:
+    on K61 at 200k rows the engine's peak stays below trials x n bytes, the
+    size a (trials, n) bool matrix alone would take."""
+    g, trials = complete(61), 200_000
+    n = g.vertex_count
+    run_two_phase_batch(g, 0.3, *_draws(g, 710, 200))  # warm caches outside the measurement
+    rng = stream(711, "test-two-phase")
+    Y = rows(rng, trials, n)
+    F = sample_choices_batch(g, rng, trials)
+    UA, UB = rows(rng, trials, n), rows(rng, trials, n)
+    tracemalloc.start()
+    try:
+        res = run_two_phase_batch(g, 0.3, Y, F, UA, UB)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.matched is None and res.accepted.sum() > 0
+    assert peak < trials * n
