@@ -8,10 +8,11 @@ endpoint picked the earlier one; the later endpoint is the proposer.
 Edge mode: every edge is independently active with probability x_e and
 carries its own uniform arrival time Y_e.
 
-Callers draw the uniform arrival times and decision bits straight from
-their keyed streams; the table fills force the arrivals they condition on
-by rescaling those times themselves. This module samples the neighbor
-choices (`sample_choices_batch`) and finds a batch's active proposals.
+A chunk's rows are drawn from its keyed stream in the one order that
+`vertex_arrivals` and `edge_arrivals` fix; the table fills force the
+arrivals they condition on by rescaling the times. This module also
+samples the neighbor choices (`sample_choices_batch`) and finds a batch's
+active proposals.
 The choices of a chunk are drawn vertex by vertex, each vertex's uniforms
 at its fixed offset in the chunk's stream, on the engine threads, and
 stored in the narrowest signed integer type that holds every vertex id:
@@ -32,9 +33,9 @@ import numpy as np
 from .graph import Graph
 from . import matching
 from .matching import _for_blocks
-from .rng import rows
+from .rng import Rows, rows
 
-__all__ = ["sample_choices_batch", "NO_CHOICE"]
+__all__ = ["vertex_arrivals", "edge_arrivals", "sample_choices_batch", "NO_CHOICE"]
 
 NO_CHOICE = -1
 
@@ -114,6 +115,26 @@ def sample_choices_batch(g: Graph, rng: np.random.Generator, trials: int) -> np.
 
     _for_blocks(verts.size, trials, block)
     return out.T
+
+
+def vertex_arrivals(g: Graph, rng: np.random.Generator, count: int, then=None) -> tuple[Rows, np.ndarray, Rows]:
+    """(Y, F, U) of `count` vertex-mode rows, drawn from `rng` in this order:
+    times and decision uniforms as `crslab.rng.rows` (Y mapped by `then`),
+    and the neighbor picks of `sample_choices_batch` between them.
+    """
+    n = g.vertex_count
+    Y = rows(rng, count, n, then=then)
+    F = sample_choices_batch(g, rng, count)
+    return Y, F, rows(rng, count, n)
+
+
+def edge_arrivals(g: Graph, rng: np.random.Generator, count: int) -> tuple[Rows, Rows, Rows]:
+    """(active, Ye, U) of `count` edge-mode rows, drawn from `rng` in this
+    order as `crslab.rng.rows`: an edge is active when its uniform is below
+    x_e, then its arrival time and its decision uniform."""
+    m = g.edge_count
+    active = rows(rng, count, m, then=lambda _, u: u < g.x)
+    return active, rows(rng, count, m), rows(rng, count, m)
 
 
 def _flat(a: np.ndarray) -> np.ndarray:

@@ -133,6 +133,10 @@ def _cmd_selection(args) -> int:
     girths = [parse_girth(tok) for tok in args.g.split(",")]
     if args.edge and args.certify:
         raise ConfigError("--certify: the certificate checks vertex-mode selection functions, not --edge")
+    if args.grid < 1 or (args.certify and args.grid < 2):
+        raise ConfigError("--grid: must be >= 2 with --certify" if args.certify else "--grid: must be >= 1")
+    if args.out and len(girths) != 1:
+        raise ConfigError("--out: exactly one --g value expected")
     if args.edge:
         sel = edge_selection(args.edge)
         print(f"edge[{args.edge}]: alpha = {sel.alpha!r}  floor = {sel.floor!r}")
@@ -148,8 +152,6 @@ def _cmd_selection(args) -> int:
                     f"max_violation={rep.max_violation!r} equality_slack={rep.equality_max_slack!r}"
                 )
     if args.out:
-        if len(girths) != 1:
-            raise ConfigError("--out: exactly one --g value expected")
         gv = girths[0]
         sel = edge_selection(args.edge) if args.edge else vertex_selection(gv)
         ys = np.linspace(0.0, 1.0, args.grid + 1)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrivals import NO_CHOICE, _choice_edges, sample_choices_batch
+from .arrivals import NO_CHOICE, _choice_edges, vertex_arrivals
 from .graph import Graph
 from .recursive import EstimateTable, _pair_estimate, _proposal_param, run_vertex_batch
 from .rng import chunks
@@ -218,14 +218,12 @@ def correlation_gap(
     if u == v:
         raise ValueError("u and v must differ")
     g.edge_id(u, v)
-    n = g.vertex_count
     sum_inner = cnt_inner = sum_outer = cnt_outer = 0
     flips = violations = 0
     max_paths = 0
     for rng, _, count in chunks(seed, trials, GAP_TRIAL_CHUNK, "corr-gap"):
-        Y = rng.random((count, n))
-        F = sample_choices_batch(g, rng, count)
-        U = rng.random((count, n))
+        Y, F, U = vertex_arrivals(g, rng, count)
+        Y, U = Y[:], U[:]  # whole arrays: `flip_indicators` fancy-indexes them
         full, dropped = coupled_batch(g, sel, table, v, Y, F, U, t_k=t_k, watch=np.broadcast_to(np.intp(u), (count, 1)))
         outer = Y[:, u] < t_k
         inner = outer & (Y[:, v] > t_k)

@@ -45,7 +45,16 @@ __all__ = [
 ]
 
 CSV_VERSION = "crslab-report v1"
-KINDS = ("selectability", "profile", "gap", "hardness")
+# Experiment kinds -> the keys of their report summary, in order; a check names one.
+KINDS = {
+    "selectability": ("edges", "trials", "insufficient_count", "min_ratio_active", "max_ratio_active",
+                      "min_ratio_x", "max_ratio_x", "argmin_edge_active", "argmin_edge_x"),
+    "profile": ("bins", "powered", "underpowered", "bins_pass", "bins_fail", "all_pass", "worst_gap_sigma"),
+    "gap": ("u", "v", "t_k", "trials", "gap", "sigma", "bound", "within_bound", "mean_inner", "mean_outer",
+            "count_inner", "count_outer", "flip_count", "violation_count", "max_paths"),
+    "hardness": ("n", "trials", "t_max", "mean_final", "reference_final", "final_error", "sup_distance",
+                 "q_min_frequency", "q_all_frequency"),
+}
 SCHEMES = ("recursive-vertex", "recursive-edge", "rank1-closed", "two-phase", "greedy")
 PROFILE_SCHEMES = ("recursive-vertex", "recursive-edge", "rank1-closed")
 UNDERPOWERED_COUNT = 100
@@ -168,8 +177,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
     """
     if not isinstance(cfg.name, str) or not _NAME_RE.fullmatch(cfg.name):
         raise ConfigError("name: non-empty [A-Za-z0-9._-]+ required")
-    if cfg.kind not in KINDS:
-        raise ConfigError(f"kind: must be one of {KINDS}")
+    if not isinstance(cfg.kind, str) or cfg.kind not in KINDS:
+        raise ConfigError(f"kind: must be one of {tuple(KINDS)}")
     cfg.trials = _positive(cfg.trials, "trials")
     cfg.bins = _positive(cfg.bins, "bins")
     cfg.seed = _as_int(cfg.seed, "seed", lo=0, hi=2**64 - 1)
@@ -219,6 +228,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
             raise ConfigError(f"checks[{i}].op: must be one of {tuple(CHECK_OPS)}")
         if isinstance(chk["value"], (str, list, dict)) or chk["value"] is None:
             raise ConfigError(f"checks[{i}].value: number or boolean required")
+        if chk["metric"] not in KINDS[cfg.kind]:
+            raise ConfigError(f"checks[{i}].metric: unknown metric {chk['metric']!r} for kind={cfg.kind}")
     cfg.parsed = parsed
 
 
@@ -418,23 +429,7 @@ def _run_gap(cfg: ExperimentConfig) -> ExperimentReport:
     sel = vertex_selection(p["g"])
     table = _table(fill_tables, g, sel, p["T"], p["delta"], p["Q"], cfg.seed)
     rep = correlation_gap(g, sel, table, u, v, p["t_k"], cfg.trials, cfg.seed)
-    summary = {
-        "u": rep.u,
-        "v": rep.v,
-        "t_k": rep.t_k,
-        "trials": rep.trials,
-        "gap": rep.gap,
-        "sigma": rep.sigma,
-        "bound": rep.bound,
-        "within_bound": rep.within_bound,
-        "mean_inner": rep.mean_inner,
-        "mean_outer": rep.mean_outer,
-        "count_inner": rep.count_inner,
-        "count_outer": rep.count_outer,
-        "flip_count": rep.flip_count,
-        "violation_count": rep.violation_count,
-        "max_paths": rep.max_paths,
-    }
+    summary = {key: getattr(rep, key) for key in KINDS["gap"]}
     columns = list(summary)
     return ExperimentReport("gap", summary, columns, [[summary[c] for c in columns]])
 
@@ -501,12 +496,6 @@ def write_report(out_dir: str | Path, name: str, cfg: ExperimentConfig, report: 
 # -- suite -----------------------------------------------------------------------
 
 
-def get_metric(summary: dict, name: str):
-    if name not in summary:
-        raise ConfigError(f"checks.metric: unknown metric {name!r}")
-    return summary[name]
-
-
 @dataclass
 class SuiteResult:
     out_dir: Path
@@ -570,7 +559,7 @@ def run_suite(path: str | Path, out_dir: str | Path | None = None) -> SuiteResul
         write_report(out, cfg.name, cfg, report, seconds)
         checks = []
         for chk in cfg.checks:
-            actual = _py(get_metric(report.summary, chk["metric"]))
+            actual = _py(report.summary[chk["metric"]])  # validate_config checked the name
             ok = CHECK_OPS[chk["op"]](actual, chk["value"])
             checks.append({
                 "metric": chk["metric"],

@@ -1,4 +1,4 @@
-"""Engine result types and the candidate-then-resolve kernel of the engines.
+"""Engine result types, the trial driver and the candidate-then-resolve kernel.
 
 In every batch engine the only sequential state is which vertices are
 matched: arrival order, active proposals and decision bits depend on the
@@ -9,17 +9,18 @@ proposals in greedy rounds, visiting only the proposals themselves. It
 keeps the matched flags of its block only, and a batch returns those of
 the vertices its caller watches (`watch`, k ids per row): a table fill
 reads one or two per row and a trial loop none, so no batch holds a
-(trials, n) flag matrix. A keep rule gathers
-its kept proposals through one integer index (`np.flatnonzero` of its keep
-mask, then `take`), and `resolve` gathers its accepted ones the same way:
-at the densities keep rules produce, a boolean-mask gather costs several
-times as much per element.
+(trials, n) flag matrix. A keep rule gathers its kept proposals through
+one integer index (`np.flatnonzero` of its keep mask, then `take`), and
+`resolve` gathers its accepted ones the same way: at the densities keep
+rules produce, a boolean-mask gather costs several times as much per
+element. Every trial loop is one `_run_trials`, which runs its chunks and
+sums their counters into a SimResult.
 
 Row blocks share no state but the tally's counters, so `_for_blocks` runs
 them on up to `WORKERS` threads (numpy releases the interpreter lock in its
-kernels and in its draws). A trial loop or vertex fill passes its uniforms
-as `crslab.rng.rows`, so each block draws its own rows there; the choice
-sampler runs its vertex rows through `_for_blocks` the same way. The memory
+kernels and in its draws). The arrival layouts of `crslab.arrivals` hand
+out a chunk's uniforms as `crslab.rng.rows`, so each block draws its own
+rows there; the choice sampler runs its vertex rows through `_for_blocks` the same way. The memory
 budget of one serial block is split across the workers, the counters are
 integer sums taken under one lock, and the selection function is called
 under that lock too, so the result is the same for every worker count and
@@ -41,6 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph
+from .rng import chunks
 
 __all__ = ["BatchResult", "SimResult"]
 
@@ -78,19 +80,6 @@ class SimResult:
     acc_bin: np.ndarray  # (m, bins) accepted by arrival bin
     act_bin: np.ndarray  # (m, bins) active by arrival bin
 
-    @classmethod
-    def zeros(cls, g: Graph, trials: int, bins: int) -> SimResult:
-        """All four counters zero."""
-        m = g.edge_count
-        return cls(trials, bins, np.zeros(m, np.int64), np.zeros(m, np.int64), np.zeros((m, bins), np.int64), np.zeros((m, bins), np.int64))
-
-    def add(self, batch: BatchResult) -> None:
-        """Add one batch's four counters."""
-        self.accepted += batch.accepted
-        self.active += batch.active
-        self.acc_bin += batch.acc_bin
-        self.act_bin += batch.act_bin
-
     def ratio_active(self) -> np.ndarray:
         """Accepted / active per edge (nan when an edge was never active)."""
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -101,6 +90,22 @@ class SimResult:
         with np.errstate(invalid="ignore", divide="ignore"):
             denom = self.trials * g.x
             return np.where(denom > 0, self.accepted / np.where(denom > 0, denom, 1.0), np.nan)
+
+
+def _run_trials(g: Graph, trials: int, bins: int, seed: int, size: int, tag: str, batch) -> SimResult:
+    """The four counters of `trials` runs, summed over chunks of `size` rows.
+
+    Chunk i of `crslab.rng.chunks` is run by batch(rng, count), which
+    draws its rows from `rng`, the stream (seed, tag, i), and returns the
+    chunk's BatchResult with `bins` arrival bins.
+    """
+    m = g.edge_count
+    totals = [np.zeros(m, np.int64), np.zeros(m, np.int64), np.zeros((m, bins), np.int64), np.zeros((m, bins), np.int64)]
+    for rng, _, count in chunks(seed, trials, size, tag):
+        res = batch(rng, count)
+        for total, part in zip(totals, (res.accepted, res.active, res.acc_bin, res.act_bin)):
+            total += part
+    return SimResult(trials, bins, *totals)
 
 
 def _for_blocks(trials: int, width: int, body) -> None:

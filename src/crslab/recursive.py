@@ -28,10 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrivals import _active_choices, _flat, sample_choices_batch
+from .arrivals import _active_choices, _flat, edge_arrivals, vertex_arrivals
 from .graph import Graph
-from .matching import BatchResult, SimResult, _ahead, _run_batch
-from .rng import chunks, rows
+from .matching import BatchResult, SimResult, _ahead, _run_batch, _run_trials
+from .rng import chunks
 from .selection import SelectionFunction
 
 __all__ = [
@@ -166,9 +166,7 @@ def fill_tables(g: Graph, sel: SelectionFunction, T: int, delta: float, Q: int, 
                 flat[prop] = tj + flat.take(prop) * (1.0 - tj)
                 return Y
 
-            Y = rows(rng, count, n, then=force)
-            F = sample_choices_batch(g, rng, count)
-            U = rows(rng, count, n)
+            Y, F, U = vertex_arrivals(g, rng, count, then=force)
             res = run_vertex_batch(g, sel, table, Y, F, U, t_stop=tj, watch=targets.take(dir_id)[:, None])
             free = ~res.matched[:, 0]
             unmatched += np.bincount(dir_id, weights=free, minlength=2 * m)
@@ -210,11 +208,12 @@ def fill_tables_edge(g: Graph, sel: SelectionFunction, T: int, delta: float, Q: 
 
     Phase j runs Q forced rows per edge (the edge arrives after t_j), in
     chunks of FILL_ROW_CHUNK rows drawn from the stream
-    (seed, "fill-edge", j, chunk). A chunk's draws do not depend on the
-    table, so the next chunk's draws are made on the fill's one helper
-    thread while the engine runs this one. The streams are created on the
-    calling thread and the draws are unchanged, so the table does not
-    depend on it. Each run watches the two endpoints of its forced edge.
+    (seed, "fill-edge", j, chunk) in exactly `edge_arrivals`' layout, but
+    into two reused buffer sets (`rows` measured slower here). A chunk's
+    draws do not depend on the table, so the next chunk's are made on the
+    fill's one helper thread while the engine runs this one; the streams are
+    created on the calling thread, so the table does not depend on it. Each
+    run watches the two endpoints of its forced edge.
     """
     m = g.edge_count
     floor_clamp = sel.floor / 2.0
@@ -281,13 +280,8 @@ def simulate_vertex(
 ) -> SimResult:
     """Fill tables once, then measure acceptance over independent trials."""
     table = _table(fill_tables, g, sel, T, delta, Q, seed)
-    out = SimResult.zeros(g, trials, bins)
-    for rng, _, count in chunks(seed, trials, TRIAL_CHUNK, "trials-vertex"):
-        Y = rows(rng, count, g.vertex_count)
-        F = sample_choices_batch(g, rng, count)
-        U = rows(rng, count, g.vertex_count)
-        out.add(run_vertex_batch(g, sel, table, Y, F, U, bins=bins))
-    return out
+    return _run_trials(g, trials, bins, seed, TRIAL_CHUNK, "trials-vertex",
+                       lambda rng, count: run_vertex_batch(g, sel, table, *vertex_arrivals(g, rng, count), bins=bins))
 
 
 def simulate_edge(
@@ -301,14 +295,8 @@ def simulate_edge(
     bins: int = 20,
 ) -> SimResult:
     table = _table(fill_tables_edge, g, sel, T, delta, Q, seed)
-    m = g.edge_count
-    out = SimResult.zeros(g, trials, bins)
-    for rng, _, count in chunks(seed, trials, TRIAL_CHUNK, "trials-edge"):
-        active = rows(rng, count, m, then=lambda _, u: u < g.x)
-        Ye = rows(rng, count, m)
-        U = rows(rng, count, m)
-        out.add(run_edge_batch(g, sel, table, active, Ye, U, bins=bins))
-    return out
+    return _run_trials(g, trials, bins, seed, TRIAL_CHUNK, "trials-edge",
+                       lambda rng, count: run_edge_batch(g, sel, table, *edge_arrivals(g, rng, count), bins=bins))
 
 
 def simulate_rank1(g: Graph, trials: int, seed: int, bins: int = 20) -> SimResult:
@@ -322,11 +310,9 @@ def simulate_rank1(g: Graph, trials: int, seed: int, bins: int = 20) -> SimResul
     if abs(float(np.sum(g.x)) - 1.0) > 1e-9:
         raise ValueError("rank-1 closed form needs element values summing to 1")
     m = g.edge_count
-    out = SimResult.zeros(g, trials, bins)
-    for rng, _, count in chunks(seed, trials, TRIAL_CHUNK, "trials-rank1"):
-        active = rows(rng, count, m, then=lambda _, u: u < g.x)
-        Ye = rows(rng, count, m)
-        U = rows(rng, count, m)
+
+    def batch(rng, count):
+        active, Ye, U = edge_arrivals(g, rng, count)
 
         def propose(lo, hi, lock):
             cell = np.flatnonzero(_flat(active[lo:hi]))
@@ -337,5 +323,6 @@ def simulate_rank1(g: Graph, trials: int, seed: int, bins: int = 20) -> SimResul
             slot = np.zeros(k.size, dtype=np.intp)
             return (e, y), (row.take(k), y.take(k), slot, slot, e.take(k))
 
-        out.add(_run_batch(g, count, m, bins, propose))
-    return out
+        return _run_batch(g, count, m, bins, propose)
+
+    return _run_trials(g, trials, bins, seed, TRIAL_CHUNK, "trials-rank1", batch)

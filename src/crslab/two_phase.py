@@ -19,11 +19,11 @@ import warnings
 
 import numpy as np
 
-from .arrivals import _active_choices, _flat, sample_choices_batch
+from .arrivals import _active_choices, _flat, vertex_arrivals
 from .graph import Graph
-from .matching import BatchResult, SimResult, _run_batch
+from .matching import BatchResult, SimResult, _run_batch, _run_trials
 from .numerics import bisect
-from .rng import chunks, rows
+from .rng import rows
 
 __all__ = [
     "prune_factor",
@@ -164,13 +164,10 @@ def simulate_two_phase(g: Graph, t: float, trials: int, seed: int, bins: int = 2
     """Acceptance over independent trials; warns when the instance is not 1-regular."""
     if not g.is_one_regular():
         warnings.warn("instance is not 1-regular: the guarantee is void, reporting observed rates only", stacklevel=2)
-    n = g.vertex_count
-    out = SimResult.zeros(g, trials, bins)
-    for rng, _, count in chunks(seed, trials, TRIAL_CHUNK, "trials-two-phase"):
-        Y = rows(rng, count, n)
-        F = sample_choices_batch(g, rng, count)
-        UA = rows(rng, count, n)
-        UB = rows(rng, count, n)
-        out.add(run_two_phase_batch(g, t, Y, F, UA, UB, bins=bins))
-    return out
+
+    def batch(rng, count):
+        Y, F, UA = vertex_arrivals(g, rng, count)
+        return run_two_phase_batch(g, t, Y, F, UA, rows(rng, count, g.vertex_count), bins=bins)
+
+    return _run_trials(g, trials, bins, seed, TRIAL_CHUNK, "trials-two-phase", batch)
 

@@ -45,3 +45,16 @@ def test_every_public_name_has_a_library_caller():
         if name not in used and (mod.__name__, name) not in ENTRY_POINTS
     ]
     assert not unused, f"public names that only tests use: {unused}"
+
+
+def test_vertex_layout_has_one_owner():
+    """`sample_choices_batch` is named only in `crslab.arrivals`, where
+    `vertex_arrivals` fixes the order of a chunk's vertex-mode draws."""
+    owners = set()
+    for path in Path(crslab.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = [a.name for a in node.names] if isinstance(node, ast.ImportFrom) else []
+            names += [getattr(node, "id", None), getattr(node, "attr", None)]
+            if "sample_choices_batch" in names:
+                owners.add(path.stem)
+    assert owners == {"arrivals"}

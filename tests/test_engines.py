@@ -246,8 +246,7 @@ def test_rank1_keep_rule_at_the_extremes(monkeypatch, case):
     rng = stream(844, "test-engines")
     active = rng.random((trials, m)) < (0.0 if case == "no-candidate" else 2.0 * g.x[None, :])
     Ye, U = _grid(rng, (trials, m)), np.full((trials, m), u)
-    drawn = iter((active, Ye, U))
-    monkeypatch.setattr(crslab.recursive, "rows", lambda *args, **kwargs: next(drawn))
+    monkeypatch.setattr(crslab.recursive, "edge_arrivals", lambda *args: (active, Ye, U))
     res = simulate_rank1(g, trials, seed=0, bins=BINS)
     ref = _Reference(g, trials)
     for i in range(trials):

@@ -13,11 +13,11 @@ from crslab.cli import main
 from crslab.graph import Graph, cycle
 from crslab.harness import (
     CHECK_OPS,
+    KINDS,
     ConfigError,
     ExperimentConfig,
     estimate_selectability,
     exact_selection_profile,
-    get_metric,
     load_suite_config,
     resolve_instance,
     run_experiment,
@@ -125,6 +125,9 @@ BAD_CONFIGS = [
         {"kind": "gap", "params": {"g": 5, "T": 4, "delta": 0.1, "Q": 50, "u": 0, "v": 1}},
         "params.t_k: required for kind=gap",
     ),
+    # summaries are flat, and a check names a key of its own kind's summary
+    ({"checks": [{"metric": "a.b", "op": "==", "value": True}]}, r"checks\[0\]\.metric: unknown metric 'a.b' for kind=selectability"),
+    ({"kind": "profile", "checks": [{"metric": "edges", "op": "==", "value": 5}]}, "unknown metric 'edges' for kind=profile"),
 ]
 
 
@@ -141,7 +144,7 @@ def test_accepted_configs():
     make(scheme="two-phase", params={"t": "t0"})
     make(scheme="rank1-closed", params={})
     make(name="ok-name_1.x")
-    make(checks=[{"metric": "a.b", "op": "==", "value": True}])
+    make(checks=[{"metric": "min_ratio_x", "op": ">=", "value": 0.5}])
     make(
         kind="hardness",
         scheme="greedy",
@@ -223,7 +226,7 @@ def test_any_json_value_builds_or_is_a_config_error(data):
     paths += [("instance", k) for k in base["instance"]]
     paths += [("checks", 0, k) for k in ("metric", "op", "value")]
     path = data.draw(st.sampled_from(paths))
-    raw = {**base, "checks": [{"metric": "edges", "op": ">=", "value": 1}]}
+    raw = {**base, "checks": [{"metric": KINDS[base["kind"]][0], "op": ">=", "value": 1}]}
     raw = _spoil(raw, path, data.draw(JSON_VALUES))
     try:
         cfg = ExperimentConfig.from_dict(raw)
@@ -235,7 +238,7 @@ def test_any_json_value_builds_or_is_a_config_error(data):
     assert all(type(p[k]) is float for k in FLOAT_PARAMS if k in p)
     assert p.get("Q") is None or type(p["Q"]) is int
     assert "g" not in p or p["g"] == INFINITE or type(p["g"]) is int
-    assert cfg.echo()["params"] == raw["params"]
+    assert cfg.echo()["params"] == raw.get("params", {})
 
 
 @pytest.mark.parametrize("instance", [[], "x", None, 5])
@@ -417,6 +420,22 @@ def test_profile_recursive_vertex_band_is_discounted():
 # -- gap and hardness runners ---------------------------------------------------------
 
 
+# One small config per kind.
+KIND_CONFIGS = {
+    "selectability": {},
+    "profile": {"kind": "profile", "scheme": "rank1-closed", "params": {}, "instance": {"family": "single_edge"}, "bins": 4},
+    "gap": {"kind": "gap", "params": {"g": 5, "T": 4, "delta": 0.1, "Q": 50, "u": 0, "v": 1, "t_k": 0.5}},
+    "hardness": {"kind": "hardness", "scheme": "greedy", "instance": {"family": "complete_bipartite", "n": 6}, "params": {}},
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_summary_keys_are_the_kinds_keys_in_order(kind):
+    # the order is the gap report's CSV column order
+    rep = run_experiment(make(**KIND_CONFIGS[kind]))
+    assert tuple(rep.summary) == KINDS[kind]
+
+
 def test_gap_experiment_summary():
     cfg = make(
         kind="gap",
@@ -522,16 +541,6 @@ def test_report_json_layout(tmp_path):
 # -- checks and metrics ---------------------------------------------------------------
 
 
-def test_get_metric_paths():
-    # report summaries are flat: a metric is one summary key, never a dotted path
-    summary = {"a": {"b": 2.0}, "flat": 1}
-    assert get_metric(summary, "flat") == 1
-    with pytest.raises(ConfigError, match="unknown metric"):
-        get_metric(summary, "a.b")
-    with pytest.raises(ConfigError, match="unknown metric"):
-        get_metric(summary, "zzz")
-
-
 def test_apply_check_ops():
     assert CHECK_OPS[">="](2, 2)
     assert not CHECK_OPS[">"](2, 2)
@@ -625,6 +634,17 @@ def test_suite_rank1_without_unit_mass_stops_before_any_report(tmp_path, capsys)
     cfg = ExperimentConfig.from_dict(payload["experiments"][1])
     with pytest.raises(ConfigError, match=r"^instance: rank-1 closed form"):
         run_experiment(cfg)
+
+
+def test_suite_unknown_metric_stops_before_any_report(tmp_path, capsys):
+    payload = suite_payload()
+    payload["experiments"][1]["checks"] = [{"metric": "worst_gap_sigmaa", "op": "<=", "value": 6.0}]
+    p = write_suite(tmp_path, payload)
+    with pytest.raises(ConfigError, match=r"^experiments\[1\]\.checks\[0\]\.metric: unknown metric 'worst_gap_sigmaa'"):
+        run_suite(p, out_dir=tmp_path / "o")
+    assert main(["suite", str(p), "--out-dir", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("config error: experiments[1].checks[0].metric: unknown metric")
+    assert not (tmp_path / "o").exists()
 
 
 def test_load_suite_config_skips_hardness_instances(tmp_path, monkeypatch):
@@ -840,6 +860,9 @@ CLI_ERRORS = [
      "config error: --param: family is not a generator parameter"),
     (["selection", "--edge", "edge_general", "--certify"],
      "config error: --certify: the certificate checks vertex-mode selection functions, not --edge"),
+    (["selection", "--grid", "-1", "--out", "t.csv"], "config error: --grid: must be >= 1"),
+    (["selection", "--grid", "-3", "--out", "t.csv"], "config error: --grid: must be >= 1"),
+    (["selection", "--grid", "1", "--certify"], "config error: --grid: must be >= 2 with --certify"),
 ]
 
 
@@ -850,8 +873,10 @@ def test_cli_error_exits_2(tmp_path, monkeypatch, capsys, argv, message):
         code = main(argv)
     except SystemExit as exc:  # argparse's own errors
         code = exc.code
-    lines = capsys.readouterr().err.splitlines()
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
     assert code == 2
+    assert not captured.out  # checked before any output
     if "argument --" in message:  # argparse prints its usage before its own errors
         assert lines[0].startswith("usage: ")
         lines = lines[-1:]

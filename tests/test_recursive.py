@@ -11,6 +11,7 @@ import crslab.matching
 import crslab.recursive
 import crslab.rng
 import crslab.two_phase
+from crslab.arrivals import edge_arrivals
 from crslab.graph import Graph, complete, complete_bipartite, cycle, single_edge, star, weighted_star
 from crslab.numerics import adaptive_simpson
 from crslab.recursive import (
@@ -230,6 +231,37 @@ def test_fill_tables_edge_streams_created_on_calling_thread(monkeypatch):
     assert any(t is not threading.main_thread() for t in calls)  # drawn ahead
     monkeypatch.setattr(crslab.rng, "stream", stream)
     assert np.array_equal(values, _fill_k33().values)
+
+
+def test_fill_tables_edge_draws_the_edge_layout(monkeypatch):
+    """Every chunk the edge fill runs is `edge_arrivals` on its stream, with
+    each row's forced edge moved after t_j; chunks of 500 leave a partial
+    last chunk of 200 rows in each phase."""
+    monkeypatch.setattr(crslab.recursive, "FILL_ROW_CHUNK", 500)
+    engine, ran = crslab.recursive.run_edge_batch, []
+
+    def recording(g, sel, table, active, Ye, U, t_stop, **kwargs):
+        ran.append((t_stop, active.copy(), Ye.copy(), U.copy()))  # the fill reuses its buffers
+        return engine(g, sel, table, active, Ye, U, t_stop, **kwargs)
+
+    monkeypatch.setattr(crslab.recursive, "run_edge_batch", recording)
+    _fill_k33()
+    g, Q = complete_bipartite(3), 300
+    expected = []
+    for j in range(1, 5):
+        tj = j / 5
+        for chunk, base in enumerate(range(0, g.edge_count * Q, 500)):
+            count = min(500, g.edge_count * Q - base)
+            active, Ye, U = (a[:] for a in edge_arrivals(g, stream(3310, "fill-edge", j, chunk), count))
+            r = np.arange(count)
+            forced = (base + r) // Q
+            Ye[r, forced] = tj + Ye[r, forced] * (1.0 - tj)
+            expected.append((tj, active, Ye, U))
+    assert len(ran) == len(expected) == 4 * 6
+    for got, want in zip(ran, expected):
+        assert got[0] == want[0]
+        for a, b in zip(got[1:], want[1:]):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def test_single_edge_acceptance_matches_damped_integral():
