@@ -6,11 +6,12 @@ arrival time Y_v uniform on [0,1]. Edge (u,v) is active when the later
 endpoint picked the earlier one; the later endpoint is the proposer.
 
 Edge mode: every edge is independently active with probability x_e and
-carries its own uniform arrival time Y_e.
+carries its own uniform arrival time Y_e; one uniform per (row, edge)
+gives both, and a chunk keeps only the edges that arrive.
 
 A chunk's rows are drawn from its keyed stream in the one order that
 `vertex_arrivals` and `edge_arrivals` fix; the table fills force the
-arrivals they condition on by rescaling the times. This module also
+arrivals they condition on by moving the times. This module also
 samples the neighbor choices (`sample_choices_batch`) and finds a batch's
 active proposals.
 The choices of a chunk are drawn vertex by vertex, each vertex's uniforms
@@ -35,7 +36,7 @@ from . import matching
 from .matching import _for_blocks
 from .rng import Rows, rows
 
-__all__ = ["vertex_arrivals", "edge_arrivals", "sample_choices_batch", "NO_CHOICE"]
+__all__ = ["vertex_arrivals", "edge_arrivals", "EdgeTimes", "rank1_arrivals", "sample_choices_batch", "NO_CHOICE"]
 
 NO_CHOICE = -1
 
@@ -128,13 +129,73 @@ def vertex_arrivals(g: Graph, rng: np.random.Generator, count: int, then=None) -
     return Y, F, rows(rng, count, n)
 
 
-def edge_arrivals(g: Graph, rng: np.random.Generator, count: int) -> tuple[Rows, Rows, Rows]:
-    """(active, Ye, U) of `count` edge-mode rows, drawn from `rng` in this
-    order as `crslab.rng.rows`: an edge is active when its uniform is below
-    x_e, then its arrival time and its decision uniform."""
+class EdgeTimes(NamedTuple):
+    """The arrival times `y` of a (rows, m) edge-mode batch, one per arrival id."""
+
+    shape: tuple[int, int]
+    y: np.ndarray
+
+
+def edge_arrivals(g: Graph, rng: np.random.Generator, count: int, t_stop: float = 1.0, then=None) -> tuple[np.ndarray, EdgeTimes, np.ndarray]:
+    """(ids, Ye, U) of the arrivals by t_stop in `count` edge-mode rows.
+
+    One uniform a per (row, edge), in row-major order, carries both the
+    activity and the time: the edge is active iff a < x_e, and then arrives
+    at a / x_e, which is below 1 exactly when a < x_e under IEEE division.
+    The count * m uniforms are drawn in pieces of about
+    `matching.ROW_BLOCK_ELEMS`, one after another, which gives the stream
+    of one call, and then(lo, times) may map the times of the piece of rows
+    lo.. (the edge fill moves each row's forced edge to inf). Only the
+    arrivals are kept, time < 1 and <= t_stop: their flat ids row * m + e
+    in ascending order (int32 while count * m < 2^31) and their times. Then
+    one decision uniform is drawn per arrival, in the same order, so the
+    stream ends count * m + arrivals draws past its start.
+    """
+    m = g.edge_count
+    id_type = np.int32 if count * m < 2**31 else np.int64
+    # the largest time kept: t_stop, or the last double below 1
+    last = min(t_stop, np.nextafter(1.0, 0.0))
+    step = max(1, matching.ROW_BLOCK_ELEMS // max(m, 1))
+    ids, ys = [], []
+    for lo in range(0, count, step):
+        times = rng.random((min(step, count - lo), m))
+        with np.errstate(divide="ignore", invalid="ignore"):  # x_e = 0 never arrives
+            np.divide(times, g.x, out=times)
+        if then is not None:
+            times = then(lo, times)
+        flat = times.reshape(-1)
+        cell = np.flatnonzero(flat <= last)
+        ids.append(np.add(cell, lo * m, dtype=id_type))
+        ys.append(flat.take(cell))
+    ids, y = (np.concatenate(parts or [np.empty(0, dtype)]) for parts, dtype in ((ids, id_type), (ys, np.float64)))
+    return ids, EdgeTimes((count, m), y), rng.random(ids.size)
+
+
+def rank1_arrivals(g: Graph, rng: np.random.Generator, count: int) -> tuple[Rows, Rows, Rows]:
+    """(active, Ye, U) of `count` rows of the closed-form rank-1 scheme,
+    drawn from `rng` in this order as `crslab.rng.rows`: an element is
+    active when its uniform is below x_e, then its arrival time and its
+    thinning uniform. This is the edge layout from before `edge_arrivals`;
+    rank-1 keeps it until its acceptance check can tell a change of draws
+    from a fault (ROADMAP item 7)."""
     m = g.edge_count
     active = rows(rng, count, m, then=lambda _, u: u < g.x)
     return active, rows(rng, count, m), rows(rng, count, m)
+
+
+def _edge_block(ids: np.ndarray, Ye: EdgeTimes, U: np.ndarray, lo: int, hi: int, t_stop: float):
+    """(row, e, y, u) of the arrivals by t_stop in rows lo..hi-1 of an
+    `edge_arrivals` batch, found by a binary search of `ids`; `row` is
+    block-local, and row and e are intp."""
+    m = Ye.shape[1]
+    a, b = np.searchsorted(ids, (lo * m, hi * m))
+    cell, y, u = np.subtract(ids[a:b], lo * m, dtype=np.intp), Ye.y[a:b], U[a:b]
+    keep = y <= t_stop
+    if not keep.all():
+        k = np.flatnonzero(keep)
+        cell, y, u = cell.take(k), y.take(k), u.take(k)
+    row = cell // m
+    return row, cell - row * m, y, u
 
 
 def _flat(a: np.ndarray) -> np.ndarray:

@@ -22,13 +22,12 @@ Bernoulli(e^{-y x_e}) thinning.
 from __future__ import annotations
 
 import contextlib
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .arrivals import _active_choices, _flat, edge_arrivals, vertex_arrivals
+from .arrivals import EdgeTimes, _active_choices, _edge_block, _flat, edge_arrivals, rank1_arrivals, vertex_arrivals
 from .graph import Graph
 from .matching import BatchResult, SimResult, _ahead, _run_batch, _run_trials
 from .rng import chunks
@@ -181,22 +180,24 @@ def run_edge_batch(
     g: Graph,
     sel: SelectionFunction,
     table: EstimateTable,
-    active: np.ndarray,
-    Ye: np.ndarray,
+    ids: np.ndarray,
+    Ye: EdgeTimes,
     U: np.ndarray,
     t_stop: float = 1.0,
     bins: int | None = None,
     watch: np.ndarray | None = None,
 ) -> BatchResult:
-    """Vectorized edge-mode runs; feasibility is both endpoints unmatched."""
+    """Vectorized edge-mode runs; feasibility is both endpoints unmatched.
+
+    ids, Ye, U are a batch's arrivals as `crslab.arrivals.edge_arrivals`
+    gives them, and `Ye.shape` is the batch's (trials, m). Each row block
+    finds its arrivals by a binary search of `ids` and drops those after
+    t_stop, so one arrival set serves any t_stop.
+    """
 
     def propose(lo, hi, lock):
-        yb = _flat(Ye[lo:hi])
-        cell = np.flatnonzero(_flat(active[lo:hi]) & (yb <= t_stop))
-        row = cell // Ye.shape[1]
-        e = cell - row * Ye.shape[1]
-        y = yb.take(cell)
-        k = np.flatnonzero(_flat(U[lo:hi]).take(cell) <= _proposal_param(sel, table, y, table.at(y, e), lock))
+        row, e, y, u = _edge_block(ids, Ye, U, lo, hi, t_stop)
+        k = np.flatnonzero(u <= _proposal_param(sel, table, y, table.at(y, e), lock))
         ek = e.take(k)
         return (e, y), (row.take(k), y.take(k), g.eu.take(ek), g.ev.take(ek), ek)
 
@@ -206,14 +207,14 @@ def run_edge_batch(
 def fill_tables_edge(g: Graph, sel: SelectionFunction, T: int, delta: float, Q: int, seed: int) -> EstimateTable:
     """Estimate tables for edge mode: S_hat_e(j) = P[e feasible at t_j | Y_e > t_j].
 
-    Phase j runs Q forced rows per edge (the edge arrives after t_j), in
-    chunks of FILL_ROW_CHUNK rows drawn from the stream
-    (seed, "fill-edge", j, chunk) in exactly `edge_arrivals`' layout, but
-    into two reused buffer sets (`rows` measured slower here). A chunk's
-    draws do not depend on the table, so the next chunk's are made on the
-    fill's one helper thread while the engine runs this one; the streams are
-    created on the calling thread, so the table does not depend on it. Each
-    run watches the two endpoints of its forced edge.
+    Phase j runs Q forced rows per edge, in chunks of FILL_ROW_CHUNK rows
+    drawn from the stream (seed, "fill-edge", j, chunk) by `edge_arrivals`
+    to t_stop = t_j, with each row's forced edge moved to inf: it never
+    arrives, and only the edges that arrive by t_j draw a decision uniform.
+    A chunk's draws do not depend on the table, so the next chunk's are
+    made on the fill's one helper thread while the engine runs this one;
+    the streams are created on the calling thread, so the table does not
+    depend on it. Each run watches the two endpoints of its forced edge.
     """
     m = g.edge_count
     floor_clamp = sel.floor / 2.0
@@ -221,30 +222,23 @@ def fill_tables_edge(g: Graph, sel: SelectionFunction, T: int, delta: float, Q: 
     table = EstimateTable(T, delta, values)
     ends = np.column_stack((g.eu, g.ev))  # each edge's two endpoints
     rows_total = m * Q
-    # Two buffer sets: one being drawn, one being run.
-    size = min(FILL_ROW_CHUNK, rows_total)
-    sets = [(np.empty((size, m), dtype=bool), np.empty((size, m)), np.empty((size, m))) for _ in range(2)]
     phases = ((j, chunk) for j in range(1, T) for chunk in chunks(seed, rows_total, FILL_ROW_CHUNK, "fill-edge", j))
 
     def draw(item):
-        (j, (rng, base, count)), bufs = item
-        active, Ye, U = (b[:count] for b in bufs)
-        tj = j / T
-        rng.random(out=Ye)
-        np.less(Ye, g.x, out=active)
-        rng.random(out=Ye)
-        rr = np.arange(count)
-        erow = (base + rr) // Q
-        y = Ye.reshape(-1)
-        ecell = rr * m + erow  # flat (row, forced edge) cells
-        y[ecell] = tj + y.take(ecell) * (1.0 - tj)
-        rng.random(out=U)
-        return j, base + count == rows_total, erow, ends.take(erow, axis=0), active, Ye, U
+        j, (rng, base, count) = item
+        erow = (base + np.arange(count)) // Q  # each row's forced edge
+
+        def force(lo, times):
+            """Rows lo.. of the times, each row's forced edge at inf."""
+            times.reshape(-1)[np.arange(times.shape[0]) * m + erow[lo : lo + times.shape[0]]] = np.inf
+            return times
+
+        return j, base + count == rows_total, erow, ends.take(erow, axis=0), edge_arrivals(g, rng, count, j / T, force)
 
     feasible = np.zeros(m, dtype=np.float64)
-    with contextlib.closing(_ahead(draw, zip(phases, itertools.cycle(sets)))) as drawn:
-        for j, last, erow, watch, active, Ye, U in drawn:
-            res = run_edge_batch(g, sel, table, active, Ye, U, t_stop=j / T, watch=watch)
+    with contextlib.closing(_ahead(draw, phases)) as drawn:
+        for j, last, erow, watch, arrivals in drawn:
+            res = run_edge_batch(g, sel, table, *arrivals, t_stop=j / T, watch=watch)
             free = ~(res.matched[:, 0] | res.matched[:, 1])
             feasible += np.bincount(erow, weights=free, minlength=m)
             if last:  # the phase's rows are all in
@@ -312,7 +306,7 @@ def simulate_rank1(g: Graph, trials: int, seed: int, bins: int = 20) -> SimResul
     m = g.edge_count
 
     def batch(rng, count):
-        active, Ye, U = edge_arrivals(g, rng, count)
+        active, Ye, U = rank1_arrivals(g, rng, count)
 
         def propose(lo, hi, lock):
             cell = np.flatnonzero(_flat(active[lo:hi]))

@@ -137,19 +137,18 @@ def c_vertex(y, g):
     arr = np.atleast_1d(arr).astype(np.float64)
     if np.any(arr < 0.0) or np.any(arr > 1.0):
         raise ValueError("y must lie in [0, 1]")
-    out = np.empty_like(arr)
     tiny = arr < _TINY_Y
-    out[tiny] = 1.0 - arr[tiny]
-    big = ~tiny
-    if np.any(big):
-        z = arr[big]
-        base = -np.expm1(-2.0 * z) / (2.0 * z)
-        if infinite:
-            out[big] = base
-        else:
-            gi = int(g)
-            tail = _tail_series(-2.0 * z, gi)
-            out[big] = base + tail / (2.0 ** (gi - 1) * z)
+    some_tiny = bool(np.any(tiny))
+    z = arr[~tiny] if some_tiny else arr  # no mask copies in the common case
+    out = -np.expm1(-2.0 * z) / (2.0 * z)
+    if not infinite and z.size:
+        gi = int(g)
+        out += _tail_series(-2.0 * z, gi) / (2.0 ** (gi - 1) * z)
+    if some_tiny:
+        full = np.empty_like(arr)
+        full[tiny] = 1.0 - arr[tiny]
+        full[~tiny] = out
+        out = full
     return float(out[0]) if scalar else out
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from numpy.polynomial import Polynomial
 
 from crslab import recursive, two_phase
-from crslab.arrivals import sample_choices_batch
+from crslab.arrivals import rank1_arrivals, sample_choices_batch
 from crslab.graph import Graph
 from crslab.hardness import TrajectoryReport
 from crslab.matching import _bin_of
@@ -151,20 +151,18 @@ def pinned_phase1_frequency(
 def rank1_safety(g: Graph, trials: int, seed: int, bins: int = 20) -> tuple[np.ndarray, np.ndarray]:
     """(safe_bin, all_bin) over the runs of `simulate_rank1(g, trials, seed, bins)`.
 
-    Replays its "trials-rank1" chunks, the chunk size read from
-    `recursive.TRIAL_CHUNK` at each call. all_bin[e, b] counts the trials
-    with Y_e in bin b, and safe_bin[e, b] those in which nothing other than
-    e was taken before Y_e: the earliest eligible time over the other
-    elements, which is the second minimum where e is the winner and the
-    minimum elsewhere, comes after Y_e.
+    Replays its "trials-rank1" chunks through `rank1_arrivals`, the chunk
+    size read from `recursive.TRIAL_CHUNK` at each call. all_bin[e, b]
+    counts the trials with Y_e in bin b, and safe_bin[e, b] those in which
+    nothing other than e was taken before Y_e: the earliest eligible time
+    over the other elements, which is the second minimum where e is the
+    winner and the minimum elsewhere, comes after Y_e.
     """
     m = g.edge_count
     safe_bin = np.zeros((m, bins), dtype=np.int64)
     all_bin = np.zeros((m, bins), dtype=np.int64)
     for rng, _, count in chunks(seed, trials, recursive.TRIAL_CHUNK, "trials-rank1"):
-        active = rng.random((count, m)) < g.x[None, :]
-        Ye = rng.random((count, m))
-        U = rng.random((count, m))
+        active, Ye, U = (a[:] for a in rank1_arrivals(g, rng, count))
         elig_y = np.where(active & (U <= np.exp(-Ye * g.x[None, :])), Ye, np.inf)
         rows = np.arange(count)
         winner = np.argmin(elig_y, axis=1)

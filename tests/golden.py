@@ -69,7 +69,7 @@ from crslab.selection import INFINITE, c_vertex, edge_selection, vertex_selectio
 from crslab.two_phase import run_two_phase_batch
 
 from .analysis import pinned_phase1_frequency, rank1_safety
-from .oracles import RecordingTally, recorded, watch_all
+from .oracles import RecordingTally, edge_inputs, recorded, watch_all
 
 PINNED = Path(__file__).with_name("golden_digests.json")
 
@@ -249,7 +249,7 @@ def engine_digests() -> dict[str, str]:
     Ye = _grid_times(rng, (rows, m))
     U = rng.random((rows, m))
     for t_stop in (0.5, 0.6, 1.0):
-        out[f"edge-tree9-t{t_stop}"] = batch_digest(run_edge_batch(tree, sel_e, tab_e, active, Ye, U, t_stop, 3, watch_all(tree, rows)))
+        out[f"edge-tree9-t{t_stop}"] = batch_digest(run_edge_batch(tree, sel_e, tab_e, *edge_inputs(active, Ye, U), t_stop, 3, watch_all(tree, rows)))
 
     two_phase_graphs = (
         ("complete7", complete(7)),  # complete-graph phase-1 sums

@@ -30,9 +30,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from crslab import matching
-from crslab.arrivals import NO_CHOICE, sample_choices_batch
+from crslab.arrivals import NO_CHOICE, EdgeTimes, sample_choices_batch
 from crslab.diagnostics import flip_indicators
 from crslab.matching import BatchResult, _BatchTally
+from crslab.numerics import adaptive_simpson
 from crslab.rng import stream
 from crslab.two_phase import prune_factor, survival_prob
 
@@ -214,6 +215,25 @@ class RecordedResult(BatchResult):
     sel_into: np.ndarray | None = None  # (trials, n) vertex accepted as a target
 
 
+def edge_inputs(active, Ye, U):
+    """The `run_edge_batch` inputs (ids, Ye, U) of dense (rows, m) arrays:
+    the active cells in row-major order, each with its time and uniform."""
+    ids = np.flatnonzero(active)
+    return ids, EdgeTimes(active.shape, Ye.reshape(-1).take(ids)), U.reshape(-1).take(ids)
+
+
+def edge_arrivals_reference(g, rng, count: int, t_stop: float = 1.0):
+    """The edge layout from one eager `rng.random((count, m))`: edge e of a
+    row is active iff its uniform a < x_e and arrives at a / x_e; the
+    arrivals by t_stop, row-major, then one decision uniform each. Returns
+    `edge_arrivals`' (ids, times, decision uniforms) as plain arrays."""
+    a = rng.random((count, g.edge_count))
+    active = a < g.x
+    times = np.where(active, a / np.where(active, g.x, 1.0), np.inf)
+    ids = np.flatnonzero(times <= t_stop)
+    return ids, times.reshape(-1)[ids], rng.random(ids.size)
+
+
 def watch_all(g, trials: int) -> np.ndarray:
     """The engines' `watch` that names every vertex of every row: with it,
     `BatchResult.matched` is the full (trials, n) flag matrix."""
@@ -363,6 +383,32 @@ def run_two_phase(g, t: float, y, f, ua, ub) -> list:
         if not matched[w]:
             matched[v] = matched[w] = True
             out.append((eid, float(y[v]), v))
+    return out
+
+
+def star_edge_safety(g, sel, table) -> np.ndarray:
+    """The exact law of an edge fill's table on a star, given its rows.
+
+    Row j of the fill runs each edge e forced after t_j, so e is still
+    feasible at t_j iff no other edge f was accepted by then: f is active
+    with probability x_f, arrives uniformly and proposes with `_param`, read
+    from the table row of its phase, and every proposal of a star takes the
+    centre while it is free. So
+    S_e(j) = prod_{f != e} (1 - x_f * integral_0^{t_j} p_f), each phase's
+    part of the integral taken with `adaptive_simpson` on that phase's row.
+    Returns the (T, m) exact values, row j given rows 0..j-1 of `table`;
+    row 0 is all ones, as in the table.
+    """
+    T, m = table.T, g.edge_count
+    part = np.array([
+        [adaptive_simpson(lambda y: _param(sel, table, y, table.values[i, f]), i / T, (i + 1) / T) for f in range(m)]
+        for i in range(T - 1)
+    ])
+    taken = np.vstack((np.zeros(m), np.cumsum(part, axis=0))) * g.x  # x_f * integral_0^{t_j} p_f
+    free = 1.0 - taken
+    out = np.ones((T, m))
+    for e in range(m):
+        out[:, e] = np.prod(np.delete(free, e, axis=1), axis=1)
     return out
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import crslab.matching
-from crslab.arrivals import NO_CHOICE, _active_choices, _choice_edges, _pick, sample_choices_batch
+from crslab.arrivals import NO_CHOICE, _active_choices, _choice_edges, _pick, edge_arrivals, sample_choices_batch
 from crslab.diagnostics import detect_potential_paths_batch
 from crslab.graph import LOAD_TOL, Graph, complete, cycle, star, weighted_star
 from crslab.recursive import EstimateTable, run_vertex_batch, simulate_edge
@@ -15,7 +15,7 @@ from crslab.rng import stream
 from crslab.selection import INFINITE, edge_selection, vertex_selection
 from crslab.two_phase import run_two_phase_batch
 
-from .oracles import choice_edges_reference, choices_reference, neighbors, vertex_draws, watch_all
+from .oracles import choice_edges_reference, choices_reference, edge_arrivals_reference, neighbors, vertex_draws, watch_all
 
 
 def _active(g, y, f):
@@ -202,6 +202,67 @@ def test_sampler_same_picks_and_stream_for_every_split(monkeypatch):
                         assert rng.random() == after
     finally:
         sys.setswitchinterval(interval)
+
+
+# a zero, a full, a tiny and two plain loads
+EDGE_LOADS = Graph(6, [(0, 1, 0.0), (1, 2, 1.0), (2, 3, 1e-300), (3, 4, 0.5), (4, 5, 0.3)])
+
+
+def test_edge_layout_same_bytes_for_every_piece_and_worker_count(monkeypatch):
+    """`edge_arrivals` equals the one-call reference, whatever the piece
+    size (one row, a few rows, the default) and the engine thread count,
+    and leaves the stream where the reference does. 30,000 rows make two
+    default pieces, the second partial."""
+    g, m = EDGE_LOADS, EDGE_LOADS.edge_count
+    default = crslab.matching.ROW_BLOCK_ELEMS
+    for count, budgets in ((1, (1, default)), (7, (1, 3 * m + 1, default)), (2000, (1, 3 * m + 1, default)), (30_000, (default,))):
+        for t_stop in (0.3, 1.0):
+            ref_rng = stream(20, "test-edge-layout")
+            ref = edge_arrivals_reference(g, ref_rng, count, t_stop)
+            after = ref_rng.random()
+            for workers in (1, 2, 3):
+                for budget in budgets:
+                    monkeypatch.setattr(crslab.matching, "WORKERS", workers)
+                    monkeypatch.setattr(crslab.matching, "ROW_BLOCK_ELEMS", budget)
+                    rng = stream(20, "test-edge-layout")
+                    ids, Ye, U = edge_arrivals(g, rng, count, t_stop)
+                    assert ids.dtype == np.int32 and Ye.shape == (count, m)
+                    for got, want in zip((ids, Ye.y, U), ref):
+                        assert np.array_equal(got, want), (count, t_stop, workers, budget)
+                    assert rng.random() == after
+
+
+def test_edge_layout_ends_count_m_plus_arrivals_draws_past_its_start():
+    g = EDGE_LOADS
+    for count, t_stop in ((1, 1.0), (500, 0.4), (40_000, 1.0)):
+        rng = stream(21, "test-edge-layout")
+        ids, _, _ = edge_arrivals(g, rng, count, t_stop)
+        fresh = stream(21, "test-edge-layout")
+        fresh.bit_generator.advance(count * g.edge_count + ids.size)
+        assert rng.bit_generator.state == fresh.bit_generator.state
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.floats(0.0, 1.0, exclude_max=True), st.floats(0.0, 1.0, exclude_min=True))
+def test_edge_activity_is_a_time_below_one(a, x):
+    """a < x_e exactly when a / x_e < 1 in IEEE division, so one uniform
+    carries both the activity and the time."""
+    assert (a < x) == (a / x < 1.0)
+
+
+def test_edge_layout_forced_cells_draw_no_decision_uniform():
+    """A cell that `then` moves to inf never arrives and draws nothing."""
+    g = complete(4)
+    m = g.edge_count
+
+    def away(lo, times):
+        times[:, 0] = np.inf
+        return times
+
+    ids, Ye, U = edge_arrivals(g, stream(22, "test-edge-layout"), 1000, 0.7, away)
+    assert not np.any(ids % m == 0) and np.all(Ye.y <= 0.7) and np.all(np.diff(ids) > 0)
+    ids_all, _, _ = edge_arrivals(g, stream(22, "test-edge-layout"), 1000, 0.7)
+    assert np.array_equal(ids, ids_all[ids_all % m != 0])
 
 
 def test_active_edges_rule_hand_built():

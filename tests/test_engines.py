@@ -26,7 +26,7 @@ from crslab.rng import stream
 from crslab.selection import edge_selection
 from crslab.two_phase import run_two_phase_batch
 
-from .oracles import T0_FROZEN, matched_flags, recorded, run_edge, run_rank1_closed_form, run_two_phase, run_vertex, watch_all
+from .oracles import T0_FROZEN, edge_inputs, matched_flags, recorded, run_edge, run_rank1_closed_form, run_two_phase, run_vertex, watch_all
 
 GRID = 6  # arrival times k / GRID, k = 1..GRID
 BINS = 4
@@ -156,7 +156,7 @@ def test_edge_batch_rows_match_scalar(t_stop, grid, k33):
     active = rng.random((trials, m)) < 2.0 * g.x[None, :]
     Ye = _grid(rng, (trials, m), grid)
     U = rng.random((trials, m))
-    res = recorded(run_edge_batch, g, sel, table, active, Ye, U, t_stop, BINS, watch_all(g, trials))
+    res = recorded(run_edge_batch, g, sel, table, *edge_inputs(active, Ye, U), t_stop, BINS, watch_all(g, trials))
     # an edge arrival has no proposer side: skip the two fields that name one
     _edge_reference(g, sel, table, active, Ye, U, t_stop).check(res, FIELDS[:-2])
 
@@ -225,7 +225,7 @@ def test_batch_keep_rules_at_the_extremes(engine, case, c5, sel5, k33):
         active = rng.random((trials, k33.edge_count)) < 2.0 * k33.x[None, :]
         Ye = _grid(rng, active.shape)
         U = np.full(active.shape, u)
-        res = recorded(run_edge_batch, k33, sel, table, active, Ye, U, t_stop, BINS, watch_all(k33, trials))
+        res = recorded(run_edge_batch, k33, sel, table, *edge_inputs(active, Ye, U), t_stop, BINS, watch_all(k33, trials))
         _edge_reference(k33, sel, table, active, Ye, U, t_stop).check(res, FIELDS[:-2])
     else:
         # the prune factor is below 1 at t < 1
@@ -246,7 +246,7 @@ def test_rank1_keep_rule_at_the_extremes(monkeypatch, case):
     rng = stream(844, "test-engines")
     active = rng.random((trials, m)) < (0.0 if case == "no-candidate" else 2.0 * g.x[None, :])
     Ye, U = _grid(rng, (trials, m)), np.full((trials, m), u)
-    monkeypatch.setattr(crslab.recursive, "edge_arrivals", lambda *args: (active, Ye, U))
+    monkeypatch.setattr(crslab.recursive, "rank1_arrivals", lambda *args: (active, Ye, U))
     res = simulate_rank1(g, trials, seed=0, bins=BINS)
     ref = _Reference(g, trials)
     for i in range(trials):
@@ -296,7 +296,7 @@ def test_edge_batch_ignores_block_budget(monkeypatch, k33):
     Ye = _grid(rng, (200, 9))
     U = rng.random((200, 9))
     for t_stop in T_STOPS:
-        _same_for_every_budget(monkeypatch, 9, lambda: recorded(run_edge_batch, k33, sel, table, active, Ye, U, t_stop, BINS, watch_all(k33, 200)))
+        _same_for_every_budget(monkeypatch, 9, lambda: recorded(run_edge_batch, k33, sel, table, *edge_inputs(active, Ye, U), t_stop, BINS, watch_all(k33, 200)))
 
 
 @pytest.mark.parametrize("maker", [lambda: complete(5), lambda: complete_bipartite(3), lambda: cycle_blowup(3, 2)])
@@ -326,7 +326,7 @@ def test_watched_flags_are_cells_of_the_full_watch(monkeypatch, k, c5, sel5, tab
     Ye, Ue = _grid(rng, (trials, 9)), rng.random((trials, 9))
     runs = (  # (graph, row width, run(watch))
         (c5, 5, lambda watch: run_vertex_batch(c5, sel5, table_c5_small, Y, F, U, 0.6, 1, BINS, watch)),
-        (k33, 9, lambda watch: run_edge_batch(k33, sel_e, table_e, active, Ye, Ue, 0.6, BINS, watch)),
+        (k33, 9, lambda watch: run_edge_batch(k33, sel_e, table_e, *edge_inputs(active, Ye, Ue), 0.6, BINS, watch)),
         (c5, 5, lambda watch: run_two_phase_batch(c5, 0.6, Y, F, U, UB, 0.6, BINS, watch)),
     )
     for g, width, run in runs:
@@ -392,7 +392,7 @@ def _engine_runs(c5, sel5, table_c5_small, k33):
     Ye, Ue = _grid(rng, (120, 9)), rng.random((120, 9))
     return (
         (sel5, c5.vertex_count, lambda sel: recorded(run_vertex_batch, c5, sel, table_c5_small, Y, F, U, 0.6, None, BINS, watch_all(c5, 120))),
-        (sel_e, 9, lambda sel: recorded(run_edge_batch, k33, sel, table_e, active, Ye, Ue, 0.6, BINS, watch_all(k33, 120))),
+        (sel_e, 9, lambda sel: recorded(run_edge_batch, k33, sel, table_e, *edge_inputs(active, Ye, Ue), 0.6, BINS, watch_all(k33, 120))),
     )
 
 
@@ -449,7 +449,7 @@ def test_arrival_at_time_zero(c5, sel5, table_c5_small):
         active = np.ones((1, c5.edge_count), dtype=bool)
         Ye = np.array([[0.0, 0.2, 0.4, 0.6, 0.8]])
         Ue = np.full((1, c5.edge_count), 1e-9)
-        res = run_edge_batch(c5, sel, table, active, Ye, Ue, watch=watch_all(c5, 1))
+        res = run_edge_batch(c5, sel, table, *edge_inputs(active, Ye, Ue), watch=watch_all(c5, 1))
         ref = run_edge(c5, sel, table, active[0], Ye[0], Ue[0])
         assert np.array_equal(res.matched[0], matched_flags(c5, ref))
         assert res.accepted[0] == 0 and sorted(e for e, _, _ in ref) == sorted(np.flatnonzero(res.accepted))

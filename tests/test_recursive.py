@@ -29,7 +29,7 @@ from crslab.selection import INFINITE, edge_selection, vertex_selection
 from crslab.two_phase import simulate_two_phase
 
 from .analysis import rank1_safety
-from .oracles import _phase, dir_index, run_rank1_closed_form
+from .oracles import _phase, dir_index, run_rank1_closed_form, star_edge_safety
 
 
 def test_required_samples_frozen_example():
@@ -214,10 +214,12 @@ def test_fill_tables_edge_draw_error_reaches_caller(monkeypatch, workers):
     monkeypatch.setattr(crslab.recursive, "FILL_ROW_CHUNK", 500)
     monkeypatch.setattr(crslab.matching, "WORKERS", workers)
     threads = threading.active_count()
-    _, calls = _watch_streams(monkeypatch, fail_on=8)  # the third chunk's second draw
+    # a chunk draws its 500 x 9 uniforms in one piece, then its decision
+    # uniforms: call 6 is the third chunk's second draw
+    _, calls = _watch_streams(monkeypatch, fail_on=6)
     with pytest.raises(_Boom):
         _fill_k33()
-    assert len(calls) == 8
+    assert len(calls) == 6
     assert threading.active_count() == threads  # the helper has joined
 
 
@@ -234,15 +236,16 @@ def test_fill_tables_edge_streams_created_on_calling_thread(monkeypatch):
 
 
 def test_fill_tables_edge_draws_the_edge_layout(monkeypatch):
-    """Every chunk the edge fill runs is `edge_arrivals` on its stream, with
-    each row's forced edge moved after t_j; chunks of 500 leave a partial
-    last chunk of 200 rows in each phase."""
+    """Every chunk the edge fill runs is `edge_arrivals` to t_j on its
+    stream, with each row's forced edge removed before the decision
+    uniforms are drawn; chunks of 500 leave a partial last chunk of 200
+    rows in each phase."""
     monkeypatch.setattr(crslab.recursive, "FILL_ROW_CHUNK", 500)
     engine, ran = crslab.recursive.run_edge_batch, []
 
-    def recording(g, sel, table, active, Ye, U, t_stop, **kwargs):
-        ran.append((t_stop, active.copy(), Ye.copy(), U.copy()))  # the fill reuses its buffers
-        return engine(g, sel, table, active, Ye, U, t_stop, **kwargs)
+    def recording(g, sel, table, ids, Ye, U, t_stop, **kwargs):
+        ran.append((t_stop, ids, Ye.shape, Ye.y, U))
+        return engine(g, sel, table, ids, Ye, U, t_stop, **kwargs)
 
     monkeypatch.setattr(crslab.recursive, "run_edge_batch", recording)
     _fill_k33()
@@ -252,16 +255,41 @@ def test_fill_tables_edge_draws_the_edge_layout(monkeypatch):
         tj = j / 5
         for chunk, base in enumerate(range(0, g.edge_count * Q, 500)):
             count = min(500, g.edge_count * Q - base)
-            active, Ye, U = (a[:] for a in edge_arrivals(g, stream(3310, "fill-edge", j, chunk), count))
-            r = np.arange(count)
-            forced = (base + r) // Q
-            Ye[r, forced] = tj + Ye[r, forced] * (1.0 - tj)
-            expected.append((tj, active, Ye, U))
+            forced = np.arange(count) * g.edge_count + (base + np.arange(count)) // Q
+
+            def remove(lo, times):
+                flat = times.reshape(-1)
+                mine = forced[(forced >= lo * g.edge_count) & (forced < lo * g.edge_count + flat.size)]
+                flat[mine - lo * g.edge_count] = np.inf
+                return times
+
+            ids, Ye, U = edge_arrivals(g, stream(3310, "fill-edge", j, chunk), count, tj, remove)
+            assert not np.isin(forced, ids).any()
+            expected.append((tj, ids, (count, g.edge_count), Ye.y, U))
     assert len(ran) == len(expected) == 4 * 6
     for got, want in zip(ran, expected):
-        assert got[0] == want[0]
-        for a, b in zip(got[1:], want[1:]):
-            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert got[0] == want[0] and got[2] == want[2]
+        for k in (1, 3, 4):  # ids, times, decision uniforms
+            assert got[k].dtype == want[k].dtype and np.array_equal(got[k], want[k])
+
+
+def test_edge_fill_follows_the_exact_law_on_a_star():
+    """Each entry of an edge fill is Binomial(Q, S)/Q, S the exact
+    `star_edge_safety` given the table's earlier rows: the z-scores of 20
+    fills (11 phases x 4 edges each) have mean 0 within 3.5/sqrt(N), sd
+    near 1 and no |z| above 4.5. At Q = 4000 the floor clamp never binds."""
+    g, sel, T, Q = weighted_star([0.3, 0.25, 0.2, 0.15]), edge_selection("edge_general"), 12, 4000
+    zs = []
+    for seed in range(20):
+        table = fill_tables_edge(g, sel, T, 0.0, Q, 7100 + seed)
+        S = star_edge_safety(g, sel, table)[1:]
+        assert table.values[1:].min() > sel.floor / 2.0
+        zs.append((table.values[1:] - S) / np.sqrt(S * (1.0 - S) / Q))
+    z = np.concatenate(zs).reshape(-1)
+    assert z.size == 880
+    assert abs(z.mean()) <= 3.5 / math.sqrt(z.size), z.mean()
+    assert abs(z.std() - 1.0) <= 0.1, z.std()
+    assert np.abs(z).max() <= 4.5
 
 
 def test_single_edge_acceptance_matches_damped_integral():
@@ -329,6 +357,7 @@ _SIMULATIONS = {
     "vertex": lambda: simulate_vertex(cycle(5, 0.5), vertex_selection(5), 4, 0.1, 2_500, 622, Q=90, bins=4),
     "edge": lambda: simulate_edge(complete_bipartite(3), edge_selection("edge_general"), 4, 0.1, 2_500, 623, Q=90, bins=4),
     "fill": lambda: fill_tables(complete_bipartite(3), vertex_selection(INFINITE), 4, 0.1, 90, 624),
+    "fill-edge": lambda: fill_tables_edge(complete_bipartite(3), edge_selection("edge_general"), 4, 0.1, 90, 626),
     "rank1": lambda: simulate_rank1(weighted_star([1.0 / 6.0] * 6), 2_500, 625, bins=4),
 }
 
@@ -341,7 +370,7 @@ def test_simulations_ignore_block_budget_and_workers(monkeypatch, name):
     monkeypatch.setattr(crslab.recursive, "TRIAL_CHUNK", 1_000)
     monkeypatch.setattr(crslab.two_phase, "TRIAL_CHUNK", 1_000)
     monkeypatch.setattr(crslab.recursive, "FILL_ROW_CHUNK", 700)
-    fields = ("values",) if name == "fill" else ("accepted", "active", "acc_bin", "act_bin")
+    fields = ("values",) if name.startswith("fill") else ("accepted", "active", "acc_bin", "act_bin")
     results = []
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
