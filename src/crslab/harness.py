@@ -26,7 +26,7 @@ from .diagnostics import correlation_gap
 from .graph import FAMILIES, Graph, _integral, generate
 from .hardness import hardness_trajectory, m_de
 from .numerics import wilson_interval
-from .recursive import _table, fill_tables, simulate_edge, simulate_rank1, simulate_vertex
+from .recursive import fill_tables, simulate_edge, simulate_rank1, simulate_vertex
 from .selection import EDGE_KINDS, INFINITE, edge_selection, parse_girth, vertex_selection
 from .two_phase import find_t0, simulate_two_phase
 
@@ -427,7 +427,7 @@ def _run_gap(cfg: ExperimentConfig) -> ExperimentReport:
     except KeyError:
         raise ConfigError(f"params.v: ({u},{v}) is not an edge of the instance") from None
     sel = vertex_selection(p["g"])
-    table = _table(fill_tables, g, sel, p["T"], p["delta"], p["Q"], cfg.seed)
+    table = fill_tables(g, sel, p["T"], p["delta"], p["Q"], cfg.seed)
     rep = correlation_gap(g, sel, table, u, v, p["t_k"], cfg.trials, cfg.seed)
     summary = {key: getattr(rep, key) for key in KINDS["gap"]}
     columns = list(summary)

@@ -133,44 +133,74 @@ def run_vertex_batch(
     return _run_batch(g, *Y.shape, bins, propose, watch)
 
 
-def fill_tables(g: Graph, sel: SelectionFunction, T: int, delta: float, Q: int, seed: int) -> EstimateTable:
-    """Estimate tables for vertex mode, one phase at a time.
+def _forced(width: int, tj: float, late: np.ndarray, early: np.ndarray | None = None):
+    """then(lo, times) of an arrival layout on rows lo.. of a fill chunk: each
+    row's `late` cell moves to inf, so it does not arrive by t_j, and its
+    `early` cell, when given, is scaled into [0, t_j)."""
 
-    Phase j is estimated from Q forced runs per directed pair (target's time
-    uniform on [0, t_j), proposer's on (t_j, 1], fresh choices), executed as
-    one stacked batch over all 2m pairs and reusing rows 0..j-1 of the table.
-    Each run watches its forced target only.
+    def force(lo, times):
+        start = np.arange(times.shape[0]) * width  # each row's first flat cell
+        flat = times.reshape(-1)  # a fresh C-order block: the view writes through
+        if early is not None:
+            flat[start + early[lo : lo + start.size]] *= tj
+        flat[start + late[lo : lo + start.size]] = np.inf
+        return times
+
+    return force
+
+
+def _fill(g: Graph, sel: SelectionFunction, T: int, delta: float, Q: int | None, seed: int, tag: str, ends: np.ndarray, run, draw=None) -> EstimateTable:
+    """The estimate table of either mode, one phase at a time.
+
+    Phase j runs Q rows per entry i (Q defaults to `required_samples`) in
+    chunks of FILL_ROW_CHUNK rows from the streams (seed, tag, j, chunk);
+    row r forces entry r // Q, and entry i is the share of its rows that
+    leave every vertex of ends[i] free at t_j, clamped to [C/2, 1].
+    run(table, t_j, entry, watch, drawn) runs a chunk on the rows written so
+    far; `drawn` is the chunk's stream or, with `draw`, draw(stream, entry,
+    t_j), made on the `_ahead` helper while the previous chunk runs. The
+    streams are created on the calling thread either way.
     """
-    m = g.edge_count
-    n = g.vertex_count
-    floor_clamp = sel.floor / 2.0
-    values = np.ones((T, 2 * m), dtype=np.float64)
-    table = EstimateTable(T, delta, values)
-    # the column rule of `_pair_estimate`: 2 eid targets eu, 2 eid + 1 targets ev
-    targets = np.column_stack((g.eu, g.ev)).reshape(-1)
-    proposers = np.column_stack((g.ev, g.eu)).reshape(-1)
-    for j in range(1, T):
-        tj = j / T
-        unmatched = np.zeros(2 * m, dtype=np.float64)
-        for rng, base, count in chunks(seed, 2 * m * Q, FILL_ROW_CHUNK, "fill-vertex", j):
-            dir_id = (base + np.arange(count)) // Q
+    if Q is None:
+        if delta == 0.0:
+            raise ValueError("delta=0 (idealized mode) needs an explicit Q")
+        Q = required_samples(sel.floor, delta, T, g.vertex_count)
+    width = ends.shape[0]
+    table = EstimateTable(T, delta, np.ones((T, width), dtype=np.float64))
+    rows = width * Q
+    phases = ((j, chunk) for j in range(1, T) for chunk in chunks(seed, rows, FILL_ROW_CHUNK, tag, j))
 
-            def force(lo, Y):
-                """Rows lo.. of the times: target uniform on [0, t_j), proposer on (t_j, 1]."""
-                d = dir_id[lo : lo + Y.shape[0]]
-                start = np.arange(d.size) * n  # each row's first flat cell
-                # Y is a fresh C-order block, so its flat view writes through
-                flat, tgt, prop = Y.reshape(-1), start + targets.take(d), start + proposers.take(d)
-                flat[tgt] *= tj
-                flat[prop] = tj + flat.take(prop) * (1.0 - tj)
-                return Y
+    def make(item):
+        j, (rng, base, count) = item
+        entry = (base + np.arange(count)) // Q
+        return j, base + count == rows, entry, ends.take(entry, axis=0), rng if draw is None else draw(rng, entry, j / T)
 
-            Y, F, U = vertex_arrivals(g, rng, count, then=force)
-            res = run_vertex_batch(g, sel, table, Y, F, U, t_stop=tj, watch=targets.take(dir_id)[:, None])
-            free = ~res.matched[:, 0]
-            unmatched += np.bincount(dir_id, weights=free, minlength=2 * m)
-        values[j] = np.clip(unmatched / Q, floor_clamp, 1.0)
+    free = np.zeros(width, dtype=np.float64)
+    with contextlib.closing(_ahead(make, phases) if draw else (make(item) for item in phases)) as made:
+        for j, last, entry, watch, drawn in made:
+            matched = run(table, j / T, entry, watch, drawn).matched
+            hit = matched[:, 0]
+            for k in range(1, matched.shape[1]):  # column by column: cheaper than any(axis=1)
+                hit = hit | matched[:, k]
+            free += np.bincount(entry, weights=~hit, minlength=width)
+            if last:  # the phase's rows are all in
+                table.values[j] = np.clip(free / Q, sel.floor / 2.0, 1.0)
+                free[:] = 0.0
     return table
+
+
+def fill_tables(g: Graph, sel: SelectionFunction, T: int, delta: float, Q: int | None, seed: int) -> EstimateTable:
+    """Estimate tables for vertex mode (`_fill`): Q forced runs per directed
+    pair, its target's time scaled into [0, t_j) and its proposer's at inf,
+    each watching its target; a chunk is drawn on the calling thread."""
+    targets = np.column_stack((g.eu, g.ev)).reshape(-1)  # the column rule of `_pair_estimate`
+    proposers = np.column_stack((g.ev, g.eu)).reshape(-1)
+
+    def run(table, tj, entry, watch, rng):
+        Y, F, U = vertex_arrivals(g, rng, entry.size, then=_forced(g.vertex_count, tj, proposers.take(entry), targets.take(entry)))
+        return run_vertex_batch(g, sel, table, Y, F, U, t_stop=tj, watch=watch)
+
+    return _fill(g, sel, T, delta, Q, seed, "fill-vertex", targets[:, None], run)
 
 
 # -- edge mode ----------------------------------------------------------------
@@ -204,62 +234,29 @@ def run_edge_batch(
     return _run_batch(g, *Ye.shape, bins, propose, watch)
 
 
-def fill_tables_edge(g: Graph, sel: SelectionFunction, T: int, delta: float, Q: int, seed: int) -> EstimateTable:
-    """Estimate tables for edge mode: S_hat_e(j) = P[e feasible at t_j | Y_e > t_j].
+def fill_tables_edge(g: Graph, sel: SelectionFunction, T: int, delta: float, Q: int | None, seed: int) -> EstimateTable:
+    """Estimate tables for edge mode (`_fill`): S_hat_e(j) = P[e feasible at t_j | Y_e > t_j].
 
-    Phase j runs Q forced rows per edge, in chunks of FILL_ROW_CHUNK rows
-    drawn from the stream (seed, "fill-edge", j, chunk) by `edge_arrivals`
-    to t_stop = t_j, with each row's forced edge moved to inf: it never
-    arrives, and only the edges that arrive by t_j draw a decision uniform.
-    A chunk's draws do not depend on the table, so the next chunk's are
-    made on the fill's one helper thread while the engine runs this one;
-    the streams are created on the calling thread, so the table does not
-    depend on it. Each run watches the two endpoints of its forced edge.
+    Q forced rows per edge are drawn by `edge_arrivals` to t_j with the
+    forced edge at inf, so it never arrives and draws no decision uniform;
+    the draws do not depend on the table, so the next chunk's are made on
+    the `_ahead` helper. Each run watches the two ends of its forced edge.
     """
     m = g.edge_count
-    floor_clamp = sel.floor / 2.0
-    values = np.ones((T, m), dtype=np.float64)
-    table = EstimateTable(T, delta, values)
-    ends = np.column_stack((g.eu, g.ev))  # each edge's two endpoints
-    rows_total = m * Q
-    phases = ((j, chunk) for j in range(1, T) for chunk in chunks(seed, rows_total, FILL_ROW_CHUNK, "fill-edge", j))
 
-    def draw(item):
-        j, (rng, base, count) = item
-        erow = (base + np.arange(count)) // Q  # each row's forced edge
+    def draw(rng, entry, tj):
+        return edge_arrivals(g, rng, entry.size, tj, _forced(m, tj, entry))
 
-        def force(lo, times):
-            """Rows lo.. of the times, each row's forced edge at inf."""
-            times.reshape(-1)[np.arange(times.shape[0]) * m + erow[lo : lo + times.shape[0]]] = np.inf
-            return times
+    def run(table, tj, entry, watch, arrivals):
+        return run_edge_batch(g, sel, table, *arrivals, t_stop=tj, watch=watch)
 
-        return j, base + count == rows_total, erow, ends.take(erow, axis=0), edge_arrivals(g, rng, count, j / T, force)
-
-    feasible = np.zeros(m, dtype=np.float64)
-    with contextlib.closing(_ahead(draw, phases)) as drawn:
-        for j, last, erow, watch, arrivals in drawn:
-            res = run_edge_batch(g, sel, table, *arrivals, t_stop=j / T, watch=watch)
-            free = ~(res.matched[:, 0] | res.matched[:, 1])
-            feasible += np.bincount(erow, weights=free, minlength=m)
-            if last:  # the phase's rows are all in
-                values[j] = np.clip(feasible / Q, floor_clamp, 1.0)
-                feasible[:] = 0.0
-    return table
+    return _fill(g, sel, T, delta, Q, seed, "fill-edge", np.column_stack((g.eu, g.ev)), run, draw)
 
 
 # -- top-level experiment loops -------------------------------------------------
 
 
 TRIAL_CHUNK = 100_000
-
-
-def _table(fill, g: Graph, sel: SelectionFunction, T: int, delta: float, Q: int | None, seed: int) -> EstimateTable:
-    """fill(...) with Q samples per phase (by default the required number)."""
-    if Q is None:
-        if delta == 0.0:
-            raise ValueError("delta=0 (idealized mode) needs an explicit Q")
-        Q = required_samples(sel.floor, delta, T, g.vertex_count)
-    return fill(g, sel, T, delta, Q, seed)
 
 
 def simulate_vertex(
@@ -273,7 +270,7 @@ def simulate_vertex(
     bins: int = 20,
 ) -> SimResult:
     """Fill tables once, then measure acceptance over independent trials."""
-    table = _table(fill_tables, g, sel, T, delta, Q, seed)
+    table = fill_tables(g, sel, T, delta, Q, seed)
     return _run_trials(g, trials, bins, seed, TRIAL_CHUNK, "trials-vertex",
                        lambda rng, count: run_vertex_batch(g, sel, table, *vertex_arrivals(g, rng, count), bins=bins))
 
@@ -288,7 +285,7 @@ def simulate_edge(
     Q: int | None = None,
     bins: int = 20,
 ) -> SimResult:
-    table = _table(fill_tables_edge, g, sel, T, delta, Q, seed)
+    table = fill_tables_edge(g, sel, T, delta, Q, seed)
     return _run_trials(g, trials, bins, seed, TRIAL_CHUNK, "trials-edge",
                        lambda rng, count: run_edge_batch(g, sel, table, *edge_arrivals(g, rng, count), bins=bins))
 
