@@ -180,13 +180,12 @@ def alpha_closed_form(g) -> float:
 class SelectionFunction:
     """An evaluable selection function with its floor and target integral.
 
-    kind: "vertex" (uses g) or one of the edge kinds.
-    floor: positive constant C with c(y) >= C on [0,1] (C = c(1) for the
-    closed forms). alpha: the kind's guarantee integral (density 2y for the
-    vertex model, uniform for the edge model).
+    g: the girth of a vertex-mode function (None otherwise). floor: positive
+    constant C with c(y) >= C on [0,1] (C = c(1) for the closed forms).
+    alpha: the guarantee integral (density 2y for the vertex model, uniform
+    for the edge model).
     """
 
-    kind: str
     g: float | None = None
     floor: float = 0.0
     alpha: float | None = None
@@ -199,7 +198,7 @@ class SelectionFunction:
 def vertex_selection(g) -> SelectionFunction:
     _check_girth(g)
     fn = lambda y: c_vertex(y, g)
-    return SelectionFunction(kind="vertex", g=g, floor=float(c_vertex(1.0, g)), alpha=alpha_closed_form(g), _fn=fn)
+    return SelectionFunction(g=g, floor=float(c_vertex(1.0, g)), alpha=alpha_closed_form(g), _fn=fn)
 
 
 def edge_selection(kind: str) -> SelectionFunction:
@@ -211,7 +210,7 @@ def edge_selection(kind: str) -> SelectionFunction:
         "edge_general": (1.0 - math.exp(-2.0)) / 2.0,
         "edge_tree": 0.5,
     }[kind]
-    return SelectionFunction(kind=kind, floor=float(c_edge(1.0, kind)), alpha=alpha, _fn=fn)
+    return SelectionFunction(floor=float(c_edge(1.0, kind)), alpha=alpha, _fn=fn)
 
 
 @dataclass

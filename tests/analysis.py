@@ -49,7 +49,7 @@ def custom_selection(ys, values, floor: float) -> SelectionFunction:
         raise ValueError("floor must be positive")
     fn = lambda y: np.interp(y, ys, values)  # noqa: E731
     alpha = adaptive_simpson(lambda y: 2.0 * fn(y) * y, 0.0, 1.0, 1e-10)
-    return SelectionFunction(kind="custom", floor=float(floor), alpha=alpha, _fn=fn)
+    return SelectionFunction(floor=float(floor), alpha=alpha, _fn=fn)
 
 
 # -- two-phase scheme ---------------------------------------------------------------

@@ -58,3 +58,20 @@ def test_vertex_layout_has_one_owner():
             if "sample_choices_batch" in names:
                 owners.add(path.stem)
     assert owners == {"arrivals"}
+
+
+def test_fill_policy_has_one_owner():
+    """`FILL_ROW_CHUNK` and `required_samples` are read only inside
+    `recursive._fill`, the one phase loop of both table fills."""
+    readers = set()
+    for path in Path(crslab.__file__).parent.glob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                names = [a.name for a in node.names] if isinstance(node, ast.ImportFrom) else []
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    names.append(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.append(node.attr)
+                if {"FILL_ROW_CHUNK", "required_samples"} & set(names):
+                    readers.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    assert readers == {"recursive._fill"}

@@ -164,7 +164,8 @@ def test_fill_tables_edge_same_for_any_workers(monkeypatch, chunk):
     assert np.array_equal(tables[0], tables[1]) and np.array_equal(tables[0], tables[2])
 
 
-def test_fill_tables_edge_one_phase_starts_no_thread(monkeypatch):
+def _record_thread_starts(monkeypatch, workers):
+    """Set matching.WORKERS; return the list every thread started from now on joins."""
     started = []
 
     class _Thread(threading.Thread):
@@ -172,10 +173,28 @@ def test_fill_tables_edge_one_phase_starts_no_thread(monkeypatch):
             started.append(self)
             super().start()
 
-    monkeypatch.setattr(crslab.matching, "WORKERS", 2)
+    monkeypatch.setattr(crslab.matching, "WORKERS", workers)
     monkeypatch.setattr(crslab.matching.threading, "Thread", _Thread)
-    t = fill_tables_edge(complete_bipartite(3), edge_selection("edge_general"), T=1, delta=0.1, Q=300, seed=3311)
-    assert t.values.shape == (1, 9) and np.all(t.values == 1.0)
+    return started
+
+
+@pytest.mark.parametrize(
+    "fill, sel, width",
+    [(fill_tables_edge, edge_selection("edge_general"), 9), (fill_tables, vertex_selection(INFINITE), 18)],
+    ids=["edge", "vertex"],
+)
+def test_one_phase_fill_starts_no_thread(monkeypatch, fill, sel, width):
+    started = _record_thread_starts(monkeypatch, 2)
+    t = fill(complete_bipartite(3), sel, T=1, delta=0.1, Q=300, seed=3311)
+    assert t.values.shape == (1, width) and np.all(t.values == 1.0)
+    assert not started
+
+
+def test_vertex_fill_draws_on_the_calling_thread(monkeypatch):
+    """The vertex fill makes no draw-ahead helper: on one worker it starts no thread at all."""
+    started = _record_thread_starts(monkeypatch, 1)
+    t = fill_tables(complete_bipartite(3), vertex_selection(INFINITE), T=4, delta=0.1, Q=300, seed=3312)
+    assert np.any(t.values[1:] < 1.0)  # the phases ran
     assert not started
 
 

@@ -137,7 +137,7 @@ def test_c_edge_kinds():
 
 def test_selection_function_objects():
     sv = vertex_selection(5)
-    assert sv.kind == "vertex" and sv.g == 5
+    assert sv.g == 5
     assert sv.floor == c_vertex(1.0, 5)
     assert abs(sv.alpha - alpha_closed_form(5)) < 1e-15
     assert sv(0.3) == c_vertex(0.3, 5)
@@ -155,7 +155,7 @@ def test_custom_selection_interp_and_alpha():
     sel = custom_selection([0.0, 0.5, 1.0], [1.0, 0.75, 0.5], floor=0.5)
     assert sel(0.25) == 0.875
     assert abs(sel.alpha - 2.0 / 3.0) < 1e-9
-    assert sel.kind == "custom"
+    assert sel.g is None
 
 
 def test_custom_selection_validation():
