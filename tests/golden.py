@@ -5,7 +5,9 @@ direct entry points, and hashes what they produce:
 
 - every report file `run_suite` writes (not the `.timing.json` wall-clock
   sidecars);
-- the estimate tables of both recursive fillers;
+- the estimate tables of both recursive fillers; the engine and
+  correlation-gap cases below run on fixed tables drawn from their own
+  streams instead, so a change of a fill's draws leaves them alone;
 - `pinned_phase1_frequency` (from `tests/analysis.py`) with tied pinned times;
 - every `BatchResult` field of the three batch engines on tie-heavy inputs
   (arrival times on a coarse grid), with `exclude` and `bins`, plus the
@@ -63,7 +65,7 @@ from crslab.graph import complete, complete_bipartite, cycle, cycle_blowup, doub
 from crslab.hardness import hardness_trajectory
 from crslab.harness import run_suite
 from crslab.matching import BatchResult, _BatchTally
-from crslab.recursive import fill_tables, fill_tables_edge, run_edge_batch, run_vertex_batch
+from crslab.recursive import EstimateTable, fill_tables, fill_tables_edge, run_edge_batch, run_vertex_batch
 from crslab.rng import stream
 from crslab.selection import INFINITE, c_vertex, edge_selection, vertex_selection
 from crslab.two_phase import run_two_phase_batch
@@ -209,21 +211,30 @@ def _drop(res, *names):
     return dataclasses.replace(res, **dict.fromkeys(names))
 
 
+def _fixed_table(sel, T: int, delta: float, width: int, *tags) -> EstimateTable:
+    """An estimate table from its own stream (607, *tags): entries uniform on
+    [C/2, 1), row 0 all ones. The engine digests run on these, so a change
+    of a fill's draws leaves them alone."""
+    values = stream(607, *tags).uniform(sel.floor / 2.0, 1.0, (T, width))
+    values[0] = 1.0
+    return EstimateTable(T, delta, values)
+
+
 def engine_digests() -> dict[str, str]:
-    """BatchResult digests of the three batch engines on tie-heavy inputs."""
+    """BatchResult digests of the three batch engines on tie-heavy inputs,
+    and the tables of both fills."""
     out = {}
     rows = 3000
 
     g5, sel5 = cycle(5, 0.5), vertex_selection(5)
-    tab5 = fill_tables(g5, sel5, T=4, delta=0.1, Q=100, seed=601)
     g33, sel_inf = complete_bipartite(3), vertex_selection(INFINITE)
-    tab33 = fill_tables(g33, sel_inf, T=4, delta=0.1, Q=100, seed=602)
-    out["table-vertex-c5"] = _sha(_array_bytes(tab5.values))
-    out["table-vertex-k33"] = _sha(_array_bytes(tab33.values))
+    out["table-vertex-c5"] = _sha(_array_bytes(fill_tables(g5, sel5, T=4, delta=0.1, Q=100, seed=601).values))
+    out["table-vertex-k33"] = _sha(_array_bytes(fill_tables(g33, sel_inf, T=4, delta=0.1, Q=100, seed=602).values))
     # 1000 rows per phase in chunks of 333/333/333/1
     tab5_chunked = _with_const(recursive, "FILL_ROW_CHUNK", 333, fill_tables, g5, sel5, T=4, delta=0.1, Q=100, seed=601)
     out["table-vertex-c5-chunk333"] = _sha(_array_bytes(tab5_chunked.values))
-    for name, g, sel, tab, excl in (("c5", g5, sel5, tab5, 1), ("k33", g33, sel_inf, tab33, 3)):
+    for name, g, sel, excl in (("c5", g5, sel5, 1), ("k33", g33, sel_inf, 3)):
+        tab = _fixed_table(sel, 4, 0.1, 2 * g.edge_count, "golden-table", name)
         rng = stream(603, "golden-vertex", name)
         Y = _grid_times(rng, (rows, g.vertex_count))
         F = sample_choices_batch(g, rng, rows)
@@ -237,12 +248,12 @@ def engine_digests() -> dict[str, str]:
         out[f"coupled-{name}"] = "".join(batch_digest(_drop(r, "acc_edge", "prop_is_ev")) for r in (full, dropped))
 
     tree, sel_e = random_tree(9, seed=5), edge_selection("edge_tree")
-    tab_e = fill_tables_edge(tree, sel_e, T=6, delta=0.0, Q=150, seed=604)
-    out["table-edge-tree9"] = _sha(_array_bytes(tab_e.values))
+    out["table-edge-tree9"] = _sha(_array_bytes(fill_tables_edge(tree, sel_e, T=6, delta=0.0, Q=150, seed=604).values))
     # 1200 rows per phase in chunks of 500/500/200, cutting through the
     # 150-row groups of single forced edges
     tab_e_chunked = _with_const(recursive, "FILL_ROW_CHUNK", 500, fill_tables_edge, tree, sel_e, T=6, delta=0.0, Q=150, seed=604)
     out["table-edge-tree9-chunk500"] = _sha(_array_bytes(tab_e_chunked.values))
+    tab_e = _fixed_table(sel_e, 6, 0.0, tree.edge_count, "golden-table", "tree9")
     rng = stream(605, "golden-edge")
     m = tree.edge_count
     active = rng.random((rows, m)) < tree.x[None, :]
@@ -306,7 +317,7 @@ def chunk_digests() -> dict[str, str]:
     out["simulate-two-phase-complete7"] = sim_digest(res)
     got = _with_const(two_phase, "TRIAL_CHUNK", 1000, pinned_phase1_frequency, g5, 0.6, 0, 1, 0.25, {2: 0.25, 3: 0.1, 4: 0.1}, trials, 1205)
     out["pinned-phase1-c5"] = _sha(repr(got).encode())
-    tab5 = fill_tables(g5, sel5, T=4, delta=0.1, Q=100, seed=1206)
+    tab5 = _fixed_table(sel5, 4, 0.1, 2 * g5.edge_count, "golden-table", "gap-c5")
     rep = _with_const(diagnostics, "GAP_TRIAL_CHUNK", 1000, correlation_gap, g5, sel5, tab5, 0, 1, 0.5, trials, 1207)
     out["correlation-gap-c5"] = _sha(repr(rep).encode())
     tab = _with_const(recursive, "FILL_ROW_CHUNK", 1100, fill_tables_edge, tree, sel_e, T=6, delta=0.0, Q=150, seed=1208)
