@@ -28,9 +28,11 @@ block budget.
 
 `_ahead` overlaps the making of a batch's inputs with the run of the
 previous batch: the next item is made on one helper thread per call, on
-any number of CPUs. The edge-mode table fill uses it for its arrival draws,
-whose streams are still created on the calling thread, so the draws, and
-every result, are the same for every worker count.
+any number of CPUs. Of the table fills only the edge-mode one uses it, for
+its arrival draws (the vertex-mode fill draws on the calling thread, where
+it holds less memory), and the streams are still created on the calling
+thread, so the draws, and every result, are the same for every worker
+count.
 """
 
 from __future__ import annotations
