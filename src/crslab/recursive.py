@@ -176,7 +176,7 @@ def _fill(g: Graph, sel: SelectionFunction, T: int, delta: float, Q: int | None,
         return j, base + count == rows, entry, ends.take(entry, axis=0), rng if draw is None else draw(rng, entry, j / T)
 
     free = np.zeros(width, dtype=np.float64)
-    with contextlib.closing(_ahead(make, phases) if draw else (make(item) for item in phases)) as made:
+    with contextlib.closing((make(item) for item in phases) if draw is None else _ahead(make, phases)) as made:
         for j, last, entry, watch, drawn in made:
             matched = run(table, j / T, entry, watch, drawn).matched
             hit = matched[:, 0]
