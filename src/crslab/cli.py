@@ -75,7 +75,7 @@ def _instance_spec(args) -> dict:
 
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--scheme", required=True, choices=[s for s in SCHEMES if s != "greedy"])
+    p.add_argument("--scheme", required=True, choices=[s for s, (kinds, _) in SCHEMES.items() if "selectability" in kinds])
     p.add_argument("--g", default="infinite", help="odd girth parameter or 'infinite'")
     p.add_argument("--selection", choices=EDGE_KINDS, help="edge-mode selection kind")
     p.add_argument("--T", type=int, help="phase count")

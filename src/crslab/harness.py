@@ -37,8 +37,6 @@ __all__ = [
     "SuiteResult",
     "validate_config",
     "resolve_instance",
-    "estimate_selectability",
-    "exact_selection_profile",
     "run_experiment",
     "write_report",
     "run_suite",
@@ -55,8 +53,6 @@ KINDS = {
     "hardness": ("n", "trials", "t_max", "mean_final", "reference_final", "final_error", "sup_distance",
                  "q_min_frequency", "q_all_frequency"),
 }
-SCHEMES = ("recursive-vertex", "recursive-edge", "rank1-closed", "two-phase", "greedy")
-PROFILE_SCHEMES = ("recursive-vertex", "recursive-edge", "rank1-closed")
 UNDERPOWERED_COUNT = 100
 CHECK_OPS = {
     ">=": operator.ge, "<=": operator.le, ">": operator.gt, "<": operator.lt, "==": operator.eq, "!=": operator.ne,
@@ -135,8 +131,8 @@ def _girth(value, fld: str):
 
 
 def _selection(value, fld: str = "params.selection") -> str:
-    if value not in EDGE_KINDS:
-        raise ConfigError(f"{fld}: must be one of {EDGE_KINDS}")
+    if not isinstance(value, str) or value not in EDGE_KINDS:
+        raise ConfigError(f"{fld}: must be one of {tuple(EDGE_KINDS)}")
     return value
 
 
@@ -148,23 +144,25 @@ _positive = partial(_as_int, lo=1)
 _nonnegative = partial(_as_int, lo=0)
 REQUIRED = object()  # the default of a parameter that must be given
 
-# Run parameters: name -> (parser, parsed value when absent). A callable
-# default is applied to the values parsed before it.
+# Schemes -> (the kinds they run, their run parameters). A run parameter is
+# name -> (parser, parsed value when absent); a callable default is applied
+# to the values parsed before it.
 _RECURSIVE = {"T": (_positive, REQUIRED), "delta": (_unit("[0, 1)"), REQUIRED), "Q": (_positive, None)}
-SCHEME_PARAMS = {
-    "recursive-vertex": {"g": (_girth, INFINITE), **_RECURSIVE},
+SCHEMES = {
+    "recursive-vertex": (("selectability", "profile", "gap"), {"g": (_girth, INFINITE), **_RECURSIVE}),
     # an absent selection gets the error of an unknown one, which lists the kinds
-    "recursive-edge": {"selection": (_selection, lambda parsed: _selection(None)), **_RECURSIVE},
-    "rank1-closed": {},
-    "two-phase": {"t": (_threshold, REQUIRED)},
-    "greedy": {"t_max": (_nonnegative, lambda parsed: math.floor(1.9 * parsed["n"]))},
+    "recursive-edge": (("selectability", "profile"),
+                       {"selection": (_selection, lambda parsed: _selection(None)), **_RECURSIVE}),
+    "rank1-closed": (("selectability", "profile"), {}),
+    "two-phase": (("selectability",), {"t": (_threshold, REQUIRED)}),
+    "greedy": (("hardness",), {"t_max": (_nonnegative, lambda parsed: math.floor(1.9 * parsed["n"]))}),
 }
 GAP_PARAMS = {"u": (_nonnegative, REQUIRED), "v": (_nonnegative, REQUIRED), "t_k": (_unit("(0, 1]"), REQUIRED)}
 
 
 def param_table(scheme: str, kind: str) -> dict:
     """The run parameters a config of this scheme and kind takes."""
-    return {**SCHEME_PARAMS[scheme], **(GAP_PARAMS if kind == "gap" else {})}
+    return {**SCHEMES[scheme][1], **(GAP_PARAMS if kind == "gap" else {})}
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
@@ -182,17 +180,13 @@ def validate_config(cfg: ExperimentConfig) -> None:
     cfg.trials = _positive(cfg.trials, "trials")
     cfg.bins = _positive(cfg.bins, "bins")
     cfg.seed = _as_int(cfg.seed, "seed", lo=0, hi=2**64 - 1)
-    if cfg.scheme not in SCHEMES:
-        raise ConfigError(f"scheme: must be one of {SCHEMES}")
-    if cfg.kind == "profile" and cfg.scheme not in PROFILE_SCHEMES:
-        raise ConfigError(f"scheme: kind=profile requires an exact-selection scheme {PROFILE_SCHEMES}")
-    if cfg.kind == "gap" and cfg.scheme != "recursive-vertex":
-        raise ConfigError("scheme: kind=gap requires scheme recursive-vertex")
-    if cfg.kind == "hardness":
-        if cfg.scheme != "greedy":
-            raise ConfigError("scheme: kind=hardness requires scheme greedy")
-    elif cfg.scheme == "greedy":
-        raise ConfigError("scheme: greedy is only valid for kind=hardness")
+    if not isinstance(cfg.scheme, str) or cfg.scheme not in SCHEMES:
+        raise ConfigError(f"scheme: must be one of {tuple(SCHEMES)}")
+    kinds = SCHEMES[cfg.scheme][0]
+    if cfg.kind not in kinds:
+        runners = " or ".join(s for s, (ks, _) in SCHEMES.items() if cfg.kind in ks)
+        raise ConfigError(f"scheme: kind={cfg.kind} requires scheme {runners}; "
+                          f"{cfg.scheme} is only valid for kind={' or '.join(kinds)}")
     parsed = {}
     if cfg.kind == "hardness":
         instance = cfg.instance if isinstance(cfg.instance, dict) else {}
@@ -301,7 +295,7 @@ def _run_scheme(cfg: ExperimentConfig, g: Graph):
     raise ConfigError(f"scheme: {cfg.scheme} has no simulation runner")
 
 
-def estimate_selectability(cfg: ExperimentConfig) -> ExperimentReport:
+def _run_selectability(cfg: ExperimentConfig) -> ExperimentReport:
     """Per-edge acceptance frequencies with Wilson intervals."""
     g = _instance(cfg)
     sim, _ = _run_scheme(cfg, g)
@@ -363,10 +357,8 @@ def _profile_band(cfg: ExperimentConfig, sel, mid: float, target: float) -> tupl
     return discount * target, target, plain
 
 
-def exact_selection_profile(cfg: ExperimentConfig) -> ExperimentReport:
+def _run_profile(cfg: ExperimentConfig) -> ExperimentReport:
     """Binned conditional acceptance versus the scheme's target curve."""
-    if cfg.kind != "profile":
-        raise ConfigError("kind: exact_selection_profile requires kind=profile")
     g = _instance(cfg)
     sim, sel = _run_scheme(cfg, g)
     bins = cfg.bins
@@ -457,13 +449,9 @@ def _run_hardness(cfg: ExperimentConfig) -> ExperimentReport:
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
-    if cfg.kind == "selectability":
-        return estimate_selectability(cfg)
-    if cfg.kind == "profile":
-        return exact_selection_profile(cfg)
-    if cfg.kind == "gap":
-        return _run_gap(cfg)
-    return _run_hardness(cfg)
+    """The report of a validated config: the one entry that runs a config, of any kind."""
+    return {"selectability": _run_selectability, "profile": _run_profile, "gap": _run_gap,
+            "hardness": _run_hardness}[cfg.kind](cfg)
 
 
 # -- report files ----------------------------------------------------------------

@@ -38,7 +38,12 @@ __all__ = [
 
 INFINITE = math.inf
 
-EDGE_KINDS = ("rank1", "edge_general", "edge_tree")
+# Edge-arrival selection kinds -> (c(y) on an array, alpha = int_0^1 c(y) dy).
+EDGE_KINDS = {
+    "rank1": (lambda y: np.exp(-y), 1.0 - math.exp(-1.0)),
+    "edge_general": (lambda y: np.exp(-2.0 * y), (1.0 - math.exp(-2.0)) / 2.0),
+    "edge_tree": (lambda y: 1.0 / (1.0 + y) ** 2, 0.5),
+}
 
 # Below this the linear series expansion is exact to double precision.
 _TINY_Y = 1e-12
@@ -154,15 +159,10 @@ def c_vertex(y, g):
 
 def c_edge(y, kind: str):
     """Edge-arrival selection functions: e^{-y}, e^{-2y}, or 1/(1+y)^2."""
-    arr = np.asarray(y, dtype=np.float64)
-    if kind == "rank1":
-        out = np.exp(-arr)
-    elif kind == "edge_general":
-        out = np.exp(-2.0 * arr)
-    elif kind == "edge_tree":
-        out = 1.0 / (1.0 + arr) ** 2
-    else:
+    if not isinstance(kind, str) or kind not in EDGE_KINDS:
         raise ValueError(f"unknown edge selection kind '{kind}'")
+    arr = np.asarray(y, dtype=np.float64)
+    out = EDGE_KINDS[kind][0](arr)
     return float(out) if arr.ndim == 0 else out
 
 
@@ -202,15 +202,10 @@ def vertex_selection(g) -> SelectionFunction:
 
 
 def edge_selection(kind: str) -> SelectionFunction:
-    if kind not in EDGE_KINDS:
-        raise ValueError(f"edge selection kind must be one of {EDGE_KINDS}")
+    if not isinstance(kind, str) or kind not in EDGE_KINDS:
+        raise ValueError(f"edge selection kind must be one of {tuple(EDGE_KINDS)}")
     fn = lambda y: c_edge(y, kind)
-    alpha = {
-        "rank1": 1.0 - math.exp(-1.0),
-        "edge_general": (1.0 - math.exp(-2.0)) / 2.0,
-        "edge_tree": 0.5,
-    }[kind]
-    return SelectionFunction(floor=float(c_edge(1.0, kind)), alpha=alpha, _fn=fn)
+    return SelectionFunction(floor=float(c_edge(1.0, kind)), alpha=EDGE_KINDS[kind][1], _fn=fn)
 
 
 @dataclass

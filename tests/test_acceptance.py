@@ -22,7 +22,7 @@ import pytest
 from crslab.diagnostics import correlation_gap
 from crslab.graph import complete, complete_bipartite, cycle, double_star, random_tree, star
 from crslab.hardness import hardness_trajectory, m_de
-from crslab.harness import ExperimentConfig, exact_selection_profile, run_suite
+from crslab.harness import ExperimentConfig, run_experiment, run_suite
 from crslab.recursive import (
     fill_tables,
     required_samples,
@@ -160,7 +160,7 @@ def test_criterion5_exact_selection_band():
             bins=20,
             params={"g": 5, "T": 20, "delta": 0.05, "Q": 28299},
         )
-        rep = exact_selection_profile(cfg)
+        rep = run_experiment(cfg)
         assert rep.summary["powered"] >= 10
         assert rep.summary["all_pass"], rep.summary
 

@@ -16,8 +16,6 @@ from crslab.harness import (
     KINDS,
     ConfigError,
     ExperimentConfig,
-    estimate_selectability,
-    exact_selection_profile,
     load_suite_config,
     resolve_instance,
     run_experiment,
@@ -316,7 +314,7 @@ def test_resolve_instance_errors():
 
 def test_selectability_report_shape():
     cfg = make(trials=2000, seed=11)
-    rep = estimate_selectability(cfg)
+    rep = run_experiment(cfg)
     assert rep.kind == "selectability"
     assert len(rep.columns) == 13
     assert len(rep.rows) == 5
@@ -339,7 +337,7 @@ def test_selectability_flags_silent_edges(tmp_path):
     p = tmp_path / "thin.json"
     Graph(3, [(0, 1, 0.5), (1, 2, 0.0)]).save(p)
     cfg = make(instance={"path": str(p)}, trials=300, seed=12)
-    rep = estimate_selectability(cfg)
+    rep = run_experiment(cfg)
     assert rep.summary["insufficient_count"] == 1
     thin_row = rep.rows[1]
     assert thin_row[-1] is True
@@ -351,19 +349,13 @@ def test_selectability_all_edges_silent(tmp_path):
     p = tmp_path / "dead.json"
     Graph(2, [(0, 1, 0.0)]).save(p)
     cfg = make(instance={"path": str(p)}, trials=50, seed=13)
-    rep = estimate_selectability(cfg)
+    rep = run_experiment(cfg)
     assert rep.summary["insufficient_count"] == 1
     assert math.isnan(rep.summary["min_ratio_active"])
     assert rep.summary["argmin_edge_active"] == -1
 
 
 # -- profile reports ----------------------------------------------------------------
-
-
-def test_profile_requires_profile_kind():
-    cfg = make(scheme="rank1-closed", params={})
-    with pytest.raises(ConfigError, match="kind=profile"):
-        exact_selection_profile(cfg)
 
 
 def test_profile_closed_form_targets():
@@ -377,7 +369,7 @@ def test_profile_closed_form_targets():
         seed=14,
         bins=5,
     )
-    rep = exact_selection_profile(cfg)
+    rep = run_experiment(cfg)
     assert rep.kind == "profile"
     assert rep.summary["powered"] + rep.summary["underpowered"] == 5
     assert rep.summary["underpowered"] == 0
@@ -400,7 +392,7 @@ def test_profile_marks_underpowered_bins():
         seed=15,
         bins=20,
     )
-    rep = exact_selection_profile(cfg)
+    rep = run_experiment(cfg)
     assert rep.summary["underpowered"] >= 1
     statuses = {row[-1] for row in rep.rows}
     assert "underpowered" in statuses
@@ -409,7 +401,7 @@ def test_profile_marks_underpowered_bins():
 
 def test_profile_recursive_vertex_band_is_discounted():
     cfg = make(kind="profile", trials=20000, seed=16, bins=5)
-    rep = exact_selection_profile(cfg)
+    rep = run_experiment(cfg)
     for row in rep.rows:
         target, band_lo, band_hi = row[8], row[9], row[10]
         assert band_hi == target
