@@ -195,6 +195,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         parsed["n"] = _positive(instance["n"], "instance.n")
     elif not isinstance(cfg.instance, dict) or not ("path" in cfg.instance or "family" in cfg.instance):
         raise ConfigError("instance: object with 'family' (plus parameters) or 'path' required")
+    elif not isinstance(cfg.instance.get("path", ""), str):
+        raise ConfigError("instance.path: string required")
     if not isinstance(cfg.params, dict):
         raise ConfigError("params: must be an object")
     table = param_table(cfg.scheme, cfg.kind)
@@ -514,6 +516,9 @@ def load_suite_config(path: str | Path) -> tuple[list[ExperimentConfig], str]:
     for key in raw:
         if key not in ("out_dir", "experiments"):
             raise ConfigError(f"{key}: unknown field")
+    out_dir = raw.get("out_dir", ".")
+    if not isinstance(out_dir, str):
+        raise ConfigError("out_dir: string required")
     experiments = raw.get("experiments", [])
     if not isinstance(experiments, list):
         raise ConfigError("experiments: must be a list")
@@ -530,7 +535,7 @@ def load_suite_config(path: str | Path) -> tuple[list[ExperimentConfig], str]:
             raise ConfigError(f"experiments[{i}].name: duplicate {cfg.name!r}")
         seen.add(cfg.name)
         configs.append(cfg)
-    return configs, raw.get("out_dir", ".")
+    return configs, out_dir
 
 
 def run_suite(path: str | Path, out_dir: str | Path | None = None) -> SuiteResult:

@@ -110,6 +110,8 @@ BAD_CONFIGS = [
         "params.t_max: must be >= 0",
     ),
     ({"instance": {}}, "instance: object with"),
+    # open() would take an int or a bool as a file descriptor
+    *(({"instance": {"path": path}}, "^instance.path: string required") for path in (0, True, None, ["a.json"])),
     ({"checks": "x"}, "checks: must be a list"),
     ({"checks": [{"metric": "a", "op": ">="}]}, "metric/op/value"),
     ({"checks": [{"metric": "", "op": ">=", "value": 1}]}, "metric: non-empty"),
@@ -945,6 +947,15 @@ def test_cli_suite(tmp_path, capsys):
     p2 = write_suite(tmp_path, payload, "red.json")
     assert main(["suite", str(p2), "--out-dir", str(tmp_path / "o2")]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("out_dir", [5, None, ["a"]])
+def test_cli_suite_out_dir_must_be_a_string(tmp_path, capsys, out_dir):
+    p = write_suite(tmp_path, {"out_dir": out_dir, "experiments": []})
+    assert main(["suite", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: out_dir: string required") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == [p]
 
 
 def test_cli_suite_config_error(tmp_path, capsys):
