@@ -9,11 +9,12 @@ Edge mode: every edge is independently active with probability x_e and
 carries its own uniform arrival time Y_e; one uniform per (row, edge)
 gives both, and a chunk keeps only the edges that arrive.
 
-A chunk's rows are drawn from its keyed stream in the one order that
-`vertex_arrivals` and `edge_arrivals` fix; the table fills force the
-arrivals they condition on by moving the times. This module also
-samples the neighbor choices (`sample_choices_batch`) and finds a batch's
-active proposals.
+An engine chunk's rows are drawn from its keyed stream in the one order
+that `vertex_arrivals`, `two_phase_arrivals`, `edge_arrivals` or
+`rank1_arrivals` fixes, and no other module draws them; the table fills
+force the arrivals they condition on by moving the times. This module
+also samples the neighbor choices (`sample_choices_batch`) and finds a
+batch's active proposals.
 The choices of a chunk are drawn vertex by vertex, each vertex's uniforms
 at its fixed offset in the chunk's stream, on the engine threads, and
 stored in the narrowest signed integer type that holds every vertex id:
@@ -36,7 +37,15 @@ from . import matching
 from .matching import _for_blocks
 from .rng import Rows, rows
 
-__all__ = ["vertex_arrivals", "edge_arrivals", "EdgeTimes", "rank1_arrivals", "sample_choices_batch", "NO_CHOICE"]
+__all__ = [
+    "vertex_arrivals",
+    "two_phase_arrivals",
+    "edge_arrivals",
+    "EdgeTimes",
+    "rank1_arrivals",
+    "sample_choices_batch",
+    "NO_CHOICE",
+]
 
 NO_CHOICE = -1
 
@@ -127,6 +136,12 @@ def vertex_arrivals(g: Graph, rng: np.random.Generator, count: int, then=None) -
     Y = rows(rng, count, n, then=then)
     F = sample_choices_batch(g, rng, count)
     return Y, F, rows(rng, count, n)
+
+
+def two_phase_arrivals(g: Graph, rng: np.random.Generator, count: int) -> tuple[Rows, np.ndarray, Rows, Rows]:
+    """(Y, F, UA, UB) of `count` two-phase rows: the `vertex_arrivals`
+    draws, then the load-balancing uniforms UB as `crslab.rng.rows`."""
+    return (*vertex_arrivals(g, rng, count), rows(rng, count, g.vertex_count))
 
 
 class EdgeTimes(NamedTuple):

@@ -19,11 +19,10 @@ import warnings
 
 import numpy as np
 
-from .arrivals import _active_choices, _flat, vertex_arrivals
+from .arrivals import _active_choices, _flat, two_phase_arrivals
 from .graph import Graph
 from .matching import BatchResult, SimResult, _run_batch, _run_trials
 from .numerics import bisect
-from .rng import rows
 
 __all__ = [
     "prune_factor",
@@ -166,8 +165,7 @@ def simulate_two_phase(g: Graph, t: float, trials: int, seed: int, bins: int = 2
         warnings.warn("instance is not 1-regular: the guarantee is void, reporting observed rates only", stacklevel=2)
 
     def batch(rng, count):
-        Y, F, UA = vertex_arrivals(g, rng, count)
-        return run_two_phase_batch(g, t, Y, F, UA, rows(rng, count, g.vertex_count), bins=bins)
+        return run_two_phase_batch(g, t, *two_phase_arrivals(g, rng, count), bins=bins)
 
     return _run_trials(g, trials, bins, seed, TRIAL_CHUNK, "trials-two-phase", batch)
 

@@ -60,6 +60,23 @@ def test_vertex_layout_has_one_owner():
     assert owners == {"arrivals"}
 
 
+def test_row_draws_have_one_owner():
+    """`crslab.rng.rows` is imported and called only in `crslab.arrivals`,
+    whose layouts fix the order of every engine chunk's draws."""
+    owners = set()
+    for path in Path(crslab.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.Call):
+                names = [getattr(node.func, "id", None), getattr(node.func, "attr", None)]
+            else:
+                continue
+            if "rows" in names:
+                owners.add(path.stem)
+    assert owners == {"arrivals"}
+
+
 def test_fill_policy_has_one_owner():
     """`FILL_ROW_CHUNK` and `required_samples` are read only inside
     `recursive._fill`, the one phase loop of both table fills."""
