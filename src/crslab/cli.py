@@ -11,6 +11,7 @@ import numpy as np
 
 from .graph import FAMILIES, Graph
 from .harness import (
+    CSV_VERSION,
     SCHEMES,
     ConfigError,
     ExperimentConfig,
@@ -23,7 +24,6 @@ from .harness import (
 from .selection import (
     EDGE_KINDS,
     INFINITE,
-    alpha_closed_form,
     edge_selection,
     parse_girth,
     phi,
@@ -144,21 +144,19 @@ def _cmd_selection(args) -> int:
         for gv in girths:
             label = "inf" if gv == INFINITE else str(gv)
             sel = vertex_selection(gv)
-            print(f"g={label}: alpha = {alpha_closed_form(gv)!r}  floor = {sel.floor!r}")
+            print(f"g={label}: alpha = {sel.alpha!r}  floor = {sel.floor!r}")
             if args.certify:
                 rep = verify_selection_conditions(sel, gv, grid_size=args.grid)
                 print(
                     f"  certificate[{args.grid}]: monotone={rep.monotone_ok} floor={rep.floor_ok} "
                     f"max_violation={rep.max_violation!r} equality_slack={rep.equality_max_slack!r}"
                 )
-    if args.out:
-        gv = girths[0]
-        sel = edge_selection(args.edge) if args.edge else vertex_selection(gv)
+    if args.out:  # sel is the one selection printed above
         ys = np.linspace(0.0, 1.0, args.grid + 1)
-        lines = ["# crslab-report v1 selection", "y,c,phi"]
+        lines = [f"# {CSV_VERSION} selection", "y,c,phi"]
         for y in ys:
             y = float(y)
-            lines.append(f"{y!r},{float(sel(y))!r},{float(phi(y, gv))!r}")
+            lines.append(f"{y!r},{float(sel(y))!r},{float(phi(y, girths[0]))!r}")
         Path(args.out).write_text("\n".join(lines) + "\n")
     return 0
 

@@ -13,6 +13,7 @@ from crslab.cli import main
 from crslab.graph import Graph, cycle
 from crslab.harness import (
     CHECK_OPS,
+    CSV_VERSION,
     KINDS,
     ConfigError,
     ExperimentConfig,
@@ -775,7 +776,7 @@ def test_cli_selection(capsys, tmp_path):
     table = tmp_path / "sel.csv"
     assert main(["selection", "--g", "5", "--grid", "50", "--out", str(table)]) == 0
     lines = table.read_text().splitlines()
-    assert lines[0] == "# crslab-report v1 selection"
+    assert lines[0] == "# crslab-report v1 selection" == f"# {CSV_VERSION} selection"
     assert lines[1] == "y,c,phi"
     assert len(lines) == 2 + 51
 
