@@ -15,6 +15,7 @@ from crslab.harness import (
     CHECK_OPS,
     CSV_VERSION,
     KINDS,
+    SCHEMES,
     ConfigError,
     ExperimentConfig,
     load_suite_config,
@@ -172,23 +173,36 @@ def test_direct_construction_validates(over, msg):
         ExperimentConfig(**{**BASE, **over})
 
 
-# One valid config per scheme and kind; the property test below spoils one field at a time.
+# The params of each scheme and what each kind adds: a (kind, scheme) config.
 RECURSIVE = {"T": 4, "delta": 0.1, "Q": 50}
-VALID_BASES = [
-    {**BASE, "kind": kind, "scheme": scheme, "params": params}
-    for kind in ("selectability", "profile")
-    for scheme, params in (
-        ("recursive-vertex", {"g": 5, **RECURSIVE}),
-        ("recursive-edge", {"selection": "edge_general", **RECURSIVE}),
-        ("rank1-closed", {}),
-        ("two-phase", {"t": 0.5}),
-    )
-    if kind == "selectability" or scheme != "two-phase"
-] + [
-    {**BASE, "kind": "gap", "params": {"g": 5, **RECURSIVE, "u": 0, "v": 1, "t_k": 0.5}},
-    {**BASE, "kind": "hardness", "scheme": "greedy", "instance": {"family": "complete_bipartite", "n": 4},
-     "params": {"t_max": 6}},
-]
+PARAMS_OF = {
+    "recursive-vertex": {"g": 5, **RECURSIVE},
+    "recursive-edge": {"selection": "edge_general", **RECURSIVE},
+    "rank1-closed": {},
+    "two-phase": {"t": 0.5},
+    "greedy": {"t_max": 6},
+}
+
+
+def config_of(kind: str, scheme: str) -> dict:
+    gap = {"u": 0, "v": 1, "t_k": 0.5} if kind == "gap" else {}
+    instance = {"family": "complete_bipartite", "n": 4} if kind == "hardness" else BASE["instance"]
+    return {**BASE, "kind": kind, "scheme": scheme, "params": {**PARAMS_OF[scheme], **gap}, "instance": instance}
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("kind", KINDS)
+def test_scheme_kind_matrix(kind, scheme):
+    if kind in SCHEMES[scheme][0]:
+        ExperimentConfig.from_dict(config_of(kind, scheme))
+        return
+    with pytest.raises(ConfigError, match="^scheme: ") as exc:
+        ExperimentConfig.from_dict(config_of(kind, scheme))
+    assert f"kind={kind}" in str(exc.value) and scheme in str(exc.value)
+
+
+# One valid config per scheme and kind; the property test below spoils one field at a time.
+VALID_BASES = [config_of(kind, scheme) for scheme, (kinds, _) in SCHEMES.items() for kind in kinds]
 ABSENT = object()
 JSON_VALUES = st.one_of(
     st.none(),
