@@ -112,8 +112,6 @@ BAD_CONFIGS = [
         "params.t_max: must be >= 0",
     ),
     ({"instance": {}}, "instance: object with"),
-    # open() would take an int or a bool as a file descriptor
-    *(({"instance": {"path": path}}, "^instance.path: string required") for path in (0, True, None, ["a.json"])),
     ({"checks": "x"}, "checks: must be a list"),
     ({"checks": [{"metric": "a", "op": ">="}]}, "metric/op/value"),
     ({"checks": [{"metric": "", "op": ">=", "value": 1}]}, "metric: non-empty"),
@@ -130,6 +128,8 @@ BAD_CONFIGS = [
     # summaries are flat, and a check names a key of its own kind's summary
     ({"checks": [{"metric": "a.b", "op": "==", "value": True}]}, r"checks\[0\]\.metric: unknown metric 'a.b' for kind=selectability"),
     ({"kind": "profile", "checks": [{"metric": "edges", "op": "==", "value": 5}]}, "unknown metric 'edges' for kind=profile"),
+    # open() would take an int or a bool as a file descriptor
+    *(({"instance": {"path": path}}, "^instance.path: string required") for path in (0, True, None, ["a.json"])),
 ]
 
 
