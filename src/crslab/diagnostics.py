@@ -9,6 +9,13 @@ precede Y_u in one of two permissible orders ("badly ordered"), and whose
 consecutive pairs all survive their proposal bits. These helpers detect
 the witness pieces on shared samples, replay the coupled executions, and
 measure the conditional correlation gap that the witness bounds.
+
+The gap loop holds a bounded working set. Each chunk runs in its own
+scope, so its arrays are gone before the next chunk draws; the chunk keeps
+only its narrow picks and the watched flags of the two coupled runs, which
+read the times and decision uniforms as `crslab.rng.Rows`. The tallies and
+the witness scan then go one row block (`matching.ROW_BLOCK_ELEMS // n`
+rows) at a time, each block drawing its own rows again.
 """
 
 from __future__ import annotations
@@ -18,10 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import matching
 from .arrivals import NO_CHOICE, _choice_edges, vertex_arrivals
 from .graph import Graph
 from .recursive import EstimateTable, _pair_estimate, _proposal_param, run_vertex_batch
-from .rng import chunks
+from .rng import Rows, chunks
 from .selection import INFINITE, SelectionFunction
 
 __all__ = [
@@ -42,15 +50,16 @@ def coupled_batch(
     sel: SelectionFunction,
     table: EstimateTable,
     v: int,
-    Y: np.ndarray,
+    Y: np.ndarray | Rows,
     F: np.ndarray,
-    U: np.ndarray,
+    U: np.ndarray | Rows,
     t_k: float = 1.0,
     watch: np.ndarray | None = None,
 ):
     """Vectorized coupled executions; returns (full, dropped) BatchResults.
 
-    Both carry the matched flags at the (trials, k) vertex ids `watch`.
+    Both carry the matched flags at the (trials, k) vertex ids `watch`. Y
+    and U may be `crslab.rng.Rows`, as for `run_vertex_batch`.
     """
     full = run_vertex_batch(g, sel, table, Y, F, U, t_stop=t_k, watch=watch)
     dropped = run_vertex_batch(g, sel, table, Y, F, U, t_stop=t_k, exclude=v, watch=watch)
@@ -64,9 +73,9 @@ def coupled_batch(
 class PotentialPaths:
     """Per-trial potential-path scan results (padded, -1 terminated)."""
 
-    length: np.ndarray  # (trials,) d of the first path found, 0 if none
-    path: np.ndarray  # (trials, n) vertices of that path
-    count: np.ndarray  # (trials,) number of candidate paths seen
+    length: np.ndarray  # (trials,) int32 d of the first path found, 0 if none
+    path: np.ndarray  # (trials, n) vertices of that path, in the picks' type
+    count: np.ndarray  # (trials,) int32 number of candidate paths seen
 
 
 def detect_potential_paths_batch(g: Graph, F: np.ndarray, u: int, v: int) -> PotentialPaths:
@@ -77,13 +86,14 @@ def detect_potential_paths_batch(g: Graph, F: np.ndarray, u: int, v: int) -> Pot
     and the visited sets in one flat (trials, n) array addressed through
     the offsets. A row's first path is the reverse of its walk up to the
     closing step, so it is written afterwards by walking again from F_u.
+    The path keeps the picks' type and the counters are int32.
     """
     if u == v:
         raise ValueError("u and v must differ")
     trials, n = F.shape
     Ff = np.ascontiguousarray(F).reshape(-1)
-    dout = np.zeros(trials, dtype=np.int64)
-    npaths = np.zeros(trials, dtype=np.int64)
+    dout = np.zeros(trials, dtype=np.int32)
+    npaths = np.zeros(trials, dtype=np.int32)
     visited = np.zeros(trials * n, dtype=bool)
     w = F[:, u]  # walk position, starts at F_u = p_d
     live = np.flatnonzero((w != NO_CHOICE) & (w != v) & (w != u))
@@ -104,7 +114,7 @@ def detect_potential_paths_batch(g: Graph, F: np.ndarray, u: int, v: int) -> Pot
         if not ok.all():
             walk = walk.compress(ok, axis=1)
         k += 1
-    path = np.full((trials, n), -1, dtype=np.int64)
+    path = np.full((trials, n), -1, dtype=F.dtype)
     rows = np.flatnonzero(dout)
     path[rows, 0] = v
     col = dout[rows] - 1  # where F_u goes; each later walk step one column left
@@ -143,15 +153,19 @@ def flip_indicators(
     u: int,
     v: int,
 ) -> tuple[np.ndarray, PotentialPaths]:
-    """Indicator B per trial: potential path, badly ordered, all pairs survive."""
+    """Indicator B per trial: potential path, badly ordered, all pairs survive.
+
+    Only the rows that hold a path are read past the scan: their Y, F and U
+    rows and the edge ids of their picks.
+    """
     paths = detect_potential_paths_batch(g, F, u, v)
-    trials = Y.shape[0]
-    B = np.zeros(trials, dtype=bool)
+    B = np.zeros(Y.shape[0], dtype=bool)
+    has = np.flatnonzero(paths.length)
+    Y, F, U, length = Y[has], F[has], U[has], paths.length[has]
     FE = _choice_edges(g, F)
-    has = np.nonzero(paths.length > 0)[0]
-    for d in np.unique(paths.length[has]):
-        ii = has[paths.length[has] == d]
-        P = paths.path[ii, :d]
+    for d in np.unique(length):
+        ii = np.flatnonzero(length == d)
+        P = paths.path[has[ii], :d]
         ys = Y[ii[:, None], P]
         yu = Y[ii, u]
         ok = (ys < yu[:, None]).all(axis=1)
@@ -163,7 +177,7 @@ def flip_indicators(
         survive = np.ones(len(ii), dtype=bool)
         for i in range(d - 1):
             survive &= _survives_batch(g, sel, table, Y, F, U, FE, ii, P[:, i], P[:, i + 1])
-        B[ii] = ok & survive
+        B[has[ii]] = ok & survive
     return B, paths
 
 
@@ -199,6 +213,27 @@ class GapReport:
         return self.gap <= self.bound + 3.0 * self.sigma
 
 
+def _gap_chunk(g, sel, table, u, v, t_k, rng, count):
+    """One chunk of `correlation_gap` (see the module docstring): its six
+    counts and the most candidate paths seen in one trial."""
+    Y, F, U = vertex_arrivals(g, rng, count)
+    full, dropped = coupled_batch(g, sel, table, v, Y, F, U, t_k=t_k, watch=np.broadcast_to(np.intp(u), (count, 1)))
+    m_u, m_dropped = full.matched[:, 0], dropped.matched[:, 0]
+    tally = np.zeros(6, dtype=np.int64)
+    most = 0
+    step = max(1, matching.ROW_BLOCK_ELEMS // g.vertex_count)
+    for lo in range(0, count, step):
+        hi = min(count, lo + step)
+        Yb, Ub, mb = Y[lo:hi], U[lo:hi], m_u[lo:hi]
+        outer = Yb[:, u] < t_k
+        inner = outer & (Yb[:, v] > t_k)
+        B, paths = flip_indicators(g, sel, table, Yb, F[lo:hi], Ub, u, v)
+        need = m_dropped[lo:hi] & ~mb
+        tally += [np.count_nonzero(x) for x in (mb & inner, inner, mb & outer, outer, need, need & ~B)]
+        most = max(most, int(paths.count.max()))
+    return tally, most
+
+
 def correlation_gap(
     g: Graph,
     sel: SelectionFunction,
@@ -218,25 +253,13 @@ def correlation_gap(
     if u == v:
         raise ValueError("u and v must differ")
     g.edge_id(u, v)
-    sum_inner = cnt_inner = sum_outer = cnt_outer = 0
-    flips = violations = 0
+    tally = np.zeros(6, dtype=np.int64)
     max_paths = 0
     for rng, _, count in chunks(seed, trials, GAP_TRIAL_CHUNK, "corr-gap"):
-        Y, F, U = vertex_arrivals(g, rng, count)
-        Y, U = Y[:], U[:]  # whole arrays: `flip_indicators` fancy-indexes them
-        full, dropped = coupled_batch(g, sel, table, v, Y, F, U, t_k=t_k, watch=np.broadcast_to(np.intp(u), (count, 1)))
-        outer = Y[:, u] < t_k
-        inner = outer & (Y[:, v] > t_k)
-        m_u = full.matched[:, 0]
-        sum_inner += int(np.count_nonzero(m_u & inner))
-        cnt_inner += int(np.count_nonzero(inner))
-        sum_outer += int(np.count_nonzero(m_u & outer))
-        cnt_outer += int(np.count_nonzero(outer))
-        B, paths = flip_indicators(g, sel, table, Y, F, U, u, v)
-        need = dropped.matched[:, 0] & ~m_u
-        flips += int(np.count_nonzero(need))
-        violations += int(np.count_nonzero(need & ~B))
-        max_paths = max(max_paths, int(paths.count.max()))
+        counts, most = _gap_chunk(g, sel, table, u, v, t_k, rng, count)
+        tally += counts
+        max_paths = max(max_paths, most)
+    sum_inner, cnt_inner, sum_outer, cnt_outer, flips, violations = tally.tolist()
     mean_inner = sum_inner / cnt_inner if cnt_inner else math.nan
     mean_outer = sum_outer / cnt_outer if cnt_outer else math.nan
     gap = mean_inner - mean_outer

@@ -14,6 +14,13 @@ vertex is never matched yet, so a feasible pick is accepted iff its partner
 is still free: a greedy pass visits only the feasible picks, the s-th one of
 every trial at once. M(t) is the running count of accepted picks, and Q_t
 follows from the running count of left-side arrivals.
+
+No (trials, 2n) array is int64 or intp. The arrival orders are kept in
+the narrow round type, and one row block (`matching.ROW_BLOCK_ELEMS`
+cells) at a time turns them into Q_t and then, in place, into partner
+rounds, drawing its partners as it goes. The feasible picks are then laid
+out in two int32 slot grids, and M(t) is summed in place in the round
+type.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import matching
 from .rng import stream
 
 __all__ = [
@@ -40,7 +48,7 @@ def m_de(s: float) -> float:
 class TrajectoryReport:
     n: int
     trials: int
-    matched: np.ndarray  # (trials, 2n+1) M(t) after t rounds
+    matched: np.ndarray  # (trials, 2n+1) M(t) after t rounds, int16 while 2n < 2^14, else int32
     balance: np.ndarray  # (trials, 2n+1) Q_t indicator
 
     @property
@@ -91,88 +99,99 @@ def hardness_trajectory(n: int, trials: int, seed: int) -> TrajectoryReport:
     if trials < 1:
         raise ValueError("trials must be >= 1")
     N = 2 * n
-    # vertex ids, rounds and the balance bounds (within [-n, 3n]) fit in `small`
+    # vertex ids, rounds, counts and the balance bounds (within [-n, 3n]) fit in `small`
     small = np.int16 if N < 2**14 else np.int32
     rounds = np.arange(N, dtype=small)
     rng = stream(seed, "hardness", n)
     order = np.tile(rounds, (trials, 1))
     rng.permuted(order, axis=1, out=order)  # its draws do not depend on the dtype
-    is_left = order < n
-    balance = _balance(n, is_left, small)
-    # from here on a vertex is named by the round it arrives in
-    arrival = np.empty_like(order)
-    np.put_along_axis(arrival, order, rounds[None, :], axis=1)
+    balance = np.empty((trials, N + 1), dtype=bool)
+    balance[:, 0], lo_bound, hi_bound = _balance_bounds(n, small)
+    # Row block by row block, each row's arrival order becomes its partner
+    # rounds in place. A block draws its partners as one `integers` call
+    # would, since int64 draws come one after another whatever their shape.
+    step = max(1, matching.ROW_BLOCK_ELEMS // N)
+    for lo in range(0, trials, step):
+        block = order[lo : lo + step]
+        is_left = block < n
+        left = np.cumsum(is_left, axis=1, dtype=small)
+        np.greater_equal(left, lo_bound, out=balance[lo : lo + step, 1:])
+        balance[lo : lo + step, 1:] &= left <= hi_bound
+        # from here on a vertex is named by the round it arrives in
+        base = np.arange(0, block.size, N, dtype=np.int32)[:, None]
+        arrival = np.empty_like(block)
+        arrival.reshape(-1)[block + base] = rounds
+        partner = rng.integers(0, n, size=block.shape)
+        np.add(partner, n, out=partner, where=is_left)
+        partner += base
+        arrival.reshape(-1).take(partner, out=block, mode="clip")  # "clip" writes `block` unbuffered
+    cells, partners, width = _slots(order, rounds)
     del order
-    partner = rng.integers(0, n, size=(trials, N))
-    np.add(partner, n, out=partner, where=is_left)
-    del is_left
-    partner_round = np.take_along_axis(arrival, partner, axis=1)
-    del arrival, partner
-    feasible = partner_round < rounds
-    picks, partner_at, width = _slots(feasible, partner_round)
-    del feasible, partner_round
 
     # greedy pass, one slot at a time. The arriving vertex is never matched
     # yet, so a pick is accepted iff its partner is still free; then the
     # partner is matched whatever happened, and the arriving vertex with it.
-    free = np.ones(trials * N, dtype=bool)  # by (row, arrival round)
-    taken = np.empty(picks.size, dtype=bool)
-    lo = 0
-    for hi in np.cumsum(width).tolist():
-        at = partner_at[lo:hi]
-        ok = np.take(free, at, out=taken[lo:hi])
+    free = np.ones(trials * (N + 1), dtype=bool)  # by (row, arrival round + 1)
+    taken = np.zeros(cells.shape, dtype=bool)
+    for s, w in enumerate(width.tolist()):
+        at = partners[s, :w]
+        ok = np.take(free, at, out=taken[s, :w])
         free[at] = False
-        free[picks[lo:hi]] = ~ok
-        lo = hi
-    del free, partner_at
-    accepted = np.zeros((trials, N), dtype=bool)
-    accepted.reshape(-1)[picks] = taken
-    del picks, taken
-    matched = np.zeros((trials, N + 1), dtype=np.int64)
-    matched[:, 1:] = np.cumsum(accepted, axis=1, dtype=small)  # at most n
+        free[cells[s, :w]] = ~ok
+    del free, partners
+    # an accepted pick adds one to M(t) from its own round on (at most n);
+    # the unused cells are 0, M(0) of the first row, and write 0 there
+    matched = np.zeros((trials, N + 1), dtype=small)
+    matched.reshape(-1)[cells] = taken
+    del cells, taken
+    np.cumsum(matched, axis=1, out=matched)  # in place: no temporary
     return TrajectoryReport(n, trials, matched, balance)
 
 
-def _balance(n: int, is_left: np.ndarray, small) -> np.ndarray:
-    """(trials, 2n+1) indicator of Q_t from which side each arrival is on.
+def _balance_bounds(n: int, small):
+    """Q_0, and the bounds of the left-arrival count under Q_t, rounds 1..2n.
 
     After t rounds with L left arrivals, max(n - L, n - (t - L)) unarrived
     vertices must be at most the round's threshold, i.e. at most its floor
     `b`: both L and t - L at least n - b.
     """
-    trials, N = is_left.shape
+    N = 2 * n
     thresholds = (1.0 + n ** (-1.0 / 3.0)) * (N - np.arange(N + 1)) / 2.0
-    need = n - np.floor(thresholds).astype(np.int64)
-    lo = need[1:].astype(small)
-    hi = (np.arange(1, N + 1) - need[1:]).astype(small)
-    left = np.cumsum(is_left, axis=1, dtype=small)
-    balance = np.empty((trials, N + 1), dtype=bool)
-    balance[:, 0] = n <= thresholds[0]
-    np.greater_equal(left, lo, out=balance[:, 1:])
-    balance[:, 1:] &= left <= hi
-    return balance
+    need = n - np.floor(thresholds[1:]).astype(np.int64)
+    return n <= thresholds[0], need.astype(small), (np.arange(1, N + 1) - need).astype(small)
 
 
-def _slots(feasible: np.ndarray, partner_round: np.ndarray):
+def _slots(partner_round: np.ndarray, rounds: np.ndarray):
     """The feasible picks laid out slot by slot for the greedy pass.
 
-    Slot s holds the s-th feasible pick of every row that has more than s.
-    Returns each pick's flat (row, round) cell, which also names its
-    arriving vertex, the flat (row, arrival round) of its partner, and the
-    width of each slot.
+    A pick is feasible when its partner arrived in an earlier round, and
+    slot s holds the s-th feasible pick of every row that has more than s.
+    Taken in order of decreasing pick count, those rows come first, so row
+    s of the (slots, trials) outputs holds slot s in its first width[s]
+    entries, zeros after them; the picks of a slot lie in distinct rows,
+    so their order does not matter to the pass. A vertex
+    arriving in round t of row r is the cell r * (2n + 1) + t + 1 of a
+    (trials, 2n + 1) array, the entry of M(t + 1). Returns each pick's
+    cell, which names its arriving vertex, the cell of its partner, and
+    the width of each slot. The rows are read one block at a time.
     """
-    trials, N = feasible.shape
-    idx = np.int32 if trials * N < 2**31 else np.int64
-    counts = np.count_nonzero(feasible, axis=1)
+    trials, N = partner_round.shape
+    idx = np.int32 if trials * (N + 1) < 2**31 else np.int64
+    step = max(1, matching.ROW_BLOCK_ELEMS // N)
+    counts = np.empty(trials, dtype=np.intp)
+    for lo in range(0, trials, step):
+        counts[lo : lo + step] = np.count_nonzero(partner_round[lo : lo + step] < rounds, axis=1)
+    by_count = np.argsort(-counts)
+    counts = counts.take(by_count)
     width = trials - np.cumsum(np.bincount(counts))[:-1]
-    # row r's picks fill the first counts[r] cells of its row of a
-    # (trials, slots) grid, which is then read slot by slot
-    grid = np.arange(width.size) < counts[:, None]
-    cells = np.zeros(grid.shape, dtype=idx)
-    cells[grid] = np.flatnonzero(feasible)
-    partners = np.zeros(grid.shape, dtype=idx)
-    partners[grid] = partner_round[feasible]
-    partners += np.arange(0, trials * N, N, dtype=idx)[:, None]
-    grid = grid.T
-    return cells.T[grid], partners.T[grid], width
-
+    cells = np.zeros((width.size, trials), dtype=idx)
+    partners = np.zeros_like(cells)
+    for lo in range(0, trials, step):
+        rows = by_count[lo : lo + step]
+        block = partner_round[rows]
+        feasible = block < rounds
+        grid = np.arange(width.size) < counts[lo : lo + step, None]
+        first = (rows.astype(idx) * (N + 1) + 1)[:, None]  # each row's cell of round 0
+        cells[:, lo : lo + step].T[grid] = (first + rounds)[feasible]
+        partners[:, lo : lo + step].T[grid] = (first + block)[feasible]
+    return cells, partners, width

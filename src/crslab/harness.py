@@ -192,6 +192,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
         instance = cfg.instance if isinstance(cfg.instance, dict) else {}
         if instance.get("family") != "complete_bipartite" or "n" not in instance:
             raise ConfigError("instance: kind=hardness requires {family: complete_bipartite, n: ...}")
+        for key in instance:
+            if key not in ("family", "n"):
+                raise ConfigError(f"instance.{key}: kind=hardness takes only family and n")
         parsed["n"] = _positive(instance["n"], "instance.n")
     elif not isinstance(cfg.instance, dict) or not ("path" in cfg.instance or "family" in cfg.instance):
         raise ConfigError("instance: object with 'family' (plus parameters) or 'path' required")

@@ -392,16 +392,21 @@ def selection_digests() -> dict[str, str]:
 
 
 def hardness_digests() -> dict[str, str]:
-    """`hardness_trajectory` bytes at several n."""
+    """`hardness_trajectory` bytes at several n.
+
+    `matched` is hashed as int64 values, the dtype it was pinned in, so its
+    narrower round type keeps the digests.
+    """
     out = {}
     for n, trials in ((1, 5), (2, 9), (7, 13), (60, 40)):
         rep = hardness_trajectory(n, trials, 1000 + n)
-        out[f"greedy-n{n}"] = _sha(_array_bytes(rep.matched) + _array_bytes(rep.balance))
+        out[f"greedy-n{n}"] = _sha(_array_bytes(rep.matched.astype(np.int64)) + _array_bytes(rep.balance))
     return out
 
 
 def paths_digests() -> dict[str, str]:
-    """Every `detect_potential_paths_batch` field on sampled choices."""
+    """Every `detect_potential_paths_batch` field on sampled choices, hashed
+    as int64 values, the dtype they were pinned in."""
     graphs = (
         ("c5", cycle(5, 0.5), 0, 1),
         ("c7", cycle(7, 0.4), 0, 1),  # leftover mass: some walks stop at NO_CHOICE
@@ -412,7 +417,7 @@ def paths_digests() -> dict[str, str]:
     for name, g, u, v in graphs:
         F = sample_choices_batch(g, stream(901, "golden-paths", name), 4000)
         scan = detect_potential_paths_batch(g, F, u, v)
-        out[name] = _sha(_array_bytes(scan.length) + _array_bytes(scan.path) + _array_bytes(scan.count))
+        out[name] = _sha(b"".join(_array_bytes(a.astype(np.int64)) for a in (scan.length, scan.path, scan.count)))
     return out
 
 

@@ -6,10 +6,14 @@ badly ordered, and when the flip indicator must cover an actual flip.
 """
 
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import crslab.diagnostics
+import crslab.matching
 from crslab.arrivals import NO_CHOICE
 from crslab.diagnostics import (
     correlation_gap,
@@ -298,3 +302,36 @@ def test_correlation_gap_deterministic(c5, sel5, table_c5_small):
     a = correlation_gap(c5, sel5, table_c5_small, 0, 1, 0.5, 600, 9104)
     b = correlation_gap(c5, sel5, table_c5_small, 0, 1, 0.5, 600, 9104)
     assert a == b
+
+
+def test_correlation_gap_ignores_block_budget_and_workers(monkeypatch, c5, sel5, table_c5_small):
+    """The same report for any row-block budget (a few rows, or the default)
+    on one, two or three engine threads, over chunks with a partial last
+    one, with frequent thread switches."""
+    monkeypatch.setattr(crslab.diagnostics, "GAP_TRIAL_CHUNK", 1_000)
+    reports = []
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(crslab.matching, "WORKERS", workers)
+            for budget in (40, crslab.matching.ROW_BLOCK_ELEMS):
+                monkeypatch.setattr(crslab.matching, "ROW_BLOCK_ELEMS", budget)
+                reports.append(repr(correlation_gap(c5, sel5, table_c5_small, 0, 1, 0.6, 2_500, 9105)))
+    finally:
+        sys.setswitchinterval(switch)
+    assert reports[1:] == reports[:1] * (len(reports) - 1)
+    assert "violation_count=0, max_paths=1)" in reports[0]  # the witness scan found paths
+
+
+def test_correlation_gap_working_set(c5, sel5, table_c5_small):
+    """A chunk of 100k C5 trials holds its narrow picks and two flag
+    columns whole, never its float rows (its times and decision uniforms
+    alone are 8 MB); the pass peaks near 6.5 MB under tracemalloc."""
+    tracemalloc.start()
+    try:
+        correlation_gap(c5, sel5, table_c5_small, 0, 1, 1.0, 100_000, 9106)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20, peak / 2**20

@@ -1,10 +1,12 @@
 """Tests for the round-based K_{n,n} matching process and its fluid limit."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import crslab.matching
 from crslab.hardness import hardness_trajectory, m_de
 
 from .analysis import DriftBucket, drift_report
@@ -103,6 +105,37 @@ def test_trajectory_matches_round_reference():
         got = hardness_trajectory(n, trials, seed)
         want = hardness_rounds(n, trials, seed)
         case = (n, trials)
-        assert got.matched.dtype == want[0].dtype and got.balance.dtype == want[1].dtype, case
+        # M(t) <= n is kept in the round type, int16 while 2n < 2^14
+        assert got.matched.dtype == np.int16 and got.balance.dtype == want[1].dtype, case
         assert np.array_equal(got.matched, want[0]), case
         assert np.array_equal(got.balance, want[1]), case
+
+
+def test_trajectory_ignores_block_budget_and_workers(monkeypatch):
+    """The partners are drawn row block by row block: the same bytes for a
+    block of one row, of a few rows (a partial last block) or the default,
+    whatever the worker count."""
+    results = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(crslab.matching, "WORKERS", workers)
+        for budget in (1, 3 * 2 * 40 + 7, crslab.matching.ROW_BLOCK_ELEMS):
+            monkeypatch.setattr(crslab.matching, "ROW_BLOCK_ELEMS", budget)
+            rep = hardness_trajectory(40, 20, 82)
+            results.append((rep.matched, rep.balance))
+    for matched, balance in results[1:]:
+        assert np.array_equal(matched, results[0][0]) and np.array_equal(balance, results[0][1])
+    want = hardness_rounds(40, 20, 82)
+    assert np.array_equal(results[0][0], want[0]) and np.array_equal(results[0][1], want[1])
+
+
+def test_trajectory_working_set():
+    """n = 2000 over 400 trials keeps its (trials, 2n) rounds in int16 and
+    its slot grids in int32 (one int64 array of that shape is 12.8 MB);
+    the pass peaks near 15.7 MB under tracemalloc."""
+    tracemalloc.start()
+    try:
+        hardness_trajectory(2000, 400, 83)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 19 * 2**20, peak / 2**20

@@ -130,6 +130,14 @@ BAD_CONFIGS = [
     ({"kind": "profile", "checks": [{"metric": "edges", "op": "==", "value": 5}]}, "unknown metric 'edges' for kind=profile"),
     # open() would take an int or a bool as a file descriptor
     *(({"instance": {"path": path}}, "^instance.path: string required") for path in (0, True, None, ["a.json"])),
+    # a hardness instance is never generated, so its other keys are checked here
+    *(
+        (
+            {"kind": "hardness", "scheme": "greedy", "params": {}, "instance": {"family": "complete_bipartite", "n": 4, **extra}},
+            f"^instance.{key}: kind=hardness takes only family and n",
+        )
+        for extra, key in (({"x": 0.3}, "x"), ({"bogus": 1}, "bogus"), ({"path": "k44.json"}, "path"))
+    ),
 ]
 
 
@@ -982,3 +990,13 @@ def test_cli_suite_config_error(tmp_path, capsys):
     assert main(["suite", str(write_suite(tmp_path, {"experiments": [hardness]}))]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: experiments[0].instance: kind=hardness requires") and err.count("\n") == 1
+
+
+def test_cli_suite_hardness_instance_takes_only_family_and_n(tmp_path, capsys):
+    hardness = {"name": "h", "kind": "hardness", "scheme": "greedy", "trials": 10, "seed": 1,
+                "instance": {"family": "complete_bipartite", "n": 4, "x": 0.3, "bogus": 1}}
+    out = tmp_path / "out"
+    assert main(["suite", str(write_suite(tmp_path, {"experiments": [hardness]})), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: experiments[0].instance.x: kind=hardness takes only family and n\n"
+    assert not out.exists()
