@@ -33,8 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .graph import Graph
-from . import matching
-from .matching import _for_blocks
+from .matching import _for_blocks, _row_blocks
 from .rng import Rows, rows
 
 __all__ = [
@@ -157,8 +156,8 @@ def edge_arrivals(g: Graph, rng: np.random.Generator, count: int, t_stop: float 
     One uniform a per (row, edge), in row-major order, carries both the
     activity and the time: the edge is active iff a < x_e, and then arrives
     at a / x_e, which is below 1 exactly when a < x_e under IEEE division.
-    The count * m uniforms are drawn in pieces of about
-    `matching.ROW_BLOCK_ELEMS`, one after another, which gives the stream
+    The count * m uniforms are drawn in the pieces of
+    `matching._row_blocks`, one after another, which gives the stream
     of one call, and then(lo, times) may map the times of the piece of rows
     lo.. (the edge fill moves each row's forced edge to inf). Only the
     arrivals are kept, time < 1 and <= t_stop: their flat ids row * m + e
@@ -170,10 +169,9 @@ def edge_arrivals(g: Graph, rng: np.random.Generator, count: int, t_stop: float 
     id_type = np.int32 if count * m < 2**31 else np.int64
     # the largest time kept: t_stop, or the last double below 1
     last = min(t_stop, np.nextafter(1.0, 0.0))
-    step = max(1, matching.ROW_BLOCK_ELEMS // max(m, 1))
     ids, ys = [], []
-    for lo in range(0, count, step):
-        times = rng.random((min(step, count - lo), m))
+    for lo, hi in _row_blocks(count, m):
+        times = rng.random((hi - lo, m))
         with np.errstate(divide="ignore", invalid="ignore"):  # x_e = 0 never arrives
             np.divide(times, g.x, out=times)
         if then is not None:
@@ -226,19 +224,19 @@ def _choice_edges(g: Graph, F: np.ndarray) -> np.ndarray:
     NO_CHOICE + 1 lands, and the edge (v, u) in column u + 1. A group
     scatters its CSR slice into the table, looks every pick up with one
     `take` through an intp index of its rows and resets what it wrote. The
-    table and the index each hold at most `matching.ROW_BLOCK_ELEMS` entries,
-    so an engine's row block is one group up to n = 361, the memory beyond
-    the int32 output never grows with n^2, and the work is O(m + rows * n).
+    groups are `matching._row_blocks` of n rows of max(n + 1, rows), so an
+    engine's row block is one group up to n = 361, the memory beyond the
+    int32 output never grows with n^2, and the work is O(m + rows * n).
     The output is vertex-major, like `sample_choices_batch`.
     """
     n, count = g.vertex_count, F.shape[0]
     width = n + 1
-    group = max(1, matching.ROW_BLOCK_ELEMS // max(width, count))
+    groups = _row_blocks(n, max(width, count))
+    group = max((v1 - v0 for v0, v1 in groups), default=0)
     out = np.empty((n, count), dtype=np.int32)
-    table = np.full(min(group, n) * width, -1, dtype=np.int32)
-    index = np.empty((min(group, n), count), dtype=np.intp)
-    for v0 in range(0, n, group):
-        v1 = min(n, v0 + group)
+    table = np.full(group * width, -1, dtype=np.int32)
+    index = np.empty((group, count), dtype=np.intp)
+    for v0, v1 in groups:
         lo, hi = g.indptr[v0], g.indptr[v1]
         base = np.arange(v1 - v0) * width + 1  # table entry of (v, pick) is base[v - v0] + pick
         keys = np.repeat(base, np.diff(g.indptr[v0 : v1 + 1])) + g.adj_v[lo:hi]
@@ -260,6 +258,11 @@ class _ActiveChoices(NamedTuple):
     y: np.ndarray  # the proposer's arrival time
 
 
+def _before(ya, a, yb, b):
+    """Whether a arrives strictly before b in (time, then lower id) order."""
+    return (ya < yb) | ((ya == yb) & (a < b))
+
+
 def _active_choices(g: Graph, Y: np.ndarray, F: np.ndarray, t_stop: float = 1.0, exclude: int | None = None) -> _ActiveChoices:
     """Every active proposal of a vertex-mode batch that arrives by t_stop.
 
@@ -276,7 +279,7 @@ def _active_choices(g: Graph, Y: np.ndarray, F: np.ndarray, t_stop: float = 1.0,
         has &= Fc != exclude
     # the pick's time; NO_CHOICE reads some other cell, masked by `has`
     yu = y_flat.take(Fc + (np.arange(rows) * n)[:, None])
-    arrived = has & ((yu < Yc) | ((yu == Yc) & (Fc < np.arange(n))))
+    arrived = has & _before(yu, Fc, Yc, np.arange(n))
     cell = np.flatnonzero(arrived)
     row = cell // n
     proposer = cell - row * n

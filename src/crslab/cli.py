@@ -12,6 +12,7 @@ import numpy as np
 from .graph import FAMILIES, Graph
 from .harness import (
     CSV_VERSION,
+    GAP_PARAMS,
     SCHEMES,
     ConfigError,
     ExperimentConfig,
@@ -76,7 +77,7 @@ def _instance_spec(args) -> dict:
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scheme", required=True, choices=[s for s, (kinds, _) in SCHEMES.items() if "selectability" in kinds])
-    p.add_argument("--g", default="infinite", help="odd girth parameter or 'infinite'")
+    p.add_argument("--g", help="odd girth parameter or 'infinite' (the default)")
     p.add_argument("--selection", choices=EDGE_KINDS, help="edge-mode selection kind")
     p.add_argument("--T", type=int, help="phase count")
     p.add_argument("--delta", type=float, help="estimate accuracy target")
@@ -89,9 +90,26 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", metavar="DIR", help="write CSV/JSON reports here")
 
 
-def _given(args, scheme: str, kind: str) -> dict:
-    """The flags that were given and name a run parameter of `scheme` and `kind`, as config params."""
-    return {k: getattr(args, k) for k in sorted(param_table(scheme, kind)) if getattr(args, k) is not None}
+def _given(args, scheme: str, kind: str, **defaults) -> dict:
+    """The run-parameter flags as config params, in name order: each one given,
+    and each of `defaults` that `scheme` and `kind` take. A given flag they do
+    not take stays in, so `validate_config` rejects it as in a suite file."""
+    table = param_table(scheme, kind)
+    out = {}
+    for k in sorted({k for _, params in SCHEMES.values() for k in params} | set(GAP_PARAMS)):
+        value = getattr(args, k, None)
+        if value is None and k in table:
+            value = defaults.get(k)
+        if value is not None:
+            out[k] = value
+    return out
+
+
+def _unread(args, what: str, flags: tuple[str, ...]) -> None:
+    """A ConfigError for the first of `flags` (argument names) that was given to `diag --what what`."""
+    for flag in flags:
+        if getattr(args, flag) is not None:
+            raise ConfigError(f"--{flag.replace('_', '-')}: not read by diag --what {what}")
 
 
 def _emit(cfg: ExperimentConfig, out_dir: str | None) -> dict:
@@ -170,7 +188,7 @@ def _cmd_simulate(args, kind: str) -> int:
         trials=args.trials,
         seed=args.seed,
         bins=args.bins,
-        params=_given(args, args.scheme, kind),
+        params=_given(args, args.scheme, kind, g="infinite"),
     )
     summary = _emit(cfg, args.out)
     keys = (
@@ -183,11 +201,17 @@ def _cmd_simulate(args, kind: str) -> int:
 
 
 def _cmd_diag(args) -> int:
+    unread = {
+        "flipping": ("t_k", "n", "t_max"),  # flipping runs to t_k = 1
+        "gap": ("n", "t_max"),
+        "hardness": ("instance", "family", "param", "g", "T", "delta", "Q", "u", "v", "t_k"),
+    }
+    _unread(args, args.what, unread[args.what])
     if args.what == "hardness":
         cfg = ExperimentConfig(
             name=args.name,
             kind="hardness",
-            instance={"family": "complete_bipartite", "n": args.n},
+            instance={"family": "complete_bipartite", "n": 500 if args.n is None else args.n},
             scheme="greedy",
             trials=args.trials,
             seed=args.seed,
@@ -199,7 +223,7 @@ def _cmd_diag(args) -> int:
             f"sup_distance={summary['sup_distance']!r}  q_min={summary['q_min_frequency']!r}"
         )
         return 0
-    params = _given(args, "recursive-vertex", "gap")
+    params = _given(args, "recursive-vertex", "gap", g="infinite", T=10, delta=0.1, u=0, v=1)
     if args.what == "flipping":
         params["t_k"] = 1.0
     cfg = ExperimentConfig(
@@ -273,14 +297,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("diag", help="coupling diagnostics and the hardness trajectory")
     p.add_argument("--what", required=True, choices=("flipping", "gap", "hardness"))
     _add_instance_flags(p)
-    p.add_argument("--g", default="infinite")
-    p.add_argument("--T", type=int, default=10)
-    p.add_argument("--delta", type=float, default=0.1)
+    p.add_argument("--g", help="odd girth or 'infinite' (the default)")
+    p.add_argument("--T", type=int, help="phase count (default 10)")
+    p.add_argument("--delta", type=float, help="estimate accuracy target (default 0.1)")
     p.add_argument("--Q", type=int)
-    p.add_argument("--u", type=int, default=0)
-    p.add_argument("--v", type=int, default=1)
-    p.add_argument("--t-k", dest="t_k", type=float)
-    p.add_argument("--n", type=int, default=500, help="hardness side size")
+    p.add_argument("--u", type=int, help="default 0")
+    p.add_argument("--v", type=int, help="default 1")
+    p.add_argument("--t-k", dest="t_k", type=float, help="gap horizon (flipping runs to 1)")
+    p.add_argument("--n", type=int, help="hardness side size (default 500)")
     p.add_argument("--t-max", dest="t_max", type=int)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)

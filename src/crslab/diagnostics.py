@@ -14,21 +14,24 @@ The gap loop holds a bounded working set. Each chunk runs in its own
 scope, so its arrays are gone before the next chunk draws; the chunk keeps
 only its narrow picks and the watched flags of the two coupled runs, which
 read the times and decision uniforms as `crslab.rng.Rows`. The tallies and
-the witness scan then go one row block (`matching.ROW_BLOCK_ELEMS // n`
-rows) at a time, each block drawing its own rows again.
+the witness scan then go one row block (`matching._row_blocks`) at a
+time, each block drawing its own rows again. The witness reads the
+engine's own keep rule, so a pair survives exactly when the engine keeps
+the proposal that joins it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import matching
-from .arrivals import NO_CHOICE, _choice_edges, vertex_arrivals
+from .arrivals import NO_CHOICE, vertex_arrivals
 from .graph import Graph
-from .recursive import EstimateTable, _pair_estimate, _proposal_param, run_vertex_batch
+from .matching import _row_blocks
+from .recursive import EstimateTable, _vertex_keep, run_vertex_batch
 from .rng import Rows, chunks
 from .selection import INFINITE, SelectionFunction
 
@@ -129,20 +132,6 @@ def detect_potential_paths_batch(g: Graph, F: np.ndarray, u: int, v: int) -> Pot
 # -- survival and the flip indicator --------------------------------------------
 
 
-def _survives_batch(g, sel, table, Y, F, U, FE, rows, a, b) -> np.ndarray:
-    """Pairs (a, b) per row: later endpoint chose earlier and its bit passed."""
-    ya, yb = Y[rows, a], Y[rows, b]
-    a_first = (ya < yb) | ((ya == yb) & (a < b))
-    later = np.where(a_first, b, a)
-    earlier = np.where(a_first, a, b)
-    chose = F[rows, later] == earlier
-    # where `later` chose `earlier`, its choice edge is the pair's edge;
-    # elsewhere the threshold is computed on some other edge and discarded
-    eid = np.where(chose, FE[rows, later], 0)
-    y = Y[rows, later]
-    return chose & (U[rows, later] <= _proposal_param(sel, table, y, _pair_estimate(g, table, y, eid, earlier)))
-
-
 def flip_indicators(
     g: Graph,
     sel: SelectionFunction,
@@ -155,14 +144,18 @@ def flip_indicators(
 ) -> tuple[np.ndarray, PotentialPaths]:
     """Indicator B per trial: potential path, badly ordered, all pairs survive.
 
-    Only the rows that hold a path are read past the scan: their Y, F and U
-    rows and the edge ids of their picks.
+    Only the rows that hold a path are read past the scan. The engine's keep
+    rule (`recursive._vertex_keep`) runs once on them, and a pair (a, b)
+    survives iff a kept proposal joins it: F_a = b with a kept, or F_b = a
+    with b kept.
     """
     paths = detect_potential_paths_batch(g, F, u, v)
     B = np.zeros(Y.shape[0], dtype=bool)
     has = np.flatnonzero(paths.length)
     Y, F, U, length = Y[has], F[has], U[has], paths.length[has]
-    FE = _choice_edges(g, F)
+    c, k = _vertex_keep(g, sel, table, Y, F, U, 1.0, None, contextlib.nullcontext())
+    kept = np.zeros(F.size, dtype=bool)  # by flat (row, proposer) cell
+    kept[c.cell.take(k)] = True
     for d in np.unique(length):
         ii = np.flatnonzero(length == d)
         P = paths.path[has[ii], :d]
@@ -174,10 +167,10 @@ def flip_indicators(
         swapped[:, [0, 1]] = swapped[:, [1, 0]]
         inc_swapped = (np.diff(swapped, axis=1) > 0).all(axis=1)
         ok &= inc | inc_swapped
-        survive = np.ones(len(ii), dtype=bool)
-        for i in range(d - 1):
-            survive &= _survives_batch(g, sel, table, Y, F, U, FE, ii, P[:, i], P[:, i + 1])
-        B[has[ii]] = ok & survive
+        # each consecutive pair needs a kept proposal along it, from either end
+        kp, picks = kept[ii[:, None] * F.shape[1] + P], F[ii[:, None], P]
+        ok &= ((kp[:, :-1] & (picks[:, :-1] == P[:, 1:])) | (kp[:, 1:] & (picks[:, 1:] == P[:, :-1]))).all(axis=1)
+        B[has[ii]] = ok
     return B, paths
 
 
@@ -221,9 +214,7 @@ def _gap_chunk(g, sel, table, u, v, t_k, rng, count):
     m_u, m_dropped = full.matched[:, 0], dropped.matched[:, 0]
     tally = np.zeros(6, dtype=np.int64)
     most = 0
-    step = max(1, matching.ROW_BLOCK_ELEMS // g.vertex_count)
-    for lo in range(0, count, step):
-        hi = min(count, lo + step)
+    for lo, hi in _row_blocks(count, g.vertex_count):
         Yb, Ub, mb = Y[lo:hi], U[lo:hi], m_u[lo:hi]
         outer = Yb[:, u] < t_k
         inner = outer & (Yb[:, v] > t_k)

@@ -16,11 +16,10 @@ every trial at once. M(t) is the running count of accepted picks, and Q_t
 follows from the running count of left-side arrivals.
 
 No (trials, 2n) array is int64 or intp. The arrival orders are kept in
-the narrow round type, and one row block (`matching.ROW_BLOCK_ELEMS`
-cells) at a time turns them into Q_t and then, in place, into partner
-rounds, drawing its partners as it goes. The feasible picks are then laid
-out in two int32 slot grids, and M(t) is summed in place in the round
-type.
+the narrow round type, and one row block (`matching._row_blocks`) at a
+time turns them into Q_t and then, in place, into partner rounds, drawing
+its partners as it goes. The feasible picks are then laid out in two int32
+slot grids, and M(t) is summed in place in the round type.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import matching
+from .matching import _row_blocks
 from .rng import stream
 
 __all__ = [
@@ -110,13 +109,12 @@ def hardness_trajectory(n: int, trials: int, seed: int) -> TrajectoryReport:
     # Row block by row block, each row's arrival order becomes its partner
     # rounds in place. A block draws its partners as one `integers` call
     # would, since int64 draws come one after another whatever their shape.
-    step = max(1, matching.ROW_BLOCK_ELEMS // N)
-    for lo in range(0, trials, step):
-        block = order[lo : lo + step]
+    for lo, hi in _row_blocks(trials, N):
+        block = order[lo:hi]
         is_left = block < n
         left = np.cumsum(is_left, axis=1, dtype=small)
-        np.greater_equal(left, lo_bound, out=balance[lo : lo + step, 1:])
-        balance[lo : lo + step, 1:] &= left <= hi_bound
+        np.greater_equal(left, lo_bound, out=balance[lo:hi, 1:])
+        balance[lo:hi, 1:] &= left <= hi_bound
         # from here on a vertex is named by the round it arrives in
         base = np.arange(0, block.size, N, dtype=np.int32)[:, None]
         arrival = np.empty_like(block)
@@ -177,21 +175,21 @@ def _slots(partner_round: np.ndarray, rounds: np.ndarray):
     """
     trials, N = partner_round.shape
     idx = np.int32 if trials * (N + 1) < 2**31 else np.int64
-    step = max(1, matching.ROW_BLOCK_ELEMS // N)
+    blocks = _row_blocks(trials, N)
     counts = np.empty(trials, dtype=np.intp)
-    for lo in range(0, trials, step):
-        counts[lo : lo + step] = np.count_nonzero(partner_round[lo : lo + step] < rounds, axis=1)
+    for lo, hi in blocks:
+        counts[lo:hi] = np.count_nonzero(partner_round[lo:hi] < rounds, axis=1)
     by_count = np.argsort(-counts)
     counts = counts.take(by_count)
     width = trials - np.cumsum(np.bincount(counts))[:-1]
     cells = np.zeros((width.size, trials), dtype=idx)
     partners = np.zeros_like(cells)
-    for lo in range(0, trials, step):
-        rows = by_count[lo : lo + step]
+    for lo, hi in blocks:
+        rows = by_count[lo:hi]
         block = partner_round[rows]
         feasible = block < rounds
-        grid = np.arange(width.size) < counts[lo : lo + step, None]
+        grid = np.arange(width.size) < counts[lo:hi, None]
         first = (rows.astype(idx) * (N + 1) + 1)[:, None]  # each row's cell of round 0
-        cells[:, lo : lo + step].T[grid] = (first + rounds)[feasible]
-        partners[:, lo : lo + step].T[grid] = (first + block)[feasible]
+        cells[:, lo:hi].T[grid] = (first + rounds)[feasible]
+        partners[:, lo:hi].T[grid] = (first + block)[feasible]
     return cells, partners, width

@@ -110,21 +110,26 @@ def _run_trials(g: Graph, trials: int, bins: int, seed: int, size: int, tag: str
     return SimResult(trials, bins, *totals)
 
 
+def _row_blocks(rows: int, width: int) -> list[tuple[int, int]]:
+    """(lo, hi) ranges of `rows` rows of `width`, ROW_BLOCK_ELEMS elements at most (one row at least)."""
+    step = max(1, ROW_BLOCK_ELEMS // max(width, 1))
+    return [(lo, min(rows, lo + step)) for lo in range(0, rows, step)]
+
+
 def _for_blocks(trials: int, width: int, body) -> None:
     """Call body(lo, hi) once for each row block lo..hi-1 of a batch.
 
     A batch that fills b whole ROW_BLOCK_ELEMS blocks runs on
     w = min(WORKERS, b) threads (one if b is 0), the caller's and w - 1
-    helpers, each taking every w-th block of ROW_BLOCK_ELEMS // w elements
-    (one row at least). A batch under two whole blocks stays serial: split,
+    helpers, each taking every w-th block of `_row_blocks` at w times the
+    width. A batch under two whole blocks stays serial: split,
     its blocks carry too little numpy work to outweigh the interpreter-lock
     hand-offs. The first exception raised in a block stops the blocks not
     yet started and is re-raised here once every helper has finished.
     """
     width = max(width, 1)
     workers = max(1, min(WORKERS, trials // max(1, ROW_BLOCK_ELEMS // width)))
-    step = max(1, ROW_BLOCK_ELEMS // workers // width)
-    blocks = [(lo, min(trials, lo + step)) for lo in range(0, trials, step)]
+    blocks = _row_blocks(trials, width * workers)
     errors: list[BaseException] = []
 
     def run(share):
@@ -219,8 +224,9 @@ class _BatchTally:
         accepted iff both endpoints are still unmatched when it arrives, in
         (y, index) order within its row, so a row's proposals must come in
         slot order (proposer id or edge id): index order breaks ties in `y`.
-        A proposal with target == proposer needs just that vertex, so such
-        proposals naming one vertex compete for it as for a single slot.
+        Its two vertex keys are distinct in every engine: rank-1 gives each
+        element slot vertices 0 and 1, so a row's elements share both keys and
+        the earliest wins. target == proposer still resolves, by the tie branch.
 
         The rule runs in greedy rounds (Blelloch, Fineman & Shun, SPAA
         2012), each over the live proposals. A proposal wins a round when it
@@ -238,7 +244,6 @@ class _BatchTally:
         flat = np.zeros((hi - lo) * n, dtype=bool)  # the block's matched flags
         # the live proposals: index, vertex keys and time
         live, a, b, t = np.arange(row.size), row * n + target, row * n + proposer, y
-        single = bool(np.any(target == proposer))  # some proposal has one key
         acc = np.zeros(row.size, dtype=bool)
         first = np.full(flat.size, np.inf)  # earliest live time per key
         while live.size:
@@ -246,8 +251,6 @@ class _BatchTally:
             np.minimum.at(first, b, t)
             at_a, at_b = t == first.take(a), t == first.take(b)
             win = at_a & at_b
-            if single:  # count a single-key proposal once, at a
-                at_b &= a != b
             # without ties, each touched key has exactly one proposal at its minimum
             if np.count_nonzero(at_a) + np.count_nonzero(at_b) > np.count_nonzero(first != np.inf):
                 lowest = np.full(flat.size, row.size)

@@ -87,7 +87,7 @@ def _pair_estimate(g: Graph, table: EstimateTable, y: np.ndarray, edge: np.ndarr
     return table.at(y, 2 * edge + (target == g.ev.take(edge)))
 
 
-def _proposal_param(sel: SelectionFunction, table: EstimateTable, y: np.ndarray, shat: np.ndarray, lock=contextlib.nullcontext()) -> np.ndarray:
+def _proposal_param(sel: SelectionFunction, table: EstimateTable, y: np.ndarray, shat: np.ndarray, lock) -> np.ndarray:
     """Proposal probability min(c(y) / S_hat * (1 - delta) / (1 + 1/(C T y)), 1).
 
     `sel` is called under `lock`: it may be a user callable that is not
@@ -99,6 +99,13 @@ def _proposal_param(sel: SelectionFunction, table: EstimateTable, y: np.ndarray,
     with np.errstate(divide="ignore"):
         param = c / shat * (1.0 - table.delta) / (1.0 + 1.0 / (sel.floor * table.T * y))
     return np.minimum(param, 1.0, out=param)
+
+
+def _vertex_keep(g: Graph, sel: SelectionFunction, table: EstimateTable, Y, F, U, t_stop: float, exclude: int | None, lock):
+    """The active proposals of rows Y, F, U and the index of those the vertex-mode keep rule keeps."""
+    c = _active_choices(g, Y, F, t_stop, exclude)
+    shat = _pair_estimate(g, table, c.y, c.edge, c.target)
+    return c, np.flatnonzero(_flat(U).take(c.cell) <= _proposal_param(sel, table, c.y, shat, lock))
 
 
 def run_vertex_batch(
@@ -125,9 +132,7 @@ def run_vertex_batch(
     """
 
     def propose(lo, hi, lock):
-        c = _active_choices(g, Y[lo:hi], F[lo:hi], t_stop, exclude)
-        shat = _pair_estimate(g, table, c.y, c.edge, c.target)
-        k = np.flatnonzero(_flat(U[lo:hi]).take(c.cell) <= _proposal_param(sel, table, c.y, shat, lock))
+        c, k = _vertex_keep(g, sel, table, Y[lo:hi], F[lo:hi], U[lo:hi], t_stop, exclude, lock)
         return (c.edge, c.y), (c.row.take(k), c.y.take(k), c.target.take(k), c.proposer.take(k), c.edge.take(k))
 
     return _run_batch(g, *Y.shape, bins, propose, watch)
@@ -294,9 +299,9 @@ def simulate_rank1(g: Graph, trials: int, seed: int, bins: int = 20) -> SimResul
     """Vectorized closed-form rank-1 runs.
 
     The first active element passing its thinning bit is the unique accept.
-    Each kept element proposes with target = proposer = 0, so the elements
-    of a row compete for one slot and `resolve` accepts the earliest (the
-    lowest edge id on a tie). Row blocks draw their own rows.
+    Each kept element proposes to slot vertex 0 from slot vertex 1 (every
+    rank-1 instance has both), so a row's elements share both vertex keys
+    and `resolve` accepts the earliest (the lowest edge id on a tie).
     """
     if abs(float(np.sum(g.x)) - 1.0) > 1e-9:
         raise ValueError("rank-1 closed form needs element values summing to 1")
@@ -311,8 +316,7 @@ def simulate_rank1(g: Graph, trials: int, seed: int, bins: int = 20) -> SimResul
             e = cell - row * m
             y = _flat(Ye[lo:hi]).take(cell)
             k = np.flatnonzero(_flat(U[lo:hi]).take(cell) <= np.exp(-y * g.x.take(e)))
-            slot = np.zeros(k.size, dtype=np.intp)
-            return (e, y), (row.take(k), y.take(k), slot, slot, e.take(k))
+            return (e, y), (row.take(k), y.take(k), np.zeros(k.size, np.intp), np.ones(k.size, np.intp), e.take(k))
 
         return _run_batch(g, count, m, bins, propose)
 

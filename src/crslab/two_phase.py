@@ -19,7 +19,7 @@ import warnings
 
 import numpy as np
 
-from .arrivals import _active_choices, _flat, two_phase_arrivals
+from .arrivals import _active_choices, _before, _flat, two_phase_arrivals
 from .graph import Graph
 from .matching import BatchResult, SimResult, _run_batch, _run_trials
 from .numerics import bisect
@@ -101,7 +101,7 @@ def _phase1_sums(g: Graph, mode: str, side, fvals: np.ndarray, Y: np.ndarray, ro
             slot = start + np.minimum(d, deg - 1)
             w = g.adj_v[slot]
             yw = Y[row, w]
-            earlier = (d < deg) & ((yw < y) | ((yw == y) & (w < proposer)))
+            earlier = (d < deg) & _before(yw, w, y, proposer)
             s += np.where(earlier, fvals[g.adj_eid[slot]], 0.0)
         return s
     cnt = np.empty(row.size, dtype=np.int64)
@@ -110,7 +110,7 @@ def _phase1_sums(g: Graph, mode: str, side, fvals: np.ndarray, Y: np.ndarray, ro
     for lo in range(0, row.size, step):
         sl = slice(lo, lo + step)
         yr, yv, pv = Y[row[sl]], y[sl, None], proposer[sl, None]
-        earlier = (yr < yv) | ((yr == yv) & (cols < pv))
+        earlier = _before(yr, cols, yv, pv)
         if mode == "bipartite":
             earlier &= side == side[pv]
         cnt[sl] = earlier.sum(axis=1)

@@ -17,7 +17,10 @@ never needs. The scalar event loops (`run_vertex`, `run_edge`,
 references for the batch engines; `phase1_mode` finds complete bipartite
 instances by a breadth-first search, the reference for two-phase's
 vectorized check; and `detect_potential_path` walks one choice vector, the
-reference for the batch potential-path scan. `choices_reference` draws the
+reference for the batch potential-path scan; `witness` builds the flip
+witness of one sample from that path, `check_badly_ordered` and
+`pair_survives`, a scalar survival check per consecutive pair, the
+reference for the library's flip indicator. `choices_reference` draws the
 neighbor picks one vertex at a time by binary search, the reference for the
 threaded choice sampler, and `choice_edges_reference` looks up their edge ids
 one vertex at a time, the reference for the grouped table lookup.
@@ -518,6 +521,30 @@ def check_badly_ordered(y, path: list[int], u: int) -> bool:
         return False
     swapped = [times[1], times[0]] + times[2:]
     return any(all(a < b for a, b in zip(ts, ts[1:])) for ts in (times, swapped))
+
+
+def pair_survives(g, sel, table, y, f, decision_u, a: int, b: int) -> bool:
+    """Whether the consecutive path pair (a, b) survives its proposal bit.
+
+    The later of the two in (time, id) order must have picked the earlier
+    one, and its decision uniform must pass `_param` at the time of its
+    arrival, read at the pair's column dir_index(later, earlier).
+    """
+    earlier, later = sorted((a, b), key=lambda w: (y[w], w))
+    if int(f[later]) != earlier:
+        return False
+    yl = float(y[later])
+    shat = table.values[_phase(yl, table.T), dir_index(g, later, earlier)]
+    return bool(decision_u[later] <= _param(sel, table, yl, shat))
+
+
+def witness(g, sel, table, y, f, decision_u, u: int, v: int) -> bool:
+    """The flip witness B of one sample: a potential path that is badly
+    ordered and whose consecutive pairs all survive (`pair_survives`)."""
+    path = detect_potential_path(f, u, v)
+    if path is None or not check_badly_ordered(y, path, u):
+        return False
+    return all(pair_survives(g, sel, table, y, f, decision_u, a, b) for a, b in zip(path, path[1:]))
 
 
 @dataclass

@@ -77,9 +77,8 @@ def test_row_draws_have_one_owner():
     assert owners == {"arrivals"}
 
 
-def test_fill_policy_has_one_owner():
-    """`FILL_ROW_CHUNK` and `required_samples` are read only inside
-    `recursive._fill`, the one phase loop of both table fills."""
+def _readers(name: str) -> set[str]:
+    """The top-level definitions, as module.name, that read or import `name`."""
     readers = set()
     for path in Path(crslab.__file__).parent.glob("*.py"):
         for top in ast.parse(path.read_text()).body:
@@ -89,6 +88,24 @@ def test_fill_policy_has_one_owner():
                     names.append(node.id)
                 elif isinstance(node, ast.Attribute):
                     names.append(node.attr)
-                if {"FILL_ROW_CHUNK", "required_samples"} & set(names):
+                if name in names:
                     readers.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
-    assert readers == {"recursive._fill"}
+    return readers
+
+
+def test_fill_policy_has_one_owner():
+    """`FILL_ROW_CHUNK` and `required_samples` are read only inside
+    `recursive._fill`, the one phase loop of both table fills."""
+    assert _readers("FILL_ROW_CHUNK") | _readers("required_samples") == {"recursive._fill"}
+
+
+def test_vertex_keep_rule_has_one_owner():
+    """`_pair_estimate` is read only in `recursive._vertex_keep`, the keep
+    rule that the vertex engine and the flip indicator's witness share."""
+    assert _readers("_pair_estimate") == {"recursive._vertex_keep"}
+
+
+def test_row_block_budget_has_one_owner():
+    """`ROW_BLOCK_ELEMS` is read only inside `crslab.matching`; every other
+    row-block loop takes its ranges from `matching._row_blocks`."""
+    assert {reader.split(".")[0] for reader in _readers("ROW_BLOCK_ELEMS")} == {"matching"}

@@ -25,9 +25,18 @@ from crslab.diagnostics import (
 from crslab.graph import complete, cycle
 from crslab.recursive import EstimateTable
 from crslab.rng import stream
-from crslab.selection import INFINITE
+from crslab.selection import INFINITE, vertex_selection
 
-from .oracles import analyze_flipping, check_badly_ordered, coupled_run, detect_potential_path, vertex_draws, watch_all
+from .oracles import (
+    analyze_flipping,
+    check_badly_ordered,
+    coupled_run,
+    detect_potential_path,
+    pair_survives,
+    vertex_draws,
+    watch_all,
+    witness,
+)
 
 NO = NO_CHOICE
 
@@ -240,6 +249,45 @@ def test_flip_indicator_covers_all_flips(c5, sel5, table_c5_small):
     need = dropped.matched[:, 0] & ~full.matched[:, 0]
     assert not (need & ~B).any()
     assert scan.count.max() <= 1
+
+
+@pytest.mark.parametrize("grid", [None, 16], ids=["continuous", "grid16"])
+@pytest.mark.parametrize("girth", [5, 7])
+def test_flip_indicator_equals_witness_oracle(c5, sel5, table_c5_small, girth, grid):
+    """`flip_indicators`' B against the scalar witness, trial by trial, on
+    C5 with its filled table and on C7 at x = 0.4 with a random table (so a
+    wrong pair column shows), with continuous times and with times tied on
+    a grid of 16. Every other row that holds a path gets its path's times
+    sorted along it and below Y_u (half of those with the first two
+    swapped), so that pair survival decides B there; the rows hold paths,
+    pairs that survive and pairs that fail, and B fires."""
+    if girth == 5:
+        g, sel, table, rows = c5, sel5, table_c5_small, 20_000
+    else:
+        g, sel, rows = cycle(7, 0.4), vertex_selection(7), 100_000
+        table = EstimateTable(6, 0.1, stream(51, "witness-table").uniform(0.3, 1.0, (6, 2 * g.edge_count)))
+    rng = stream(55, "trials-vertex", girth, 0 if grid is None else grid)
+    Y, F = vertex_draws(g, rng, rows)
+    U = rng.random(Y.shape)
+    if grid is not None:
+        Y = np.ceil(Y * grid) / grid
+    forced = [i for i in range(rows) if detect_potential_path(F[i], 0, 1)][::2]
+    for k, i in enumerate(forced):
+        cells = detect_potential_path(F[i], 0, 1) + [0]  # the path, then u
+        times = np.sort(Y[i, cells])
+        if k % 2:
+            times[[0, 1]] = times[[1, 0]]
+        Y[i, cells] = times
+    B, scan = flip_indicators(g, sel, table, Y, F, U, 0, 1)
+    assert B.tolist() == [witness(g, sel, table, Y[i], F[i], U[i], 0, 1) for i in range(rows)]
+    survived = [
+        pair_survives(g, sel, table, Y[i], F[i], U[i], int(a), int(b))
+        for i in np.flatnonzero(scan.length)
+        for a, b in zip(scan.path[i, : scan.length[i] - 1], scan.path[i, 1 : scan.length[i]])
+    ]
+    assert len(forced) > 200
+    assert 0 < sum(survived) < len(survived)
+    assert B.any()
 
 
 def test_bipartite_never_flips(k33, sel_inf, table_k33_small):

@@ -315,9 +315,15 @@ def test_overloaded_graph_rejected(tmp_path, capsys):
     for cfg in configs:
         with pytest.raises(ConfigError, match=r"instance: fractional matching violated .*v0: 1\.8"):
             run_experiment(cfg)
-    for scheme in ("recursive-vertex", "recursive-edge", "rank1-closed", "two-phase"):
-        argv = ["simulate", "--instance", str(p), "--scheme", scheme, "--trials", "10", "--seed", "1"]
-        argv += ["--T", "4", "--delta", "0.1", "--selection", "edge_general", "--t", "0.5"]
+    recursive = ["--T", "4", "--delta", "0.1"]
+    run_flags = {
+        "recursive-vertex": recursive,
+        "recursive-edge": [*recursive, "--selection", "edge_general"],
+        "rank1-closed": [],
+        "two-phase": ["--t", "0.5"],
+    }
+    for scheme, flags in run_flags.items():
+        argv = ["simulate", "--instance", str(p), "--scheme", scheme, "--trials", "10", "--seed", "1", *flags]
         assert main(argv) == 2
         assert "config error: instance: fractional matching violated" in capsys.readouterr().err
     assert main(["diag", "--what", "gap", "--instance", str(p), "--t-k", "0.5", "--trials", "10", "--seed", "1"]) == 2
@@ -880,6 +886,31 @@ CLI_ERRORS = [
     (["selection", "--grid", "-1", "--out", "t.csv"], "config error: --grid: must be >= 1"),
     (["selection", "--grid", "-3", "--out", "t.csv"], "config error: --grid: must be >= 1"),
     (["selection", "--grid", "1", "--certify"], "config error: --grid: must be >= 2 with --certify"),
+    # a run flag that the scheme does not take, as a suite file's params would
+    (["simulate", "--family", "star", "--param", "k=4", "--param", "x=0.25", "--scheme", "rank1-closed", "--T", "10",
+      "--delta", "0.3", "--g", "5", "--selection", "edge_tree", *RUN],
+     "config error: params.T: not a parameter of scheme rank1-closed"),
+    (["profile", *C5, "--scheme", "recursive-edge", "--selection", "edge_tree", "--T", "4", "--delta", "0.1",
+      "--g", "5", *RUN], "config error: params.g: not a parameter of scheme recursive-edge"),
+    (["simulate", *C5, "--scheme", "two-phase", "--t", "0.5", "--Q", "10", *RUN],
+     "config error: params.Q: not a parameter of scheme two-phase"),
+    (["simulate", *C5, "--scheme", "recursive-vertex", "--T", "4", "--delta", "0.1", "--t", "0.5", *RUN],
+     "config error: params.t: not a parameter of scheme recursive-vertex"),
+    # a diag flag that the chosen --what never reads
+    (["diag", "--what", "flipping", *C5, "--t-k", "0.5", *RUN], "config error: --t-k: not read by diag --what flipping"),
+    (["diag", "--what", "flipping", *C5, "--n", "5", *RUN], "config error: --n: not read by diag --what flipping"),
+    (["diag", "--what", "gap", *C5, "--t-k", "0.5", "--n", "5", *RUN], "config error: --n: not read by diag --what gap"),
+    (["diag", "--what", "gap", *C5, "--t-k", "0.5", "--t-max", "3", *RUN],
+     "config error: --t-max: not read by diag --what gap"),
+    (["diag", "--what", "hardness", "--n", "4", *C5, *RUN], "config error: --family: not read by diag --what hardness"),
+    (["diag", "--what", "hardness", "--instance", "g.json", *RUN],
+     "config error: --instance: not read by diag --what hardness"),
+    (["diag", "--what", "hardness", "--g", "5", *RUN], "config error: --g: not read by diag --what hardness"),
+    (["diag", "--what", "hardness", "--T", "4", "--delta", "0.1", *RUN], "config error: --T: not read by diag --what hardness"),
+    (["diag", "--what", "hardness", "--Q", "50", *RUN], "config error: --Q: not read by diag --what hardness"),
+    (["diag", "--what", "hardness", "--u", "0", "--v", "1", *RUN], "config error: --u: not read by diag --what hardness"),
+    (["diag", "--what", "hardness", "--v", "1", *RUN], "config error: --v: not read by diag --what hardness"),
+    (["diag", "--what", "hardness", "--t-k", "0.5", *RUN], "config error: --t-k: not read by diag --what hardness"),
 ]
 
 
@@ -952,7 +983,7 @@ def test_cli_diag_bad_vertices(capsys, what, uv, message):
         [
             "diag", "--what", what, "--family", "cycle", "--param", "n=5", "--param", "x=0.5",
             "--g", "5", "--T", "4", "--delta", "0.1", "--Q", "50", "--u", uv[0], "--v", uv[1],
-            "--t-k", "0.5", "--trials", "100", "--seed", "5",
+            *(["--t-k", "0.5"] if what == "gap" else []), "--trials", "100", "--seed", "5",
         ]
     )
     assert code == 2

@@ -100,9 +100,10 @@ def _resolve_vs_oracle(g, trials, lo, hi, block, bins=None):
 def test_resolve_equals_greedy_oracle(n, rows, lo, per_row, grid, bins, interleave, single, seed):
     """Random blocks, with ties on grid times, against the sequential greedy rule.
 
-    With `single`, about half the proposals have target == proposer, the
-    single-slot encoding of rank-1 runs: in each row they name one vertex
-    and an edge at it, so no edge is accepted twice in a row.
+    With `single`, about half the proposals have target == proposer: in
+    each row they name one vertex and an edge at it, so no edge is accepted
+    twice in a row. No engine makes such a proposal (rank-1 names two slot
+    vertices), but `resolve` still accepts them by the greedy rule.
     """
     g = complete(n)
     eid = np.full((n, n), -1)
