@@ -76,7 +76,7 @@ def _instance_spec(args) -> dict:
 
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--scheme", required=True, choices=[s for s, (kinds, _) in SCHEMES.items() if "selectability" in kinds])
+    p.add_argument("--scheme", required=True, choices=[s for s in SCHEMES if "selectability" in SCHEMES[s][0]])
     p.add_argument("--g", help="odd girth parameter or 'infinite' (the default)")
     p.add_argument("--selection", choices=EDGE_KINDS, help="edge-mode selection kind")
     p.add_argument("--T", type=int, help="phase count")
@@ -96,7 +96,7 @@ def _given(args, scheme: str, kind: str, **defaults) -> dict:
     not take stays in, so `validate_config` rejects it as in a suite file."""
     table = param_table(scheme, kind)
     out = {}
-    for k in sorted({k for _, params in SCHEMES.values() for k in params} | set(GAP_PARAMS)):
+    for k in sorted({k for s in SCHEMES for k in SCHEMES[s][1]} | set(GAP_PARAMS)):
         value = getattr(args, k, None)
         if value is None and k in table:
             value = defaults.get(k)
@@ -148,10 +148,15 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_selection(args) -> int:
-    girths = [parse_girth(tok) for tok in args.g.split(",")]
+    if args.edge and args.g is not None:
+        raise ConfigError("--g: not read with --edge")
+    if args.grid is not None and not (args.certify or args.out):
+        raise ConfigError("--grid: read only with --certify or --out")
+    girths = [parse_girth(tok) for tok in ("infinite" if args.g is None else args.g).split(",")]
+    grid = 1000 if args.grid is None else args.grid
     if args.edge and args.certify:
         raise ConfigError("--certify: the certificate checks vertex-mode selection functions, not --edge")
-    if args.grid < 1 or (args.certify and args.grid < 2):
+    if grid < 1 or (args.certify and grid < 2):
         raise ConfigError("--grid: must be >= 2 with --certify" if args.certify else "--grid: must be >= 1")
     if args.out and len(girths) != 1:
         raise ConfigError("--out: exactly one --g value expected")
@@ -164,13 +169,13 @@ def _cmd_selection(args) -> int:
             sel = vertex_selection(gv)
             print(f"g={label}: alpha = {sel.alpha!r}  floor = {sel.floor!r}")
             if args.certify:
-                rep = verify_selection_conditions(sel, gv, grid_size=args.grid)
+                rep = verify_selection_conditions(sel, gv, grid_size=grid)
                 print(
-                    f"  certificate[{args.grid}]: monotone={rep.monotone_ok} floor={rep.floor_ok} "
+                    f"  certificate[{grid}]: monotone={rep.monotone_ok} floor={rep.floor_ok} "
                     f"max_violation={rep.max_violation!r} equality_slack={rep.equality_max_slack!r}"
                 )
     if args.out:  # sel is the one selection printed above
-        ys = np.linspace(0.0, 1.0, args.grid + 1)
+        ys = np.linspace(0.0, 1.0, grid + 1)
         lines = [f"# {CSV_VERSION} selection", "y,c,phi"]
         for y in ys:
             y = float(y)
@@ -277,9 +282,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_validate)
 
     p = sub.add_parser("selection", help="selection-function values and certificate")
-    p.add_argument("--g", default="infinite", help="comma list of odd girths / 'infinite'")
+    p.add_argument("--g", help="comma list of odd girths / 'infinite' (the default); vertex mode only")
     p.add_argument("--edge", choices=EDGE_KINDS, help="edge-mode kind instead of vertex mode")
-    p.add_argument("--grid", type=int, default=1000)
+    p.add_argument("--grid", type=int, help="grid size of --certify and --out (default 1000)")
     p.add_argument("--certify", action="store_true", help="run the vertex-mode certificate on the grid")
     p.add_argument("--out", metavar="PATH", help="write a (y, c, phi) CSV table")
     p.set_defaults(fn=_cmd_selection)

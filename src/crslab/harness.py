@@ -43,16 +43,6 @@ __all__ = [
 ]
 
 CSV_VERSION = "crslab-report v1"
-# Experiment kinds -> the keys of their report summary, in order; a check names one.
-KINDS = {
-    "selectability": ("edges", "trials", "insufficient_count", "min_ratio_active", "max_ratio_active",
-                      "min_ratio_x", "max_ratio_x", "argmin_edge_active", "argmin_edge_x"),
-    "profile": ("bins", "powered", "underpowered", "bins_pass", "bins_fail", "all_pass", "worst_gap_sigma"),
-    "gap": ("u", "v", "t_k", "trials", "gap", "sigma", "bound", "within_bound", "mean_inner", "mean_outer",
-            "count_inner", "count_outer", "flip_count", "violation_count", "max_paths"),
-    "hardness": ("n", "trials", "t_max", "mean_final", "reference_final", "final_error", "sup_distance",
-                 "q_min_frequency", "q_all_frequency"),
-}
 UNDERPOWERED_COUNT = 100
 CHECK_OPS = {
     ">=": operator.ge, "<=": operator.le, ">": operator.gt, "<": operator.lt, "==": operator.eq, "!=": operator.ne,
@@ -144,18 +134,25 @@ _positive = partial(_as_int, lo=1)
 _nonnegative = partial(_as_int, lo=0)
 REQUIRED = object()  # the default of a parameter that must be given
 
-# Schemes -> (the kinds they run, their run parameters). A run parameter is
-# name -> (parser, parsed value when absent); a callable default is applied
-# to the values parsed before it.
+# Schemes -> (the kinds they run, their run parameters, their simulation). A
+# run parameter is name -> (parser, parsed value when absent); a callable
+# default is applied to the values parsed before it. simulate(cfg, g) gives
+# (SimResult, the selection function or None) and names its engine when called.
 _RECURSIVE = {"T": (_positive, REQUIRED), "delta": (_unit("[0, 1)"), REQUIRED), "Q": (_positive, None)}
 SCHEMES = {
-    "recursive-vertex": (("selectability", "profile", "gap"), {"g": (_girth, INFINITE), **_RECURSIVE}),
+    "recursive-vertex": (("selectability", "profile", "gap"), {"g": (_girth, INFINITE), **_RECURSIVE}, lambda cfg, g: (
+        simulate_vertex(g, sel := vertex_selection(cfg.parsed["g"]), cfg.parsed["T"], cfg.parsed["delta"], cfg.trials,
+                        cfg.seed, Q=cfg.parsed["Q"], bins=cfg.bins), sel)),
     # an absent selection gets the error of an unknown one, which lists the kinds
     "recursive-edge": (("selectability", "profile"),
-                       {"selection": (_selection, lambda parsed: _selection(None)), **_RECURSIVE}),
-    "rank1-closed": (("selectability", "profile"), {}),
-    "two-phase": (("selectability",), {"t": (_threshold, REQUIRED)}),
-    "greedy": (("hardness",), {"t_max": (_nonnegative, lambda parsed: math.floor(1.9 * parsed["n"]))}),
+                       {"selection": (_selection, lambda parsed: _selection(None)), **_RECURSIVE}, lambda cfg, g: (
+        simulate_edge(g, sel := edge_selection(cfg.parsed["selection"]), cfg.parsed["T"], cfg.parsed["delta"], cfg.trials,
+                      cfg.seed, Q=cfg.parsed["Q"], bins=cfg.bins), sel)),
+    "rank1-closed": (("selectability", "profile"), {},
+                     lambda cfg, g: (simulate_rank1(g, cfg.trials, cfg.seed, bins=cfg.bins), None)),
+    "two-phase": (("selectability",), {"t": (_threshold, REQUIRED)},
+                  lambda cfg, g: (simulate_two_phase(g, cfg.parsed["t"], cfg.trials, cfg.seed, bins=cfg.bins), None)),
+    "greedy": (("hardness",), {"t_max": (_nonnegative, lambda parsed: math.floor(1.9 * parsed["n"]))}, None),
 }
 GAP_PARAMS = {"u": (_nonnegative, REQUIRED), "v": (_nonnegative, REQUIRED), "t_k": (_unit("(0, 1]"), REQUIRED)}
 
@@ -184,7 +181,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"scheme: must be one of {tuple(SCHEMES)}")
     kinds = SCHEMES[cfg.scheme][0]
     if cfg.kind not in kinds:
-        runners = " or ".join(s for s, (ks, _) in SCHEMES.items() if cfg.kind in ks)
+        runners = " or ".join(s for s in SCHEMES if cfg.kind in SCHEMES[s][0])
         raise ConfigError(f"scheme: kind={cfg.kind} requires scheme {runners}; "
                           f"{cfg.scheme} is only valid for kind={' or '.join(kinds)}")
     parsed = {}
@@ -227,7 +224,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
             raise ConfigError(f"checks[{i}].op: must be one of {tuple(CHECK_OPS)}")
         if isinstance(chk["value"], (str, list, dict)) or chk["value"] is None:
             raise ConfigError(f"checks[{i}].value: number or boolean required")
-        if chk["metric"] not in KINDS[cfg.kind]:
+        if chk["metric"] not in KINDS[cfg.kind][0]:
             raise ConfigError(f"checks[{i}].metric: unknown metric {chk['metric']!r} for kind={cfg.kind}")
     cfg.parsed = parsed
 
@@ -284,26 +281,10 @@ def _py(value):
     return value
 
 
-def _run_scheme(cfg: ExperimentConfig, g: Graph):
-    """Dispatch a selectability/profile simulation; returns (sim, sel), sel None without tables."""
-    p = cfg.parsed
-    if cfg.scheme == "recursive-vertex":
-        sel = vertex_selection(p["g"])
-        return simulate_vertex(g, sel, p["T"], p["delta"], cfg.trials, cfg.seed, Q=p["Q"], bins=cfg.bins), sel
-    if cfg.scheme == "recursive-edge":
-        sel = edge_selection(p["selection"])
-        return simulate_edge(g, sel, p["T"], p["delta"], cfg.trials, cfg.seed, Q=p["Q"], bins=cfg.bins), sel
-    if cfg.scheme == "rank1-closed":
-        return simulate_rank1(g, cfg.trials, cfg.seed, bins=cfg.bins), None
-    if cfg.scheme == "two-phase":
-        return simulate_two_phase(g, p["t"], cfg.trials, cfg.seed, bins=cfg.bins), None
-    raise ConfigError(f"scheme: {cfg.scheme} has no simulation runner")
-
-
 def _run_selectability(cfg: ExperimentConfig) -> ExperimentReport:
     """Per-edge acceptance frequencies with Wilson intervals."""
     g = _instance(cfg)
-    sim, _ = _run_scheme(cfg, g)
+    sim, _ = SCHEMES[cfg.scheme][2](cfg, g)
     columns = [
         "eid", "u", "v", "x", "active", "accepted",
         "ratio_active", "ra_lo", "ra_hi", "ratio_x", "rx_lo", "rx_hi", "insufficient",
@@ -365,7 +346,7 @@ def _profile_band(cfg: ExperimentConfig, sel, mid: float, target: float) -> tupl
 def _run_profile(cfg: ExperimentConfig) -> ExperimentReport:
     """Binned conditional acceptance versus the scheme's target curve."""
     g = _instance(cfg)
-    sim, sel = _run_scheme(cfg, g)
+    sim, sel = SCHEMES[cfg.scheme][2](cfg, g)
     bins = cfg.bins
     act_b = sim.act_bin.sum(axis=0)
     acc_b = sim.acc_bin.sum(axis=0)
@@ -426,7 +407,7 @@ def _run_gap(cfg: ExperimentConfig) -> ExperimentReport:
     sel = vertex_selection(p["g"])
     table = fill_tables(g, sel, p["T"], p["delta"], p["Q"], cfg.seed)
     rep = correlation_gap(g, sel, table, u, v, p["t_k"], cfg.trials, cfg.seed)
-    summary = {key: getattr(rep, key) for key in KINDS["gap"]}
+    summary = {key: getattr(rep, key) for key in KINDS["gap"][0]}
     columns = list(summary)
     return ExperimentReport("gap", summary, columns, [[summary[c] for c in columns]])
 
@@ -453,10 +434,21 @@ def _run_hardness(cfg: ExperimentConfig) -> ExperimentReport:
     return ExperimentReport("hardness", summary, columns, rows)
 
 
+# Experiment kinds -> (the keys of their report summary in order, a check names one; their runner).
+KINDS = {
+    "selectability": (("edges", "trials", "insufficient_count", "min_ratio_active", "max_ratio_active",
+                       "min_ratio_x", "max_ratio_x", "argmin_edge_active", "argmin_edge_x"), _run_selectability),
+    "profile": (("bins", "powered", "underpowered", "bins_pass", "bins_fail", "all_pass", "worst_gap_sigma"), _run_profile),
+    "gap": (("u", "v", "t_k", "trials", "gap", "sigma", "bound", "within_bound", "mean_inner", "mean_outer",
+             "count_inner", "count_outer", "flip_count", "violation_count", "max_paths"), _run_gap),
+    "hardness": (("n", "trials", "t_max", "mean_final", "reference_final", "final_error", "sup_distance",
+                  "q_min_frequency", "q_all_frequency"), _run_hardness),
+}
+
+
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """The report of a validated config: the one entry that runs a config, of any kind."""
-    return {"selectability": _run_selectability, "profile": _run_profile, "gap": _run_gap,
-            "hardness": _run_hardness}[cfg.kind](cfg)
+    return KINDS[cfg.kind][1](cfg)
 
 
 # -- report files ----------------------------------------------------------------

@@ -6,11 +6,12 @@ arrivals alone. So the engines (recursive vertex and edge, two-phase,
 rank-1) differ only in the keep rule that `_run_batch` applies to one row
 block in a single vectorized pass; `_BatchTally.resolve` accepts the kept
 proposals in greedy rounds, visiting only the proposals themselves. It
-keeps the matched flags of its block only, and a batch returns those of
-the vertices its caller watches (`watch`, k ids per row): a table fill
-reads one or two per row and a trial loop none, so no batch holds a
-(trials, n) flag matrix. A keep rule gathers its kept proposals through
-one integer index (`np.flatnonzero` of its keep mask, then `take`), and
+keeps the matched flags of its block only, and a recursive batch returns
+those of the vertices its caller watches (`watch`, k ids per row): a table
+fill reads one or two per row and a trial loop none (two-phase and rank-1
+run only in trial loops and watch none), so no batch holds a (trials, n)
+flag matrix. A keep rule gathers its kept proposals through one integer
+index (`np.flatnonzero` of its keep mask, then `take`), and
 `resolve` gathers its accepted ones the same way: at the densities keep
 rules produce, a boolean-mask gather costs several times as much per
 element. Every trial loop is one `_run_trials`, which runs its chunks and

@@ -127,8 +127,8 @@ def run_vertex_batch(
     input of the engines may: only their shape and row slices are read.
     Passing the same arrays with different `exclude` values realizes
     coupled executions on G and G minus a vertex. The result's `matched`
-    holds the flags at the (trials, k) vertex ids `watch`, as in every
-    engine (None without it).
+    holds the flags at the (trials, k) vertex ids `watch`, as in
+    `run_edge_batch` (None without it).
     """
 
     def propose(lo, hi, lock):

@@ -126,14 +126,11 @@ def run_two_phase_batch(
     F: np.ndarray,
     UA: np.ndarray,
     UB: np.ndarray,
-    t_stop: float = 1.0,
     bins: int | None = None,
-    watch: np.ndarray | None = None,
 ) -> BatchResult:
-    """Vectorized two-phase runs; Y/F/UA/UB are (trials, n) per-vertex arrays.
+    """Vectorized two-phase runs to time 1; Y/F/UA/UB are (trials, n) per-vertex arrays.
 
-    The result's `matched` holds the flags at the (trials, k) vertex ids
-    `watch` (None without it).
+    No caller reads matched flags, so the result's `matched` is None.
     """
     if not (0.0 <= t <= 1.0):
         raise ValueError("t must lie in [0, 1]")
@@ -143,7 +140,7 @@ def run_two_phase_batch(
 
     def propose(lo, hi, lock):
         yb = np.ascontiguousarray(Y[lo:hi])
-        c = _active_choices(g, yb, F[lo:hi], t_stop)
+        c = _active_choices(g, yb, F[lo:hi])
         keep = _flat(UA[lo:hi]).take(c.cell) <= avals.take(c.edge)
         if t > 0.0:
             p1 = np.flatnonzero(c.y < t)
@@ -153,7 +150,7 @@ def run_two_phase_batch(
         k = np.flatnonzero(keep)
         return (c.edge, c.y), (c.row.take(k), c.y.take(k), c.target.take(k), c.proposer.take(k), c.edge.take(k))
 
-    return _run_batch(g, *Y.shape, bins, propose, watch)
+    return _run_batch(g, *Y.shape, bins, propose)
 
 
 TRIAL_CHUNK = 200_000

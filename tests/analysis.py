@@ -25,7 +25,7 @@ from crslab.rng import chunks
 from crslab.selection import SelectionFunction, c_vertex
 from crslab.two_phase import prune_factor, run_two_phase_batch, survival_prob
 
-from .oracles import neighbors
+from .oracles import neighbors, stopped
 
 # -- selection functions ------------------------------------------------------------
 
@@ -141,7 +141,7 @@ def pinned_phase1_frequency(
         F = sample_choices_batch(g, rng, count)
         UA = rng.random((count, n))
         UB = rng.random((count, n))
-        res = run_two_phase_batch(g, t, Y, F, UA, UB, t_stop=y0)
+        res = run_two_phase_batch(g, t, stopped(Y, y0), F, UA, UB)
         hits += int(res.accepted[eid])  # at most once per trial: it matches both ends
     freq = hits / trials
     sigma = math.sqrt(max(freq * (1.0 - freq), 1e-12) / trials)

@@ -15,7 +15,8 @@ direct entry points, and hashes what they produce:
   keeps (`acc_edge`, `prop_is_ev`, `sel_into`); the engines and the
   kernel blocks below watch every vertex (`tests.oracles.watch_all`), so
   `matched` is the whole (trials, n) flag matrix the digests were pinned
-  with;
+  with (two-phase watches none: it runs on `tests.oracles.stopped` times
+  and takes its flags from `tests.oracles.endpoint_flags`);
 - every chunked loop (the six trial loops and the edge fill) over several
   chunks with a partial last one, with the rank-1 safety tally replayed by
   `tests.analysis.rank1_safety`;
@@ -71,7 +72,7 @@ from crslab.selection import INFINITE, c_vertex, edge_selection, vertex_selectio
 from crslab.two_phase import run_two_phase_batch
 
 from .analysis import pinned_phase1_frequency, rank1_safety
-from .oracles import RecordingTally, edge_inputs, recorded, watch_all
+from .oracles import RecordingTally, edge_inputs, endpoint_flags, recorded, stopped, watch_all
 
 PINNED = Path(__file__).with_name("golden_digests.json")
 
@@ -276,7 +277,8 @@ def engine_digests() -> dict[str, str]:
         UA = rng.random((rows, n))
         UB = rng.random((rows, n))
         for t_stop in (0.5, 0.6, 1.0):
-            res = recorded(run_two_phase_batch, g, 0.6, Y, F, UA, UB, t_stop, 4, watch_all(g, rows))
+            res = recorded(run_two_phase_batch, g, 0.6, stopped(Y, t_stop), F, UA, UB, 4)
+            res.matched = endpoint_flags(g, res.acc_edge)
             # pinned when this call recorded the edges only
             out[f"two-phase-{name}-t{t_stop}"] = batch_digest(_drop(res, "sel_into"))
     return out

@@ -244,6 +244,24 @@ def watch_all(g, trials: int) -> np.ndarray:
     return np.broadcast_to(np.arange(n), (trials, n))
 
 
+def stopped(Y, t_stop: float) -> np.ndarray:
+    """Vertex arrival times with every arrival after `t_stop` moved to inf.
+
+    The two-phase engine always runs to time 1, and no decision reads a
+    later arrival, so its run on these times is its run stopped at `t_stop`.
+    """
+    return np.where(Y <= t_stop, Y, np.inf)
+
+
+def endpoint_flags(g, acc_edge) -> np.ndarray:
+    """The (trials, n) matched flags of a recorded run: the two ends of each
+    row's accepted edges, for an engine (two-phase) that watches no vertex."""
+    flags = np.zeros((acc_edge.shape[0], g.vertex_count), dtype=bool)
+    row, e = np.nonzero(acc_edge)
+    flags[row, g.eu[e]] = flags[row, g.ev[e]] = True
+    return flags
+
+
 class RecordingTally(_BatchTally):
     """`_BatchTally` that also records each row's accepted proposals.
 

@@ -4,17 +4,26 @@ A name in a module's `__all__` must be read somewhere in `src/crslab`
 outside its own definition (a class's own methods or a function's own body
 do not count); `cli.main` is the command's entry point. Code that only the
 tests call belongs in `tests/` (see `tests/oracles.py` and
-`tests/analysis.py`).
+`tests/analysis.py`), and so does a setting that only the tests make: every
+defaulted parameter of a public function is set by some library call.
 """
 
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
 import crslab
+from crslab import harness
+from crslab.harness import KINDS
 
 ENTRY_POINTS = {("crslab.cli", "main")}
+
+
+def _modules() -> list:
+    """The package and each of its modules."""
+    return [crslab] + [importlib.import_module(f"crslab.{m.name}") for m in pkgutil.iter_modules(crslab.__path__)]
 
 
 def _used_names() -> set[str]:
@@ -37,10 +46,9 @@ def _used_names() -> set[str]:
 
 def test_every_public_name_has_a_library_caller():
     used = _used_names()
-    modules = [crslab] + [importlib.import_module(f"crslab.{m.name}") for m in pkgutil.iter_modules(crslab.__path__)]
     unused = [
         f"{mod.__name__}.{name}"
-        for mod in modules
+        for mod in _modules()
         for name in getattr(mod, "__all__", ())
         if name not in used and (mod.__name__, name) not in ENTRY_POINTS
     ]
@@ -77,6 +85,13 @@ def test_row_draws_have_one_owner():
     assert owners == {"arrivals"}
 
 
+def _label(top: ast.stmt) -> str:
+    """A top-level definition's name, a one-name assignment's target, else `<module>`."""
+    if isinstance(top, ast.Assign) and len(top.targets) == 1 and isinstance(top.targets[0], ast.Name):
+        return top.targets[0].id
+    return getattr(top, "name", "<module>")
+
+
 def _readers(name: str) -> set[str]:
     """The top-level definitions, as module.name, that read or import `name`."""
     readers = set()
@@ -89,7 +104,7 @@ def _readers(name: str) -> set[str]:
                 elif isinstance(node, ast.Attribute):
                     names.append(node.attr)
                 if name in names:
-                    readers.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+                    readers.add(f"{path.stem}.{_label(top)}")
     return readers
 
 
@@ -109,3 +124,48 @@ def test_row_block_budget_has_one_owner():
     """`ROW_BLOCK_ELEMS` is read only inside `crslab.matching`; every other
     row-block loop takes its ranges from `matching._row_blocks`."""
     assert {reader.split(".")[0] for reader in _readers("ROW_BLOCK_ELEMS")} == {"matching"}
+
+
+def _set_parameters() -> dict[str, tuple[int, set[str]]]:
+    """Per called name: the most positional arguments any library call
+    passes before its first starred one, and every keyword any call names
+    (a starred argument or `**` sets nothing)."""
+    out: dict[str, tuple[int, set[str]]] = {}
+    for path in Path(crslab.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            positional = next((i for i, a in enumerate(node.args) if isinstance(a, ast.Starred)), len(node.args))
+            most, keywords = out.get(name, (0, set()))
+            out[name] = (max(most, positional), keywords | {k.arg for k in node.keywords if k.arg})
+    return out
+
+
+def test_every_defaulted_parameter_is_set_by_a_library_call():
+    """A public function's parameter with a default is a knob; some call in
+    `src/crslab` must set it, by position or by keyword. Tests that need
+    another setting make it on their side."""
+    calls = _set_parameters()
+    unset = []
+    for mod in _modules():
+        for name in getattr(mod, "__all__", ()):
+            fn = getattr(mod, name)
+            if not inspect.isfunction(fn) or (mod.__name__, name) in ENTRY_POINTS:
+                continue
+            most, keywords = calls.get(name, (0, set()))
+            for i, param in enumerate(inspect.signature(fn).parameters.values()):
+                if param.default is not param.empty and i >= most and param.name not in keywords:
+                    unset.append(f"{mod.__name__}.{name}({param.name})")
+    assert not unset, f"defaulted parameters that no library call sets: {unset}"
+
+
+def test_each_runner_is_read_only_in_its_table():
+    """Each kind's runner is read only in `harness.KINDS`, which
+    `run_experiment` dispatches through, and each engine's simulation entry
+    only in `harness.SCHEMES` (and the import there)."""
+    for kind, (_, runner) in KINDS.items():
+        assert _readers(runner.__name__) == {"harness.KINDS"}, kind
+    for name in ("simulate_vertex", "simulate_edge", "simulate_rank1", "simulate_two_phase"):
+        assert _readers(name) == {"harness.<module>", "harness.SCHEMES"}, name
+    assert not hasattr(harness, "_run_scheme")

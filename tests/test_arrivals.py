@@ -15,7 +15,7 @@ from crslab.rng import stream
 from crslab.selection import INFINITE, edge_selection, vertex_selection
 from crslab.two_phase import run_two_phase_batch
 
-from .oracles import choice_edges_reference, choices_reference, edge_arrivals_reference, neighbors, vertex_draws, watch_all
+from .oracles import choice_edges_reference, choices_reference, edge_arrivals_reference, neighbors, recorded, vertex_draws
 
 
 def _active(g, y, f):
@@ -74,12 +74,11 @@ def test_narrow_picks_run_like_wide_ones():
     assert F.dtype == np.int8 and (F == 127).any()
     wide = F.astype(np.int64)
     sel, table = vertex_selection(INFINITE), EstimateTable(4, 0.1, np.ones((4, 2 * g.edge_count)))
-    every = watch_all(g, 2000)
     for a, b in (
-        (run_two_phase_batch(g, 0.4, Y, F, U, Y[::-1], watch=every), run_two_phase_batch(g, 0.4, Y, wide, U, Y[::-1], watch=every)),
-        (run_vertex_batch(g, sel, table, Y, F, U, watch=every), run_vertex_batch(g, sel, table, Y, wide, U, watch=every)),
+        (recorded(run_two_phase_batch, g, 0.4, Y, F, U, Y[::-1]), recorded(run_two_phase_batch, g, 0.4, Y, wide, U, Y[::-1])),
+        (recorded(run_vertex_batch, g, sel, table, Y, F, U), recorded(run_vertex_batch, g, sel, table, Y, wide, U)),
     ):
-        assert np.array_equal(a.accepted, b.accepted) and np.array_equal(a.matched, b.matched)
+        assert np.array_equal(a.accepted, b.accepted) and np.array_equal(a.acc_edge, b.acc_edge)
     a, b = detect_potential_paths_batch(g, F, 127, 126), detect_potential_paths_batch(g, wide, 127, 126)
     assert np.array_equal(a.path, b.path) and np.array_equal(a.count, b.count)
 

@@ -26,7 +26,7 @@ from crslab.rng import stream
 from crslab.selection import edge_selection
 from crslab.two_phase import run_two_phase_batch
 
-from .oracles import T0_FROZEN, edge_inputs, matched_flags, recorded, run_edge, run_rank1_closed_form, run_two_phase, run_vertex, watch_all
+from .oracles import T0_FROZEN, edge_inputs, matched_flags, recorded, run_edge, run_rank1_closed_form, run_two_phase, run_vertex, stopped, watch_all
 
 GRID = 6  # arrival times k / GRID, k = 1..GRID
 BINS = 4
@@ -179,8 +179,9 @@ def test_two_phase_batch_rows_match_scalar(maker, t, t_stop):
     g, grid = maker()
     trials = 300
     Y, F, UA, UB = _vertex_draws(g, 814, trials, extra=2, grid=grid)
-    res = recorded(run_two_phase_batch, g, t, Y, F, UA, UB, t_stop, BINS, watch_all(g, trials))
-    _two_phase_reference(g, t, Y, F, UA, UB, t_stop).check(res)
+    res = recorded(run_two_phase_batch, g, t, stopped(Y, t_stop), F, UA, UB, BINS)
+    # two-phase watches no vertex: its flags are the ends of `acc_edge`
+    _two_phase_reference(g, t, Y, F, UA, UB, t_stop).check(res, FIELDS[1:])
 
 
 # -- the keep rules at their extremes -------------------------------------------------
@@ -232,8 +233,8 @@ def test_batch_keep_rules_at_the_extremes(engine, case, c5, sel5, k33):
         g = complete(5)
         Y, F = _vertex_draws(g, 843, trials, extra=0)
         UA = UB = np.full(Y.shape, u)
-        res = recorded(run_two_phase_batch, g, 0.6, Y, F, UA, UB, t_stop, BINS, watch_all(g, trials))
-        _two_phase_reference(g, 0.6, Y, F, UA, UB, t_stop).check(res)
+        res = recorded(run_two_phase_batch, g, 0.6, stopped(Y, t_stop), F, UA, UB, BINS)
+        _two_phase_reference(g, 0.6, Y, F, UA, UB, t_stop).check(res, FIELDS[1:])
     _check_extreme(case, res)
 
 
@@ -308,7 +309,7 @@ def test_two_phase_batch_ignores_block_budget(monkeypatch, maker):
         for t_stop in T_STOPS:
             _same_for_every_budget(
                 monkeypatch, g.vertex_count,
-                lambda: recorded(run_two_phase_batch, g, 0.6, Y, F, UA, UB, t_stop, BINS, watch_all(g, 200)),
+                lambda: recorded(run_two_phase_batch, g, 0.6, stopped(Y, t_stop), F, UA, UB, BINS),
             )
 
 
@@ -318,7 +319,7 @@ def test_watched_flags_are_cells_of_the_full_watch(monkeypatch, k, c5, sel5, tab
     as cut from the full flag matrix, for every block budget and 1-3 engine
     threads; without `watch` it is None and the counters are unchanged."""
     trials = 200
-    Y, F, U, UB = _vertex_draws(c5, 851, trials, extra=2)
+    Y, F, U = _vertex_draws(c5, 851, trials)
     sel_e = edge_selection("edge_general")
     table_e = fill_tables_edge(k33, sel_e, T=6, delta=0.1, Q=100, seed=852)
     rng = stream(853, "test-engines")
@@ -327,7 +328,6 @@ def test_watched_flags_are_cells_of_the_full_watch(monkeypatch, k, c5, sel5, tab
     runs = (  # (graph, row width, run(watch))
         (c5, 5, lambda watch: run_vertex_batch(c5, sel5, table_c5_small, Y, F, U, 0.6, 1, BINS, watch)),
         (k33, 9, lambda watch: run_edge_batch(k33, sel_e, table_e, *edge_inputs(active, Ye, Ue), 0.6, BINS, watch)),
-        (c5, 5, lambda watch: run_two_phase_batch(c5, 0.6, Y, F, U, UB, 0.6, BINS, watch)),
     )
     for g, width, run in runs:
         full = run(watch_all(g, trials))

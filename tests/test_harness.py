@@ -210,7 +210,7 @@ def test_scheme_kind_matrix(kind, scheme):
 
 
 # One valid config per scheme and kind; the property test below spoils one field at a time.
-VALID_BASES = [config_of(kind, scheme) for scheme, (kinds, _) in SCHEMES.items() for kind in kinds]
+VALID_BASES = [config_of(kind, scheme) for scheme in SCHEMES for kind in SCHEMES[scheme][0]]
 ABSENT = object()
 JSON_VALUES = st.one_of(
     st.none(),
@@ -249,7 +249,7 @@ def test_any_json_value_builds_or_is_a_config_error(data):
     paths += [("instance", k) for k in base["instance"]]
     paths += [("checks", 0, k) for k in ("metric", "op", "value")]
     path = data.draw(st.sampled_from(paths))
-    raw = {**base, "checks": [{"metric": KINDS[base["kind"]][0], "op": ">=", "value": 1}]}
+    raw = {**base, "checks": [{"metric": KINDS[base["kind"]][0][0], "op": ">=", "value": 1}]}
     raw = _spoil(raw, path, data.draw(JSON_VALUES))
     try:
         cfg = ExperimentConfig.from_dict(raw)
@@ -456,7 +456,7 @@ KIND_CONFIGS = {
 def test_summary_keys_are_the_kinds_keys_in_order(kind):
     # the order is the gap report's CSV column order
     rep = run_experiment(make(**KIND_CONFIGS[kind]))
-    assert tuple(rep.summary) == KINDS[kind]
+    assert tuple(rep.summary) == KINDS[kind][0]
 
 
 def test_gap_experiment_summary():
@@ -811,9 +811,7 @@ def test_cli_selection(capsys, tmp_path):
 
 def test_cli_selection_edge_kind(capsys):
     assert main(["selection", "--edge", "rank1"]) == 0
-    assert "edge[rank1]" in capsys.readouterr().out
-    assert main(["selection", "--edge", "rank1", "--g", "3,5"]) == 0
-    assert capsys.readouterr().out.count("edge[rank1]") == 1  # once, not once per girth
+    assert capsys.readouterr().out.count("edge[rank1]") == 1
 
 
 def test_cli_simulate(tmp_path, capsys):
@@ -911,6 +909,9 @@ CLI_ERRORS = [
     (["diag", "--what", "hardness", "--u", "0", "--v", "1", *RUN], "config error: --u: not read by diag --what hardness"),
     (["diag", "--what", "hardness", "--v", "1", *RUN], "config error: --v: not read by diag --what hardness"),
     (["diag", "--what", "hardness", "--t-k", "0.5", *RUN], "config error: --t-k: not read by diag --what hardness"),
+    # a selection flag that the run never reads
+    (["selection", "--edge", "edge_tree", "--g", "3,5"], "config error: --g: not read with --edge"),
+    (["selection", "--g", "5", "--grid", "7"], "config error: --grid: read only with --certify or --out"),
 ]
 
 

@@ -16,7 +16,7 @@ from crslab.rng import stream
 from crslab.selection import edge_selection, vertex_selection
 from crslab.two_phase import run_two_phase_batch
 
-from .oracles import RecordedResult, RecordingTally, edge_inputs, greedy_resolve, recorded, watch_all
+from .oracles import RecordedResult, RecordingTally, edge_inputs, greedy_resolve, recorded, stopped, watch_all
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -151,7 +151,7 @@ def _engine_calls():
     return (
         (run_vertex_batch, (c5, sel5, tab5, Y, F, U, 0.7, None, 4, watch_all(c5, rows))),
         (run_edge_batch, (k33, sel_e, tab_e, *edge_inputs(active, Ye, Ue), 0.7, 4, watch_all(k33, rows))),
-        (run_two_phase_batch, (c5, 0.6, Y, F, U, UB, 0.7, 4, watch_all(c5, rows))),
+        (run_two_phase_batch, (c5, 0.6, stopped(Y, 0.7), F, U, UB, 4)),
     )
 
 

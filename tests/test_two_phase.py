@@ -29,7 +29,7 @@ from .analysis import (
     recursion_bound,
     survival_prob_closed,
 )
-from .oracles import GUARANTEE_AT_T0, GUARANTEE_MAX, T0_FROZEN, phase1_mode, watch_all
+from .oracles import GUARANTEE_AT_T0, GUARANTEE_MAX, T0_FROZEN, endpoint_flags, phase1_mode, recorded
 
 
 def test_prune_factor_basics():
@@ -51,7 +51,8 @@ def test_survival_closed_form_identity(x, t):
 
 def test_survival_closed_form_degenerates_at_one():
     # the alternative form is 0/0 at t=1; the primary form is fine there
-    assert math.isnan(survival_prob_closed(0.5, 1.0))
+    with pytest.warns(RuntimeWarning, match="invalid value"):
+        assert math.isnan(survival_prob_closed(0.5, 1.0))
     assert abs(survival_prob(0.5, 1.0) - 0.5) < 1e-15  # a_1 = 1
 
 
@@ -104,18 +105,18 @@ def _draws(g, seed, trials):
 def test_t_zero_is_prune_greedy_bitwise(k33):
     # t = 0 has no balancing phase: the balance bits are never read
     Y, F, UA, UB = _draws(k33, 702, 400)
-    a = run_two_phase_batch(k33, 0.0, Y, F, UA, UB, watch=watch_all(k33, 400))
-    b = run_two_phase_batch(k33, 0.0, Y, F, UA, np.ones_like(UB), watch=watch_all(k33, 400))
-    assert np.array_equal(a.matched, b.matched)
+    a = recorded(run_two_phase_batch, k33, 0.0, Y, F, UA, UB)
+    b = recorded(run_two_phase_batch, k33, 0.0, Y, F, UA, np.ones_like(UB))
+    assert np.array_equal(a.acc_edge, b.acc_edge)
     assert np.array_equal(a.accepted, b.accepted)
 
 
 def test_t_one_is_balanced_scheme_bitwise(k33):
     # t = 1 prunes nothing (a_1 = 1): the pruning bits are never decisive
     Y, F, UA, UB = _draws(k33, 703, 400)
-    a = run_two_phase_batch(k33, 1.0, Y, F, UA, UB, watch=watch_all(k33, 400))
-    b = run_two_phase_batch(k33, 1.0, Y, F, np.zeros_like(UA), UB, watch=watch_all(k33, 400))
-    assert np.array_equal(a.matched, b.matched)
+    a = recorded(run_two_phase_batch, k33, 1.0, Y, F, UA, UB)
+    b = recorded(run_two_phase_batch, k33, 1.0, Y, F, np.zeros_like(UA), UB)
+    assert np.array_equal(a.acc_edge, b.acc_edge)
     assert np.array_equal(a.accepted, b.accepted)
 
 
@@ -185,8 +186,8 @@ def test_phase_boundary_is_strict():
     UA = np.zeros((2, 2))  # always survive pruning
     UB = np.array([[0.0, 0.99]] * 2)  # would fail the balance bit if applied
     Y = np.array([[0.2, t], [0.2, t - 1e-9]])  # at t, then just below it
-    res = run_two_phase_batch(g, t, Y, F, UA, UB, watch=watch_all(g, 2))
-    assert res.matched.tolist() == [[True, True], [False, False]]
+    res = recorded(run_two_phase_batch, g, t, Y, F, UA, UB)
+    assert endpoint_flags(g, res.acc_edge).tolist() == [[True, True], [False, False]]
 
 
 def test_simulate_two_phase_consistency(k33):
